@@ -38,12 +38,11 @@ def main():
     print(f"value at root pi={root_pi:.3f}: {v0:.8f}")
     print(f"boundaries at n=0: ({surface.b1[0]:.4f}, {surface.b2[0]:.4f})")
 
-    oracle_h = min(horizon, 6)
-    oracle = st.brute_force_value(prior, family, args.cost, oracle_h)
-    reach = st.enumerate_reachable_pis(prior, family, oracle_h)
-    exact_surf = st.solve(prior, family, args.cost, oracle_h, grid_size=201, include=reach)
+    oracle = st.brute_force_value(prior, family, args.cost, horizon)
+    reach = st.enumerate_reachable_pis(prior, family, horizon)
+    exact_surf = st.solve(prior, family, args.cost, horizon, grid_size=201, include=reach)
     print(
-        f"oracle horizon={oracle_h}: {oracle:.12f}  "
+        f"oracle horizon={horizon}: {oracle:.12f}  "
         f"(solver on reachable grid: {st.value_at(exact_surf, 0, root_pi):.12f})"
     )
 

@@ -4,7 +4,7 @@ Exact posterior propagation for natural exponential-family observations
 under finite atomic priors, a backward-induction solver for the optimal
 stopping value surface and boundaries, numerical certification of the
 surface's structural properties, and Monte Carlo policy evaluation against
-an exact small-horizon oracle.
+an exact lattice oracle.
 """
 
 from .families import (
@@ -36,7 +36,6 @@ from .priors import (
 from .solver import (
     PolicyDecision,
     ValueSurface,
-    backward_induction,
     bellman_step,
     choose_horizon,
     extract_boundaries,

@@ -43,7 +43,7 @@ from .priors import (
     transition_distribution,
     y_of_pi,
 )
-from .solver import ValueSurface, backward_induction, choose_horizon, gain, make_grid, solve
+from .solver import ValueSurface, choose_horizon, gain, make_grid, solve
 
 __all__ = [
     "CheckReport",
@@ -335,9 +335,7 @@ def check_binomial_reduction(
     binom = make_named_family(f"binomial({n_trials})")
     bern = make_named_family("bernoulli")
     grid = make_grid(grid_size)
-    v_binom = backward_induction(
-        prior, binom, grid, horizon, cost_at=lambda m: float(cost), can_stop_at=lambda m: True
-    )
+    v_binom = solve(prior, binom, float(cost), horizon, grid_size).values
     v_bern = _batched_bernoulli_layers(prior, bern, grid, horizon, n_trials, float(cost))
     worst = -math.inf
     loc = None

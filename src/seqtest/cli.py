@@ -11,8 +11,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import checks as checks_mod
 from .families import family_for_prior, family_from_scheme_csv
 from .priors import load_prior_csv
@@ -68,7 +66,6 @@ def _cmd_solve(args):
         "grid_size": args.grid_size or cfg.get("grid_size", 2001),
         "grid_kind": args.grid_kind or cfg.get("grid_kind", "uniform"),
         "nodes": args.nodes or cfg.get("nodes"),
-        "seed": args.seed if args.seed is not None else cfg.get("seed", 0),
         "out": args.out or cfg.get("out"),
     }
     if merged["cost"] is None:
@@ -118,9 +115,6 @@ def _cmd_plot_data(args):
     write_value_layers_csv(surface, os.path.join(args.out, "value_layers.csv"))
     write_boundaries_csv(surface, os.path.join(args.out, "boundaries.csv"))
     return 0
-
-
-_MEASURE_CHECKS = ("concentration", "level-spread", "convex-order", "binomial-reduction")
 
 
 def _run_one_check(name, args):
@@ -249,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slack", type=float, default=None)
     p.add_argument("--grid-size", dest="grid_size", type=int, default=None)
     p.add_argument("--grid-kind", dest="grid_kind", choices=("uniform", "cosine"), default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1, help="worker cap (single-process run)")
     p.add_argument("--config", help="JSON config; flags override its values")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_solve)
@@ -290,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("oracle", help="exact tree value for finite-outcome models")
+    p = sub.add_parser("oracle", help="exact lattice value for finite-outcome models")
     add_model_opts(p)
     p.add_argument("--cost", type=float, required=True)
     p.add_argument("--horizon", type=int, required=True)
@@ -302,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cost", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid-size", dest="grid_size", type=int, default=501)
-    p.add_argument("--threads", type=int, default=1, help="worker cap (single-process run)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_probe)
 

@@ -212,41 +212,20 @@ def _log_odds(ctx: _Ctx, n: int, y):
 
 
 def _y_of_logit(ctx: _Ctx, n: int, target):
-    """Invert y -> log-odds by doubling brackets then 80 bisections.
+    """Invert y -> log-odds by 80 bisections inside an a-priori bracket.
 
-    The map is strictly increasing, so bracketing is safe; bisection avoids
-    the flat saturated tails that defeat derivative-based methods.
+    The slope of the log-odds in y is E_up[u] - E_lo[u], which lies between
+    the atom gap across theta0 and the span of the atoms, so the root lies
+    between (t - r0) / span and (t - r0) / gap, with r0 the log-odds at y = 0.
+    Bisection avoids the flat saturated tails that defeat derivative-based
+    methods.
     """
     t = np.asarray(target, dtype=float)
-    y_lo = np.zeros_like(t)
-    y_hi = np.zeros_like(t)
-    r0 = _log_odds(ctx, n, np.zeros_like(t))
-    go_up = r0 < t
-
-    pend = go_up.copy()
-    d = 1.0
-    while pend.any():
-        r = float(_log_odds(ctx, n, d))
-        done = pend & (r >= t)
-        y_hi[done] = d
-        pend &= ~done
-        y_lo[pend] = d
-        d *= 2.0
-        if d > 1e300:
-            raise ValueError("level curve out of numerical range (no upper bracket)")
-
-    pend = ~go_up
-    d = 1.0
-    while pend.any():
-        r = float(_log_odds(ctx, n, -d))
-        done = pend & (r <= t)
-        y_lo[done] = -d
-        pend &= ~done
-        y_hi[pend] = -d
-        d *= 2.0
-        if d > 1e300:
-            raise ValueError("level curve out of numerical range (no lower bracket)")
-
+    gap = ctx.atoms[ctx.split] - ctx.atoms[ctx.split - 1]
+    span = ctx.atoms[-1] - ctx.atoms[0]
+    d = t - float(_log_odds(ctx, n, 0.0))
+    y_lo = np.minimum(d / span, d / gap)
+    y_hi = np.maximum(d / span, d / gap)
     for _ in range(80):
         mid = 0.5 * (y_lo + y_hi)
         r = _log_odds(ctx, n, mid)
@@ -254,6 +233,20 @@ def _y_of_logit(ctx: _Ctx, n: int, target):
         y_lo = np.where(up, mid, y_lo)
         y_hi = np.where(up, y_hi, mid)
     return 0.5 * (y_lo + y_hi)
+
+
+def _transition(ctx: _Ctx, n: int, y):
+    """Yield (predictive mass, next pi) for each scheme outcome from (n, y).
+
+    For outcome x_k the chain moves to q(n+1, y + x_k) with predictive mass
+    sum_i w_i(n, y) exp{u_i x_k - B(u_i)} times the scheme's point mass.
+    ``y`` may be a scalar or an array of states.
+    """
+    z = _unnorm_log_weights(ctx, n, y)
+    lw = z - _lse_last(z)[..., None]
+    for k in range(ctx.points.size):
+        pred = np.exp(_lse_last(lw + ctx.ux[k]) + ctx.log_mass[k])
+        yield pred, expit(_log_odds(ctx, n + 1, y + ctx.points[k]))
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +312,5 @@ def transition_distribution(prior: Prior, family: NaturalFamily, n: int, pi: flo
     validate_prior_for_family(prior, family)
     ctx = _Ctx(prior, family)
     y = float(_y_of_logit(ctx, n, np.asarray(logit(pi), dtype=float)))
-    z = _unnorm_log_weights(ctx, n, y)
-    lw = z - logsumexp(z)
-    log_pred = logsumexp(lw[None, :] + ctx.ux, axis=1) + ctx.log_mass
-    next_pi = expit(_log_odds(ctx, n + 1, y + ctx.points))
-    return next_pi, np.exp(log_pred)
+    weights, next_pi = (np.array(v) for v in zip(*_transition(ctx, n, y)))
+    return next_pi, weights

@@ -1,6 +1,8 @@
-"""Monte Carlo policy evaluation and an exact small-horizon oracle.
+"""Monte Carlo policy evaluation and an exact lattice oracle.
 
-The oracle enumerates the full outcome tree of a finite-outcome model and
+The oracle enumerates the reachable (n, y) lattice of a finite-outcome
+model, whose size grows with the distinct observation sums rather than the
+number of paths, so it reaches the horizons the solver uses, and
 backward-inducts the recursion with no grid and no interpolation, which
 makes it an independent reference for the grid solver.  The simulator draws
 the parameter from the prior's atoms (so the estimated quantity is exactly
@@ -16,7 +18,7 @@ import numpy as np
 from scipy.special import expit, logsumexp
 
 from .families import NaturalFamily
-from .priors import Prior, _Ctx, _log_odds, validate_prior_for_family
+from .priors import Prior, _Ctx, _log_odds, _unnorm_log_weights, validate_prior_for_family
 from .solver import ValueSurface
 
 __all__ = [
@@ -29,7 +31,8 @@ __all__ = [
     "simulate_alternative",
 ]
 
-_MAX_TREE = 10**7
+# distinct (n, y) nodes the oracle lattice may hold
+_MAX_NODES = 10**6
 
 
 @dataclass(frozen=True)
@@ -57,84 +60,76 @@ class SimulationReport:
         return json.dumps(d)
 
 
-def brute_force_value(prior: Prior, family: NaturalFamily, cost: float, horizon: int) -> float:
-    """Exact truncated value at the root (0, prior mass above threshold).
+def _lattice(family: NaturalFamily, horizon: int):
+    """Reachable (n, y) nodes of a finite-outcome model, layer by layer.
 
-    Builds the exact tree of reachable (n, y) nodes and applies the
-    dynamic-programming recursion on it directly, so the only numerical
-    error is log-sum-exp roundoff.  Requires a finite observation scheme.
+    Returns ``(layers, children)``: ``layers[n]`` holds the distinct sums y
+    reachable after n observations and ``children[n][i, k]`` indexes the node
+    of layer n + 1 that node i of layer n moves to on outcome k.  Paths that
+    reach the same y share a node, so the lattice grows with the number of
+    distinct sums, not with the number of paths.
     """
     if family.scheme.kind != "finite":
         raise ValueError("oracle requires finite outcomes")
+    points = family.scheme.points
+    layers = [np.zeros(1)]
+    children = []
+    nodes = 1
+    for _ in range(horizon):
+        ys = layers[-1]
+        # the next layer has at most ys.size * K nodes; refuse before building it
+        if nodes + ys.size * points.size > _MAX_NODES:
+            raise ValueError("oracle tree too large for this horizon")
+        nxt, child = np.unique(ys[:, None] + points, return_inverse=True)
+        layers.append(nxt)
+        children.append(child.reshape(ys.size, points.size))
+        nodes += nxt.size
+    return layers, children
+
+
+def brute_force_value(prior: Prior, family: NaturalFamily, cost: float, horizon: int) -> float:
+    """Exact truncated value at the root (0, prior mass above threshold).
+
+    Builds the lattice of reachable (n, y) nodes and applies the
+    dynamic-programming recursion on it directly, so the only numerical
+    error is log-sum-exp roundoff.  Requires a finite observation scheme.
+    """
     if cost <= 0:
         raise ValueError("cost must be positive")
     horizon = int(horizon)
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
-    n_outcomes = family.scheme.n_points
-    if n_outcomes**horizon > _MAX_TREE:
-        raise ValueError("oracle tree too large for this horizon")
+    layers, children = _lattice(family, horizon)
     validate_prior_for_family(prior, family)
 
     ctx = _Ctx(prior, family)
-    x = ctx.points
-    memo: dict = {}
-
-    def node_value(n: int, counts: tuple) -> float:
-        key = (n, counts)
-        if key in memo:
-            return memo[key]
-        y = float(np.dot(counts, x))
-        z = ctx.lw0 + ctx.atoms * y - n * ctx.B_atoms
-        pi = float(expit(logsumexp(z[ctx.plus]) - logsumexp(z[ctx.minus])))
-        g = min(pi, 1.0 - pi)
+    for n in range(horizon, -1, -1):
+        z = _unnorm_log_weights(ctx, n, layers[n])
+        pi = expit(logsumexp(z[:, ctx.plus], axis=1) - logsumexp(z[:, ctx.minus], axis=1))
+        g = np.minimum(pi, 1.0 - pi)
         if n == horizon:
-            memo[key] = g
-            return g
-        lw = z - logsumexp(z)
-        log_pred = logsumexp(lw[None, :] + ctx.ux, axis=1) + ctx.log_mass
-        cont = cost
-        for k in range(n_outcomes):
-            child = list(counts)
-            child[k] += 1
-            cont += float(np.exp(log_pred[k])) * node_value(n + 1, tuple(child))
-        val = min(g, cont)
-        memo[key] = val
-        return val
-
-    return node_value(0, (0,) * n_outcomes)
+            value = g
+            continue
+        lw = z - logsumexp(z, axis=1)[:, None]
+        cont = np.full(g.shape, float(cost))
+        for k in range(ctx.points.size):
+            log_pred = logsumexp(lw + ctx.ux[k], axis=1) + ctx.log_mass[k]
+            cont += np.exp(log_pred) * value[children[n][:, k]]
+        value = np.minimum(g, cont)
+    return float(value[0])
 
 
 def enumerate_reachable_pis(prior: Prior, family: NaturalFamily, horizon: int, eps: float = 1e-9):
-    """All posterior probabilities reachable on the exact outcome tree.
+    """All posterior probabilities reachable on the exact outcome lattice.
 
     Useful for splicing into a solver grid so the oracle comparison is free
     of interpolation error.  Values within ``eps`` of 0 or 1 are dropped
     (they carry negligible value mass and cannot be inverted reliably).
     """
-    if family.scheme.kind != "finite":
-        raise ValueError("oracle requires finite outcomes")
-    if family.scheme.n_points**horizon > _MAX_TREE:
-        raise ValueError("oracle tree too large for this horizon")
+    layers, _ = _lattice(family, horizon)
     ctx = _Ctx(prior, family)
-    x = ctx.points
-    found = set()
-    frontier = {(0,) * family.scheme.n_points}
-    for n in range(horizon + 1):
-        for counts in frontier:
-            y = float(np.dot(counts, x))
-            pi = float(expit(_log_odds(ctx, n, y)))
-            if eps < pi < 1.0 - eps:
-                found.add(pi)
-        if n < horizon:
-            nxt = set()
-            for counts in frontier:
-                for k in range(family.scheme.n_points):
-                    child = list(counts)
-                    child[k] += 1
-                    nxt.add(tuple(child))
-            frontier = nxt
-    return np.asarray(sorted(found))
+    pis = np.concatenate([expit(_log_odds(ctx, n, ys)) for n, ys in enumerate(layers)])
+    return np.unique(pis[(pis > eps) & (pis < 1.0 - eps)])
 
 
 @dataclass(frozen=True)

@@ -24,18 +24,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logit
+from scipy.special import logit
 
 from .families import NaturalFamily
-from .priors import (
-    Prior,
-    _Ctx,
-    _log_odds,
-    _lse_last,
-    _unnorm_log_weights,
-    _y_of_logit,
-    validate_prior_for_family,
-)
+from .priors import Prior, _Ctx, _transition, _y_of_logit, validate_prior_for_family
 
 __all__ = [
     "ValueSurface",
@@ -43,7 +35,6 @@ __all__ = [
     "make_grid",
     "gain",
     "bellman_step",
-    "backward_induction",
     "solve",
     "extract_boundaries",
     "policy_decide",
@@ -115,23 +106,17 @@ def make_grid(size: int, kind: str = "uniform", include=()) -> np.ndarray:
 
 def _continuation(ctx: _Ctx, grid: np.ndarray, n: int, next_layer: np.ndarray) -> np.ndarray:
     """E[ interp(next_layer)(pi_{n+1}) | pi_n = grid interior ]."""
-    interior = grid[1:-1]
-    y = _y_of_logit(ctx, n, logit(interior))
-    z = _unnorm_log_weights(ctx, n, y)
-    lw = z - _lse_last(z)[..., None]
-    cont = np.zeros(interior.size)
-    for k in range(ctx.points.size):
-        log_pred = _lse_last(lw + ctx.ux[k]) + ctx.log_mass[k]
-        next_pi = expit(_log_odds(ctx, n + 1, y + ctx.points[k]))
-        cont += np.exp(log_pred) * np.interp(next_pi, grid, next_layer)
+    y = _y_of_logit(ctx, n, logit(grid[1:-1]))
+    cont = np.zeros(y.size)
+    for pred, next_pi in _transition(ctx, n, y):
+        cont += pred * np.interp(next_pi, grid, next_layer)
     return cont
 
 
-def _step(ctx, grid, n, next_layer, cost, allow_stop=True):
+def _step(ctx, grid, n, next_layer, cost):
     g = gain(grid)
     out = np.empty_like(g)
-    inner = cost + _continuation(ctx, grid, n, next_layer)
-    out[1:-1] = np.minimum(g[1:-1], inner) if allow_stop else inner
+    out[1:-1] = np.minimum(g[1:-1], cost + _continuation(ctx, grid, n, next_layer))
     out[0] = 0.0
     out[-1] = 0.0
     return out
@@ -144,22 +129,6 @@ def bellman_step(next_layer, n: int, grid, prior: Prior, family: NaturalFamily, 
     if next_layer.shape != grid.shape:
         raise ValueError("next_layer must be defined on the same grid")
     return _step(_Ctx(prior, family), grid, n, next_layer, float(cost))
-
-
-def backward_induction(prior, family, grid, n_layers, cost_at, can_stop_at):
-    """General backward induction with layer-dependent cost and stopping.
-
-    ``cost_at(m)`` is the cost charged for observation m + 1; ``can_stop_at(m)``
-    says whether stopping is allowed at layer m.  The terminal layer is the
-    gain.  Returns the full (n_layers + 1, grid size) value matrix.
-    """
-    grid = np.asarray(grid, dtype=float)
-    ctx = _Ctx(prior, family)
-    values = np.empty((n_layers + 1, grid.size))
-    values[n_layers] = gain(grid)
-    for m in range(n_layers - 1, -1, -1):
-        values[m] = _step(ctx, grid, m, values[m + 1], cost_at(m), can_stop_at(m))
-    return values
 
 
 def solve(
@@ -179,9 +148,11 @@ def solve(
         raise ValueError("horizon must be at least 1")
     validate_prior_for_family(prior, family)
     grid = make_grid(grid_size, grid_kind, include)
-    values = backward_induction(
-        prior, family, grid, horizon, cost_at=lambda m: float(cost), can_stop_at=lambda m: True
-    )
+    ctx = _Ctx(prior, family)
+    values = np.empty((horizon + 1, grid.size))
+    values[horizon] = gain(grid)
+    for n in range(horizon - 1, -1, -1):
+        values[n] = _step(ctx, grid, n, values[n + 1], float(cost))
     b1, b2 = _boundaries(values, grid)
     return ValueSurface(cost=float(cost), horizon=horizon, pi_grid=grid, values=values, b1=b1, b2=b2)
 
@@ -228,9 +199,10 @@ def choose_horizon(cost: float, slack: float = 0.1) -> int:
 
     Any policy expecting more than 1/(2c) observations is dominated by
     stopping immediately (the value never exceeds 1/2); the slack term
-    pushes the residual truncation bias below ``slack``.  Validated
-    empirically: doubling N moves values by well under 1e-6 on the bundled
-    benchmarks.
+    pushes the residual truncation bias below ``slack``.  The bias left is
+    not negligible at coarse costs: on the bundled two-atom Bernoulli prior
+    at c = 0.05 the exact value moves by 2.9e-4 from N = 12 (this choice) to
+    N = 23.
     """
     if cost <= 0:
         raise ValueError("cost must be positive")

@@ -9,24 +9,26 @@ import seqtest as st
 def plain_bernoulli_recursion(c, horizon, t1=0.3, t2=0.7, pi=0.5):
     """Independent reference recursion in original success probabilities.
 
-    Uses no log-space machinery, no exponential-family structure: posterior
-    odds are updated with plain Bernoulli likelihood ratios.
+    Uses no log-space machinery, no exponential-family structure: the
+    posterior after s successes in n trials comes from plain Bernoulli
+    likelihoods, and nodes are memoized on (n, s).
     """
+    memo = {}
 
-    def step(p, x):
-        l1 = t1**x * (1 - t1) ** (1 - x)
-        l2 = t2**x * (1 - t2) ** (1 - x)
-        return p * l2 / (p * l2 + (1 - p) * l1)
+    def V(n, s):
+        if (n, s) not in memo:
+            l1 = t1**s * (1 - t1) ** (n - s)
+            l2 = t2**s * (1 - t2) ** (n - s)
+            p = pi * l2 / (pi * l2 + (1 - pi) * l1)
+            g = min(p, 1 - p)
+            if n == horizon:
+                memo[n, s] = g
+            else:
+                p1 = p * t2 + (1 - p) * t1
+                memo[n, s] = min(g, c + p1 * V(n + 1, s + 1) + (1 - p1) * V(n + 1, s))
+        return memo[n, s]
 
-    def V(n, p):
-        g = min(p, 1 - p)
-        if n == horizon:
-            return g
-        p1 = p * t2 + (1 - p) * t1
-        cont = c + p1 * V(n + 1, step(p, 1)) + (1 - p1) * V(n + 1, step(p, 0))
-        return min(g, cont)
-
-    return V(0, pi)
+    return V(0, 0)
 
 
 class TestBruteForce:
@@ -53,10 +55,30 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="finite outcomes"):
             st.brute_force_value(three_atom_prior, gaussian_mean_family, 0.05, 3)
 
-    def test_tree_size_guard(self, benchmark_prior):
-        fam = st.make_named_family("binomial(9)")
+    def test_tree_size_guard(self, benchmark_prior, tmp_path):
+        # square roots of primes: every multiset of outcomes has its own sum
+        path = tmp_path / "scheme.csv"
+        path.write_text("x,h\n" + "".join(f"{math.sqrt(p)!r},1.0\n" for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)))
+        fam = st.family_from_scheme_csv(path)
         with pytest.raises(ValueError, match="tree too large"):
             st.brute_force_value(benchmark_prior, fam, 0.05, 30)
+
+    def test_production_horizon_agrees_with_plain_probability_recursion(self, benchmark_prior, bernoulli_family):
+        got = st.brute_force_value(benchmark_prior, bernoulli_family, 0.01, 60)
+        want = plain_bernoulli_recursion(0.01, 60)
+        assert got == pytest.approx(want, abs=1e-12)
+
+    # exact values from an (n, successes) lattice recursion written apart from the package
+    @pytest.mark.parametrize(
+        "model, exact", [("bernoulli", 0.1851715394429389), ("binomial(3)", 0.10782007669771786)]
+    )
+    def test_grid_error_at_production_horizon(self, model, exact):
+        prior = st.make_prior([-1.5, -0.9, -0.3, 0.3, 0.9, 1.5], [1.0] * 6, 0.0)
+        family = st.make_named_family(model)
+        oracle = st.brute_force_value(prior, family, 0.01, 60)
+        assert oracle == pytest.approx(exact, abs=1e-12)
+        surface = st.solve(prior, family, 0.01, 60, grid_size=2001)
+        assert abs(st.value_at(surface, 0, prior.mass_above_threshold) - oracle) <= 1e-5
 
 
 class TestSimulatePolicy:
