@@ -238,19 +238,52 @@ def write_surface_json(surface: ValueSurface, path):
         fh.write("\n")
 
 
+def _surface_array(payload, key):
+    try:
+        arr = np.asarray(payload[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"surface file: '{key}' is not a list of numbers") from exc
+    if arr.ndim != 1 or not np.all(np.isfinite(arr)):
+        raise ValueError(f"surface file: '{key}' must be a flat list of finite numbers")
+    return arr
+
+
 def read_surface_json(path) -> ValueSurface:
+    """Load a surface written by ``write_surface_json``, rejecting malformed files."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    grid = np.asarray(payload["pi_grid"], dtype=float)
-    horizon = int(payload["horizon"])
-    values = np.asarray(payload["values"], dtype=float).reshape(horizon + 1, grid.size)
+    if not isinstance(payload, dict):
+        raise ValueError("surface file must hold a JSON object")
+    missing = [key for key in ("cost", "horizon", "pi_grid", "values", "b1", "b2") if key not in payload]
+    if missing:
+        raise ValueError(f"surface file is missing key(s): {', '.join(missing)}")
+    horizon = payload["horizon"]
+    if not isinstance(horizon, int) or horizon < 1:
+        raise ValueError("surface file: 'horizon' must be a positive integer")
+    cost = payload["cost"]
+    if not isinstance(cost, (int, float)) or not (math.isfinite(cost) and cost > 0):
+        raise ValueError("surface file: 'cost' must be a positive finite number")
+    grid = _surface_array(payload, "pi_grid")
+    if grid.size < 3 or grid[0] != 0.0 or grid[-1] != 1.0 or np.any(np.diff(grid) <= 0):
+        raise ValueError("surface file: 'pi_grid' must increase strictly from 0 to 1")
+    values = _surface_array(payload, "values")
+    if values.size != (horizon + 1) * grid.size:
+        raise ValueError(
+            f"surface file: 'values' has {values.size} entries, expected "
+            f"(horizon + 1) * grid size = {(horizon + 1) * grid.size}"
+        )
+    b1, b2 = _surface_array(payload, "b1"), _surface_array(payload, "b2")
+    if b1.size != horizon + 1 or b2.size != horizon + 1:
+        raise ValueError(f"surface file: 'b1' and 'b2' must have horizon + 1 = {horizon + 1} entries")
+    if np.any(b1 < 0.0) or np.any(b1 > 0.5) or np.any(b2 < 0.5) or np.any(b2 > 1.0):
+        raise ValueError("surface file: boundaries must satisfy 0 <= b1 <= 1/2 <= b2 <= 1")
     return ValueSurface(
-        cost=float(payload["cost"]),
+        cost=float(cost),
         horizon=horizon,
         pi_grid=grid,
-        values=values,
-        b1=np.asarray(payload["b1"], dtype=float),
-        b2=np.asarray(payload["b2"], dtype=float),
+        values=values.reshape(horizon + 1, grid.size),
+        b1=b1,
+        b2=b2,
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -286,3 +287,65 @@ class TestBoundariesCommand:
         assert len(lines) == surface.horizon + 2
         n, b1, b2 = lines[1].split(",")
         assert float(b1) == surface.b1[0] and float(b2) == surface.b2[0]
+
+
+def _swap_grid_points(payload):
+    grid = payload["pi_grid"]
+    grid[4], grid[5] = grid[5], grid[4]
+
+
+class TestMalformedSurface:
+    """A damaged surface file is a usage error (exit 2, one line), never a silent run."""
+
+    @pytest.fixture()
+    def surface_payload(self, tmp_path, prior_file):
+        out = str(tmp_path / "small")
+        code = run(
+            ["solve", "--model", "bernoulli", "--prior", prior_file, "--cost", "0.1",
+             "--horizon", "6", "--grid-size", "101", "--out", out]
+        )
+        assert code == 0
+        with open(os.path.join(out, "surface.json"), encoding="utf-8") as fh:
+            return json.load(fh)
+
+    def _simulate(self, tmp_path, prior_file, payload):
+        path = tmp_path / "damaged.json"
+        path.write_text(json.dumps(payload))
+        return run(
+            ["simulate", "--surface", str(path), "--model", "bernoulli", "--prior", prior_file,
+             "--replicates", "50", "--seed", "1"]
+        )
+
+    def test_intact_surface_runs(self, tmp_path, prior_file, surface_payload):
+        assert self._simulate(tmp_path, prior_file, surface_payload) == 0
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            pytest.param(lambda p: p.pop("b2"), "missing key(s): b2", id="no-b2"),
+            pytest.param(lambda p: p.update(b1=p["b1"][:3]), "'b1' and 'b2' must have", id="short-b1"),
+            pytest.param(lambda p: p["b2"].append(0.5), "'b1' and 'b2' must have", id="long-b2"),
+            pytest.param(lambda p: p["b1"].__setitem__(2, 0.7), "0 <= b1 <= 1/2 <= b2 <= 1", id="b1-above-half"),
+            pytest.param(lambda p: p["values"].pop(), "'values' has", id="short-values"),
+            pytest.param(lambda p: p.update(horizon=7), "'values' has", id="wrong-horizon"),
+            pytest.param(_swap_grid_points, "increase strictly", id="swapped-grid"),
+            pytest.param(lambda p: p["pi_grid"].__setitem__(-1, 0.999), "from 0 to 1", id="grid-end"),
+            pytest.param(lambda p: p["values"].__setitem__(7, math.nan), "finite", id="nan-value"),
+            pytest.param(lambda p: p["b1"].__setitem__(0, math.inf), "finite", id="inf-b1"),
+            pytest.param(lambda p: p.update(cost=math.inf), "'cost'", id="inf-cost"),
+            pytest.param(lambda p: p.update(values="many"), "'values'", id="string-values"),
+        ],
+    )
+    def test_damage_is_usage_error(self, tmp_path, prior_file, surface_payload, capsys, damage, message):
+        damage(surface_payload)
+        code = self._simulate(tmp_path, prior_file, surface_payload)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err
+        assert err.count("\n") == 1 and err.startswith("error: surface file")
+
+    def test_non_object_surface(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2, 3]\n")
+        assert run(["boundaries", "--surface", str(path)]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err

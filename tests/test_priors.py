@@ -7,6 +7,7 @@ from hypothesis import strategies as hs
 from scipy.special import logit
 
 import seqtest as st
+from seqtest import priors as priors_mod
 
 
 class TestMakePrior:
@@ -124,6 +125,85 @@ class TestYOfPi:
         for n in (0, 4):
             ys = [st.y_of_pi(three_atom_prior, gaussian_mean_family, n, p) for p in (0.2, 0.4, 0.6, 0.8)]
             assert np.all(np.diff(ys) > 0)
+
+
+def _bisection_reference(ctx, n, target):
+    """The level-curve inversion this package used before Newton: 80 bisections."""
+    t = np.asarray(target, dtype=float)
+    gap = ctx.atoms[ctx.split] - ctx.atoms[ctx.split - 1]
+    span = ctx.atoms[-1] - ctx.atoms[0]
+    d = t - float(priors_mod._log_odds(ctx, n, 0.0))
+    y_lo = np.minimum(d / span, d / gap)
+    y_hi = np.maximum(d / span, d / gap)
+    for _ in range(80):
+        mid = 0.5 * (y_lo + y_hi)
+        up = priors_mod._log_odds(ctx, n, mid) < t
+        y_lo = np.where(up, mid, y_lo)
+        y_hi = np.where(up, y_hi, mid)
+    return 0.5 * (y_lo + y_hi)
+
+
+SIX_ATOMS = ([-1.5, -0.9, -0.3, 0.3, 0.9, 1.5], [1.0, 2.0, 1.0, 1.0, 0.5, 1.0], 0.0)
+SIX_POSITIVE_ATOMS = ([0.4, 0.7, 1.0, 1.4, 1.9, 2.5], [1.0, 2.0, 1.0, 1.0, 0.5, 1.0], 1.2)
+INVERSION_CASES = [
+    ("bernoulli", SIX_ATOMS),
+    ("binomial(3)", SIX_ATOMS),
+    ("gaussian-mean", SIX_ATOMS),
+    ("exponential-rate", SIX_POSITIVE_ATOMS),
+    ("gaussian-variance", SIX_POSITIVE_ATOMS),
+    # atoms a hair either side of theta0: slope near the root as small as 2e-3
+    ("gaussian-mean", ([-2.0, -1e-3, 1e-3, 2.0], [1.0, 1.0, 1.0, 1.0], 0.0)),
+    # near-flat middle with faint far atoms: the slope ranges over 2e-4 .. 4.8
+    ("bernoulli", ([-2.4, -1e-4, 1e-4, 2.4], [1e-6, 1.0, 1.0, 1e-6], 0.0)),
+]
+INVERSION_IDS = ["bernoulli", "binomial3", "gaussian-mean", "exponential-rate", "gaussian-variance",
+                 "gaussian-mean-narrow", "bernoulli-faint-tails"]
+# the solver's 2001-point grid interior (0.5 included) plus both ends of the
+# invertible range
+INVERSION_PIS = np.concatenate([[1.01e-12], np.linspace(0.0, 1.0, 2001)[1:-1], [1.0 - 1.01e-12]])
+
+
+class TestLevelCurveInversion:
+    @pytest.mark.parametrize("model, spec", INVERSION_CASES, ids=INVERSION_IDS)
+    @pytest.mark.parametrize("n", [0, 1, 30, 60, 120])
+    def test_matches_bisection_and_hits_target(self, model, spec, n, monkeypatch):
+        prior = st.make_prior(*spec)
+        ctx = priors_mod._Ctx(prior, st.family_for_prior(model, prior))
+        t = logit(INVERSION_PIS)
+        passes = []
+        log_odds = priors_mod._log_odds
+
+        def counted(ctx, n, y, slope=False):
+            passes.append(slope)
+            return log_odds(ctx, n, y, slope)
+
+        monkeypatch.setattr(priors_mod, "_log_odds", counted)
+        y = priors_mod._y_of_logit(ctx, n, t)
+        monkeypatch.undo()
+        # one pass at y = 0, then one per Newton step; no point may hit the cap
+        assert len(passes) - 1 < priors_mod._NEWTON_CAP
+        y_ref = _bisection_reference(ctx, n, t)
+        assert np.all(np.abs(y - y_ref) <= 1e-11 * np.maximum(1.0, np.abs(y_ref)))
+        resid = np.abs(priors_mod._log_odds(ctx, n, y) - t)
+        assert np.all(resid <= 2e-13 * np.maximum(1.0, np.abs(t)))
+        assert np.all(np.diff(y) > 0)
+
+    @pytest.mark.parametrize("model, spec", INVERSION_CASES, ids=INVERSION_IDS)
+    def test_scalar_input_returns_float(self, model, spec):
+        prior = st.make_prior(*spec)
+        fam = st.family_for_prior(model, prior)
+        for pi in (1.01e-12, 0.5, 1.0 - 1.01e-12):
+            y = st.y_of_pi(prior, fam, 30, pi)
+            assert isinstance(y, float)
+            assert y == st.y_of_pi(prior, fam, 30, np.array([pi]))[0]
+
+    def test_slope_matches_finite_difference(self, three_atom_prior, bernoulli_family):
+        ctx = priors_mod._Ctx(three_atom_prior, bernoulli_family)
+        y = np.linspace(-8.0, 8.0, 17)
+        _, slope = priors_mod._log_odds(ctx, 7, y, slope=True)
+        h = 1e-6
+        fd = (priors_mod._log_odds(ctx, 7, y + h) - priors_mod._log_odds(ctx, 7, y - h)) / (2 * h)
+        np.testing.assert_allclose(slope, fd, rtol=1e-8)
 
 
 class TestMassBelow:
