@@ -8,6 +8,7 @@ losslessly through the matching importer.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -16,6 +17,7 @@ from .families import family_for_prior, family_from_scheme_csv
 from .priors import load_prior_csv
 from .simulate import FixedSampleRule, ThresholdRule, brute_force_value, simulate_alternative, simulate_policy
 from .solver import (
+    _load_surface,
     choose_horizon,
     read_surface_json,
     solve,
@@ -35,6 +37,33 @@ def _load_model(args, prior):
     if getattr(args, "nodes", None):
         params["nodes"] = int(args.nodes)
     return family_for_prior(args.model, prior, params or None)
+
+
+def _provenance(args, prior, family):
+    """The model (a scheme by its outcomes x and base weights h) and the prior a surface is for."""
+    if getattr(args, "scheme", None):
+        model = {"scheme": {"x": family.scheme.points.tolist(), "h": family.scheme.base_weights.tolist()}}
+    else:
+        model = {"model": family.name}
+    weights = [math.exp(w) for w in prior.log_weights.tolist()]
+    return {**model, "prior": {"atoms": prior.atoms.tolist(), "weights": weights, "theta0": prior.theta0}}
+
+
+def _check_provenance(recorded, current):
+    """Refuse to replay a surface against a model or prior it was not solved for.
+
+    Surface files written without provenance are accepted as they are.
+    """
+    if recorded is None:
+        return
+
+    def model(p):
+        return f"model {p['model']!r}" if "model" in p else "a --scheme model"
+
+    if (recorded.get("model"), recorded.get("scheme")) != (current.get("model"), current.get("scheme")):
+        raise ValueError(f"surface was solved for {model(recorded)}, not {model(current)}")
+    if recorded.get("prior") != current["prior"]:
+        raise ValueError("surface was solved for another prior (its atoms, weights or theta0 differ)")
 
 
 def _require_file(path, what):
@@ -89,7 +118,7 @@ def _cmd_solve(args):
     )
     out = merged["out"]
     os.makedirs(out, exist_ok=True)
-    write_surface_json(surface, os.path.join(out, "surface.json"))
+    write_surface_json(surface, os.path.join(out, "surface.json"), _provenance(ns, prior, family))
     write_boundaries_csv(surface, os.path.join(out, "boundaries.csv"))
     with open(os.path.join(out, "run_config.json"), "w", encoding="utf-8") as fh:
         json.dump({**merged, "resolved_horizon": horizon, "subcommand": "solve"}, fh, indent=2)
@@ -174,9 +203,10 @@ def _parse_rule(spec, default_cap):
 
 
 def _cmd_simulate(args):
-    surface = read_surface_json(_require_file(args.surface, "surface file"))
+    surface, recorded = _load_surface(_require_file(args.surface, "surface file"))
     prior = load_prior_csv(_require_file(args.prior, "prior file"))
     family = _load_model(args, prior)
+    _check_provenance(recorded, _provenance(args, prior, family))
     if args.rule:
         rule = _parse_rule(args.rule, surface.horizon)
         report = simulate_alternative(

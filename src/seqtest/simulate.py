@@ -33,6 +33,11 @@ __all__ = [
 
 # distinct (n, y) nodes the oracle lattice may hold
 _MAX_NODES = 10**6
+# replicates per simulation block and observations per draw: the replay's
+# transient arrays hold at most _BLOCK x _CHUNK draws, whatever the
+# replicate count or horizon
+_BLOCK = 8192
+_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -164,41 +169,50 @@ class ThresholdRule:
         return (pi <= self.low) | (pi >= self.high)
 
 
+def _run_block(stop_fn, cap, ctx, prior, family, rng, size):
+    """Replay one block of replicates drawn from its own generator ``rng``.
+
+    Every draw covers all ``_BLOCK`` rows, whether a row is still running,
+    has stopped or is padding past ``size`` (padding never runs), so a row's
+    stream does not depend on the other rows.  Observations are drawn
+    ``_CHUNK`` steps at a time, and no more once every row has stopped.
+    Returns the first ``size`` rows' (theta, tau, accept).
+    """
+    thetas = prior.atoms[rng.choice(prior.n_atoms, size=_BLOCK, p=np.exp(prior.log_weights))]
+    y = np.zeros(_BLOCK)
+    tau = np.full(size, cap, dtype=int)
+    accept = np.zeros(size, dtype=int)
+    rows = np.arange(size)
+    for n in range(cap + 1):
+        pi_now = expit(_log_odds(ctx, n, y[rows]))
+        stop_now = stop_fn(n, pi_now) if n < cap else np.full(pi_now.shape, True)
+        stopping = rows[stop_now]
+        tau[stopping] = n
+        accept[stopping] = pi_now[stop_now] > 0.5
+        rows = rows[~stop_now]
+        if not rows.size:
+            break
+        if n % _CHUNK == 0:
+            obs = family.sampler(thetas[:, None], rng, (_BLOCK, min(_CHUNK, cap - n)))
+        y[rows] += obs[rows, n % _CHUNK]
+    return thetas[:size], tau, accept
+
+
 def _run(stop_fn, cap, prior, family, cost, replicates, seed, trace_path=None):
     replicates = int(replicates)
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
     validate_prior_for_family(prior, family)
     ctx = _Ctx(prior, family)
-    rng = np.random.default_rng(seed)
 
-    idx = rng.choice(prior.n_atoms, size=replicates, p=np.exp(prior.log_weights))
-    thetas = prior.atoms[idx]
-    # one observation matrix up front: row r is replicate r's stream, so a
-    # replicate's trajectory depends only on (seed, r), not on the others
-    obs = (
-        family.sampler(thetas[:, None], rng, (replicates, cap))
-        if cap > 0
-        else np.zeros((replicates, 0))
-    )
-
-    y = np.zeros(replicates)
-    tau = np.full(replicates, cap, dtype=int)
-    accept = np.zeros(replicates, dtype=int)
-    active = np.ones(replicates, dtype=bool)
-    for n in range(cap + 1):
-        if not active.any():
-            break
-        rows = np.nonzero(active)[0]
-        pi_now = expit(_log_odds(ctx, n, y[rows]))
-        stop_now = stop_fn(n, pi_now) if n < cap else np.full(pi_now.shape, True)
-        stopping = rows[stop_now]
-        tau[stopping] = n
-        accept[stopping] = (pi_now[stop_now] > 0.5).astype(int)
-        active[stopping] = False
-        going = rows[~stop_now]
-        if n < cap and going.size:
-            y[going] += obs[going, n]
+    # block b holds replicates b * _BLOCK onwards and draws from its own
+    # generator (seed, b), so replicate r's path depends only on (seed, r)
+    blocks = [
+        _run_block(stop_fn, cap, ctx, prior, family, np.random.default_rng([seed, b]),
+                   min(_BLOCK, replicates - start))
+        for b, start in enumerate(range(0, replicates, _BLOCK))
+    ]
+    thetas, tau, accept = (np.concatenate(parts) for parts in zip(*blocks))
 
     false_upper = (accept == 1) & (thetas <= prior.theta0)
     false_lower = (accept == 0) & (thetas > prior.theta0)

@@ -224,18 +224,24 @@ def value_at(surface: ValueSurface, n: int, pi: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def write_surface_json(surface: ValueSurface, path):
-    payload = {
-        "cost": surface.cost,
-        "horizon": surface.horizon,
-        "pi_grid": [float(v) for v in surface.pi_grid],
-        "values": [float(v) for v in np.asarray(surface.values).ravel()],
-        "b1": [float(v) for v in surface.b1],
-        "b2": [float(v) for v in surface.b2],
-    }
+def write_surface_json(surface: ValueSurface, path, provenance=None):
+    """Write ``surface`` losslessly; ``provenance``, a JSON-ready dict naming
+    the model and prior the surface was solved for, is stored with it when given."""
+    def floats(a):
+        return np.asarray(a, dtype=float).tolist()
+
+    head = {"cost": surface.cost, "horizon": surface.horizon, "pi_grid": floats(surface.pi_grid)}
+    tail = {"b1": floats(surface.b1), "b2": floats(surface.b2)}
+    if provenance is not None:
+        tail["provenance"] = provenance
+    # json.dumps runs the C encoder, about twice as fast as json.dump's Python
+    # one, but holds all its output in memory, so the values go out one layer
+    # at a time; the bytes are those of json.dump on the whole payload
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        fh.write(json.dumps(head)[:-1] + ', "values": [')
+        for n, layer in enumerate(np.asarray(surface.values, dtype=float)):
+            fh.write((", " if n else "") + json.dumps(layer.tolist())[1:-1])
+        fh.write("], " + json.dumps(tail)[1:] + "\n")
 
 
 def _surface_array(payload, key):
@@ -250,6 +256,11 @@ def _surface_array(payload, key):
 
 def read_surface_json(path) -> ValueSurface:
     """Load a surface written by ``write_surface_json``, rejecting malformed files."""
+    return _load_surface(path)[0]
+
+
+def _load_surface(path):
+    """``(surface, provenance)`` from a surface file; provenance is None if it holds none."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
@@ -277,6 +288,9 @@ def read_surface_json(path) -> ValueSurface:
         raise ValueError(f"surface file: 'b1' and 'b2' must have horizon + 1 = {horizon + 1} entries")
     if np.any(b1 < 0.0) or np.any(b1 > 0.5) or np.any(b2 < 0.5) or np.any(b2 > 1.0):
         raise ValueError("surface file: boundaries must satisfy 0 <= b1 <= 1/2 <= b2 <= 1")
+    provenance = payload.get("provenance")
+    if provenance is not None and not isinstance(provenance, dict):
+        raise ValueError("surface file: 'provenance' must be a JSON object")
     return ValueSurface(
         cost=float(cost),
         horizon=horizon,
@@ -284,7 +298,7 @@ def read_surface_json(path) -> ValueSurface:
         values=values.reshape(horizon + 1, grid.size),
         b1=b1,
         b2=b2,
-    )
+    ), provenance
 
 
 def write_boundaries_csv(surface: ValueSurface, path):

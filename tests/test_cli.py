@@ -334,6 +334,7 @@ class TestMalformedSurface:
             pytest.param(lambda p: p["b1"].__setitem__(0, math.inf), "finite", id="inf-b1"),
             pytest.param(lambda p: p.update(cost=math.inf), "'cost'", id="inf-cost"),
             pytest.param(lambda p: p.update(values="many"), "'values'", id="string-values"),
+            pytest.param(lambda p: p.update(provenance=[1]), "'provenance'", id="list-provenance"),
         ],
     )
     def test_damage_is_usage_error(self, tmp_path, prior_file, surface_payload, capsys, damage, message):
@@ -349,3 +350,68 @@ class TestMalformedSurface:
         path.write_text("[1, 2, 3]\n")
         assert run(["boundaries", "--surface", str(path)]) == 2
         assert "must hold a JSON object" in capsys.readouterr().err
+
+
+class TestProvenance:
+    """A surface records its model and prior; simulate refuses to replay it against others."""
+
+    @pytest.fixture()
+    def other_prior(self, tmp_path):
+        path = tmp_path / "other.csv"
+        path.write_text("# theta0=0.0\nu,w\n-2.0,1.0\n-1.9,1.0\n2.0,5.0\n")
+        return str(path)
+
+    @pytest.fixture()
+    def scheme_file(self, tmp_path):
+        path = tmp_path / "scheme.csv"
+        path.write_text("x,h\n0.0,1.0\n1.0,1.0\n")
+        return str(path)
+
+    def _solve(self, tmp_path, model_args, prior):
+        out = tmp_path / "small"
+        code = run(["solve", *model_args, "--prior", prior, "--cost", "0.1", "--horizon", "6",
+                    "--grid-size", "101", "--out", str(out)])
+        assert code == 0
+        return out / "surface.json"
+
+    def _simulate(self, surface, model_args, prior):
+        return run(["simulate", "--surface", str(surface), *model_args, "--prior", prior,
+                    "--replicates", "50", "--seed", "1"])
+
+    def test_solve_records_model_and_prior(self, tmp_path, prior_file):
+        payload = json.loads(self._solve(tmp_path, ["--model", "bernoulli"], prior_file).read_text())
+        assert payload["provenance"] == {
+            "model": "bernoulli",
+            "prior": {"atoms": [float(logit(0.3)), float(logit(0.7))], "weights": [0.5, 0.5], "theta0": 0.0},
+        }
+
+    @pytest.mark.parametrize(
+        "model, other, message",
+        [
+            pytest.param("binomial(3)", True, "solved for model 'bernoulli', not model 'binomial(3)'", id="both"),
+            pytest.param("binomial(3)", False, "solved for model 'bernoulli', not model 'binomial(3)'", id="model"),
+            pytest.param("bernoulli", True, "solved for another prior", id="prior"),
+        ],
+    )
+    def test_mismatch_is_usage_error(self, tmp_path, prior_file, other_prior, capsys, model, other, message):
+        surface = self._solve(tmp_path, ["--model", "bernoulli"], prior_file)
+        capsys.readouterr()
+        code = self._simulate(surface, ["--model", model], other_prior if other else prior_file)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == "" and err.count("\n") == 1 and message in err
+
+    def test_scheme_surface(self, tmp_path, prior_file, scheme_file, capsys):
+        surface = self._solve(tmp_path, ["--scheme", scheme_file], prior_file)
+        assert self._simulate(surface, ["--scheme", scheme_file], prior_file) == 0
+        capsys.readouterr()
+        assert self._simulate(surface, ["--model", "bernoulli"], prior_file) == 2
+        assert "solved for a --scheme model, not model 'bernoulli'" in capsys.readouterr().err
+
+    def test_file_without_provenance_still_loads(self, tmp_path, prior_file, other_prior):
+        surface = self._solve(tmp_path, ["--model", "bernoulli"], prior_file)
+        payload = json.loads(surface.read_text())
+        del payload["provenance"]
+        surface.write_text(json.dumps(payload))
+        assert isinstance(st.read_surface_json(str(surface)), st.ValueSurface)
+        assert self._simulate(surface, ["--model", "binomial(3)"], other_prior) == 0

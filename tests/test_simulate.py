@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import seqtest as st
+from seqtest.simulate import _BLOCK
 
 
 def plain_bernoulli_recursion(c, horizon, t1=0.3, t2=0.7, pi=0.5):
@@ -131,6 +133,56 @@ class TestSimulatePolicy:
         rep = st.simulate_policy(surf, three_atom_prior, fam, 20_000, seed=3)
         v0 = st.value_at(surf, 0, three_atom_prior.mass_above_threshold)
         assert abs(rep.mean_cost - v0) <= 3 * rep.std_error
+
+
+class TestReplicateStreams:
+    """Replicate r's path depends only on (seed, r), never on the replicate count."""
+
+    @pytest.fixture(scope="class")
+    def replays(self, benchmark_surface, benchmark_prior, bernoulli_family, three_atom_prior):
+        gm_family = st.family_for_prior("gaussian-mean", three_atom_prior)
+        gm_surface = st.solve(three_atom_prior, gm_family, 0.1, 6, grid_size=801)
+        rule = st.ThresholdRule(0.2, 0.8, benchmark_surface.horizon)
+        return {
+            "policy": lambda r, path: st.simulate_policy(
+                benchmark_surface, benchmark_prior, bernoulli_family, r, 1, path),
+            "threshold": lambda r, path: st.simulate_alternative(
+                rule, benchmark_prior, bernoulli_family, 0.05, r, 1, path),
+            "gaussian-mean": lambda r, path: st.simulate_policy(gm_surface, three_atom_prior, gm_family, r, 1, path),
+        }
+
+    @pytest.mark.parametrize("case", ["policy", "threshold", "gaussian-mean"])
+    @pytest.mark.parametrize("fewer, more", [(50, _BLOCK + 60), (_BLOCK + 3, 2 * _BLOCK + 1)])
+    def test_trace_rows_do_not_depend_on_replicate_count(self, tmp_path, replays, case, fewer, more):
+        rows = {}
+        for replicates in (fewer, more):
+            path = tmp_path / f"trace-{replicates}.csv"
+            replays[case](replicates, path)
+            rows[replicates] = path.read_text().splitlines()[1:]
+        assert len(rows[fewer]) == fewer and len(rows[more]) == more
+        assert rows[more][:fewer] == rows[fewer]
+        # the rows differ among themselves, so the comparison is not vacuous
+        assert len({row.split(",", 1)[1] for row in rows[fewer]}) > 1
+
+
+class TestBoundedMemory:
+    """The replay's traced peak is bounded by its block size, not replicates x horizon."""
+
+    @pytest.mark.parametrize("model", ["bernoulli", "binomial(3)"])
+    def test_peak_of_long_horizon_replay(self, model):
+        prior = st.make_prior([-1.5, -0.9, -0.3, 0.3, 0.9, 1.5], [1.0] * 6, 0.0)
+        family = st.make_named_family(model)
+        horizon = st.choose_horizon(0.005)
+        assert horizon == 120
+        surface = st.solve(prior, family, 0.005, horizon, grid_size=501)
+        tracemalloc.start()
+        try:
+            st.simulate_policy(surface, prior, family, 100_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a replicates x horizon observation matrix alone would be 96 MB
+        assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 class TestAlternativeRules:

@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -203,6 +205,33 @@ class TestSurfaceIO:
         np.testing.assert_array_equal(back.values, benchmark_surface.values)
         np.testing.assert_array_equal(back.b1, benchmark_surface.b1)
         np.testing.assert_array_equal(back.b2, benchmark_surface.b2)
+
+    @pytest.mark.parametrize("provenance", [None, {"model": "bernoulli", "prior": {"atoms": [-0.8, 0.8]}}])
+    def test_writer_bytes_match_element_by_element_writer(self, benchmark_surface, tmp_path, provenance):
+        # floats whose text form is easy to get wrong: signed zero, subnormals, 17-digit reprs
+        values = benchmark_surface.values.copy()
+        values[0, 1:7] = [-0.0, 5e-324, 2.2250738585072014e-308, 1.0 / 3.0, 0.1 + 0.2, 1e-17]
+        surface = replace(benchmark_surface, values=values)
+        reference = {
+            "cost": surface.cost,
+            "horizon": surface.horizon,
+            "pi_grid": [float(v) for v in surface.pi_grid],
+            "values": [float(v) for v in np.asarray(surface.values).ravel()],
+            "b1": [float(v) for v in surface.b1],
+            "b2": [float(v) for v in surface.b2],
+        }
+        if provenance is not None:
+            reference["provenance"] = provenance
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        with open(old, "w", encoding="utf-8") as fh:
+            json.dump(reference, fh)
+            fh.write("\n")
+        st.write_surface_json(surface, new, provenance)
+        assert new.read_bytes() == old.read_bytes()
+        back = st.read_surface_json(new)
+        for name in ("pi_grid", "values", "b1", "b2"):
+            assert getattr(back, name).tobytes() == np.asarray(getattr(surface, name), dtype=float).tobytes()
+        assert (back.cost, back.horizon) == (surface.cost, surface.horizon)
 
     def test_boundaries_csv_round_trip(self, benchmark_surface, tmp_path):
         path = tmp_path / "boundaries.csv"
