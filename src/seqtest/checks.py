@@ -24,26 +24,20 @@ concurrently on independent instances.
 import json
 import math
 from dataclasses import asdict, dataclass
-from itertools import product
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .families import NaturalFamily, family_for_prior, make_named_family
 from .priors import (
     Prior,
     _Ctx,
-    _log_odds,
-    _lse_last,
-    _unnorm_log_weights,
-    _y_of_logit,
     make_prior,
     mass_below,
     posterior,
     transition_distribution,
     y_of_pi,
 )
-from .solver import ValueSurface, choose_horizon, gain, make_grid, solve
+from .solver import ValueSurface, _backward, choose_horizon, make_grid, solve
 
 __all__ = [
     "CheckReport",
@@ -270,45 +264,6 @@ def check_time_monotonicity(surface: ValueSurface, tol: float = 1e-6, burn: int 
     return _report("time-monotonicity", instance, worst, tol, loc)
 
 
-def _batched_bernoulli_layers(prior, family, grid, horizon, batch, cost):
-    """Bernoulli model, cost charged once per batch, stopping at batch ends.
-
-    Equivalent to backward induction over horizon * batch single-observation
-    layers with cost on observation indices 1, batch+1, 2*batch+1, ... and
-    stopping restricted to layers that are multiples of ``batch``; the
-    no-stopping intermediate layers are composed exactly (enumerating the
-    length-``batch`` observation paths and chaining the one-step predictive
-    weights through the intermediate posterior states) so the comparison is
-    not polluted by interpolation of intermediate layers near the value
-    kinks.  Returns only the batch-end layers.
-    """
-    ctx = _Ctx(prior, family)
-    x_vals = ctx.points  # (0, 1) for the Bernoulli scheme
-    g = gain(grid)
-    interior = grid[1:-1]
-    paths = sorted(product(range(x_vals.size), repeat=batch))
-    values = np.empty((horizon + 1, grid.size))
-    values[horizon] = g
-    for n in range(horizon - 1, -1, -1):
-        m0 = n * batch
-        y0 = _y_of_logit(ctx, m0, logit(interior))
-        cont = np.zeros(interior.size)
-        for path in paths:
-            y = y0
-            log_w = np.zeros(interior.size)
-            for j, k in enumerate(path):
-                z = _unnorm_log_weights(ctx, m0 + j, y)
-                lw = z - _lse_last(z)[..., None]
-                log_w = log_w + _lse_last(lw + ctx.ux[k]) + ctx.log_mass[k]
-                y = y + x_vals[k]
-            next_pi = expit(_log_odds(ctx, m0 + batch, y))
-            cont += np.exp(log_w) * np.interp(next_pi, grid, values[n + 1])
-        values[n, 1:-1] = np.minimum(g[1:-1], cost + cont)
-        values[n, 0] = 0.0
-        values[n, -1] = 0.0
-    return values
-
-
 def check_binomial_reduction(
     n_trials: int,
     prior: Prior,
@@ -320,12 +275,13 @@ def check_binomial_reduction(
     """Batch equivalence of the binomial model with a batched Bernoulli model.
 
     Solves (a) the binomial(N) model charged c per observation and (b) the
-    Bernoulli model charged c only on observations 1, N+1, 2N+1, ... with
-    stopping restricted to multiples of N, then compares layer n of (a) with
-    layer n*N of (b) across the whole grid.  The two routes share nothing
-    but the grid: (a) weights outcome sums by the binomial predictive,
-    (b) chains one-step Bernoulli predictives through every intermediate
-    posterior state.
+    Bernoulli model charged c once per batch of N observations, with stopping
+    restricted to batch ends, then compares layer n of (a) with the layer of
+    (b) at time n*N across the whole grid.  Both run the solver's backward
+    loop and transition step; they differ only in the law of a batch: (a)
+    weights the N-trial outcome sum by the binomial predictive, (b) chains N
+    one-step Bernoulli predictives through every intermediate posterior state,
+    so only batch-end layers are interpolated.
     """
     n_trials = int(n_trials)
     if n_trials < 1:
@@ -336,7 +292,7 @@ def check_binomial_reduction(
     bern = make_named_family("bernoulli")
     grid = make_grid(grid_size)
     v_binom = solve(prior, binom, float(cost), horizon, grid_size).values
-    v_bern = _batched_bernoulli_layers(prior, bern, grid, horizon, n_trials, float(cost))
+    v_bern = _backward(_Ctx(prior, bern), grid, horizon, float(cost), steps=n_trials)
     worst = -math.inf
     loc = None
     for n in range(horizon + 1):

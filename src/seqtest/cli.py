@@ -8,7 +8,6 @@ losslessly through the matching importer.
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -17,7 +16,9 @@ from .families import family_for_prior, family_from_scheme_csv
 from .priors import load_prior_csv
 from .simulate import FixedSampleRule, ThresholdRule, brute_force_value, simulate_alternative, simulate_policy
 from .solver import (
+    _check_provenance,
     _load_surface,
+    _provenance,
     choose_horizon,
     read_surface_json,
     solve,
@@ -34,36 +35,9 @@ def _load_model(args, prior):
     if not getattr(args, "model", None):
         raise ValueError("a --model name (or --scheme file) is required")
     params = {}
-    if getattr(args, "nodes", None):
+    if getattr(args, "nodes", None) is not None:
         params["nodes"] = int(args.nodes)
     return family_for_prior(args.model, prior, params or None)
-
-
-def _provenance(args, prior, family):
-    """The model (a scheme by its outcomes x and base weights h) and the prior a surface is for."""
-    if getattr(args, "scheme", None):
-        model = {"scheme": {"x": family.scheme.points.tolist(), "h": family.scheme.base_weights.tolist()}}
-    else:
-        model = {"model": family.name}
-    weights = [math.exp(w) for w in prior.log_weights.tolist()]
-    return {**model, "prior": {"atoms": prior.atoms.tolist(), "weights": weights, "theta0": prior.theta0}}
-
-
-def _check_provenance(recorded, current):
-    """Refuse to replay a surface against a model or prior it was not solved for.
-
-    Surface files written without provenance are accepted as they are.
-    """
-    if recorded is None:
-        return
-
-    def model(p):
-        return f"model {p['model']!r}" if "model" in p else "a --scheme model"
-
-    if (recorded.get("model"), recorded.get("scheme")) != (current.get("model"), current.get("scheme")):
-        raise ValueError(f"surface was solved for {model(recorded)}, not {model(current)}")
-    if recorded.get("prior") != current["prior"]:
-        raise ValueError("surface was solved for another prior (its atoms, weights or theta0 differ)")
 
 
 def _require_file(path, what):
@@ -85,17 +59,23 @@ def _cmd_solve(args):
     if args.config:
         with open(_require_file(args.config, "config file"), encoding="utf-8") as fh:
             cfg = json.load(fh)
+
+    def pick(key, default=None):
+        # a flag given on the command line, even a zero, overrides the config
+        flag = getattr(args, key)
+        return flag if flag is not None else cfg.get(key, default)
+
     merged = {
-        "model": args.model or cfg.get("model"),
-        "scheme": args.scheme or cfg.get("scheme"),
-        "prior": args.prior or cfg.get("prior"),
-        "cost": args.cost if args.cost is not None else cfg.get("cost"),
-        "horizon": args.horizon or cfg.get("horizon", "auto"),
-        "slack": args.slack if args.slack is not None else cfg.get("slack", 0.1),
-        "grid_size": args.grid_size or cfg.get("grid_size", 2001),
-        "grid_kind": args.grid_kind or cfg.get("grid_kind", "uniform"),
-        "nodes": args.nodes or cfg.get("nodes"),
-        "out": args.out or cfg.get("out"),
+        "model": pick("model"),
+        "scheme": pick("scheme"),
+        "prior": pick("prior"),
+        "cost": pick("cost"),
+        "horizon": pick("horizon", "auto"),
+        "slack": pick("slack", 0.1),
+        "grid_size": pick("grid_size", 2001),
+        "grid_kind": pick("grid_kind", "uniform"),
+        "nodes": pick("nodes"),
+        "out": pick("out"),
     }
     if merged["cost"] is None:
         raise ValueError("cost is required")
@@ -118,7 +98,8 @@ def _cmd_solve(args):
     )
     out = merged["out"]
     os.makedirs(out, exist_ok=True)
-    write_surface_json(surface, os.path.join(out, "surface.json"), _provenance(ns, prior, family))
+    provenance = _provenance(prior, family, scheme=bool(ns.scheme))
+    write_surface_json(surface, os.path.join(out, "surface.json"), provenance)
     write_boundaries_csv(surface, os.path.join(out, "boundaries.csv"))
     with open(os.path.join(out, "run_config.json"), "w", encoding="utf-8") as fh:
         json.dump({**merged, "resolved_horizon": horizon, "subcommand": "solve"}, fh, indent=2)
@@ -147,17 +128,18 @@ def _cmd_plot_data(args):
 
 
 def _run_one_check(name, args):
+    tol = {} if args.tol is None else {"tol": args.tol}  # else each check's own default
     if name in ("concavity", "time-monotonicity"):
         surface = read_surface_json(_require_file(args.surface, "surface file"))
         if name == "concavity":
-            return checks_mod.check_concavity(surface, tol=args.tol or 1e-8)
-        return checks_mod.check_time_monotonicity(surface, tol=args.tol or 1e-6, burn=args.burn)
+            return checks_mod.check_concavity(surface, **tol)
+        return checks_mod.check_time_monotonicity(surface, burn=args.burn, **tol)
     prior = load_prior_csv(_require_file(args.prior, "prior file"))
     if name == "binomial-reduction":
         if args.N is None or args.cost is None:
             raise ValueError("binomial-reduction requires --N and --cost")
         return checks_mod.check_binomial_reduction(
-            args.N, prior, float(args.cost), grid_size=args.grid_size or 2001, tol=args.tol or 1e-6
+            args.N, prior, float(args.cost), grid_size=args.grid_size, **tol
         )
     family = _load_model(args, prior)
     if name == "concentration":
@@ -165,15 +147,15 @@ def _run_one_check(name, args):
         a = args.a if args.a is not None else 0.5 * (lo + prior.theta0)
         b = args.b if args.b is not None else 0.5 * (hi + prior.theta0)
         return checks_mod.check_concentration(
-            prior, family, args.pi, float(a), float(b), args.n_max, tol=args.tol or 1e-8
+            prior, family, args.pi, float(a), float(b), args.n_max, **tol
         )
     if name == "level-spread":
         return checks_mod.check_level_spread(
-            prior, family, args.pi1, args.pi2, args.n_max, tol=args.tol or 1e-8
+            prior, family, args.pi1, args.pi2, args.n_max, **tol
         )
     if name == "convex-order":
         return checks_mod.check_convex_order(
-            prior, family, args.pi, args.m, args.n, tol=args.tol or 1e-8
+            prior, family, args.pi, args.m, args.n, **tol
         )
     raise ValueError(f"unknown check '{name}'")
 
@@ -206,7 +188,7 @@ def _cmd_simulate(args):
     surface, recorded = _load_surface(_require_file(args.surface, "surface file"))
     prior = load_prior_csv(_require_file(args.prior, "prior file"))
     family = _load_model(args, prior)
-    _check_provenance(recorded, _provenance(args, prior, family))
+    _check_provenance(recorded, _provenance(prior, family, scheme=bool(args.scheme)))
     if args.rule:
         rule = _parse_rule(args.rule, surface.horizon)
         report = simulate_alternative(
@@ -298,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--N", type=int, default=None, help="binomial batch size")
     p.add_argument("--cost", type=float, default=None)
-    p.add_argument("--grid-size", dest="grid_size", type=int, default=None)
+    p.add_argument("--grid-size", dest="grid_size", type=int, default=2001)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
 

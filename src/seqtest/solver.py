@@ -104,22 +104,48 @@ def make_grid(size: int, kind: str = "uniform", include=()) -> np.ndarray:
     return base
 
 
-def _continuation(ctx: _Ctx, grid: np.ndarray, n: int, next_layer: np.ndarray) -> np.ndarray:
-    """E[ interp(next_layer)(pi_{n+1}) | pi_n = grid interior ]."""
-    y = _y_of_logit(ctx, n, logit(grid[1:-1]))
-    cont = np.zeros(y.size)
-    for pred, next_pi in _transition(ctx, n, y):
-        cont += pred * np.interp(next_pi, grid, next_layer)
+def _continuation(ctx: _Ctx, grid: np.ndarray, n: int, next_layer: np.ndarray, steps: int = 1) -> np.ndarray:
+    """E[ interp(next_layer)(pi_{n+steps}) | pi_n = grid interior ], with no stop in between.
+
+    Each observation path carries the product of the predictive masses along
+    it to the state it reaches, so only the layer at time n + steps is
+    interpolated.
+    """
+    paths = [(1.0, _y_of_logit(ctx, n, logit(grid[1:-1])))]
+    for m in range(n, n + steps - 1):
+        paths = [
+            (mass * pred, y + x)
+            for mass, y in paths
+            for x, (pred, _) in zip(ctx.points, _transition(ctx, m, y))
+        ]
+    cont = 0.0
+    for mass, y in paths:
+        for pred, next_pi in _transition(ctx, n + steps - 1, y):
+            cont = cont + mass * pred * np.interp(next_pi, grid, next_layer)
     return cont
 
 
-def _step(ctx, grid, n, next_layer, cost):
+def _step(ctx, grid, n, next_layer, cost, steps=1):
     g = gain(grid)
     out = np.empty_like(g)
-    out[1:-1] = np.minimum(g[1:-1], cost + _continuation(ctx, grid, n, next_layer))
+    out[1:-1] = np.minimum(g[1:-1], cost + _continuation(ctx, grid, n, next_layer, steps))
     out[0] = 0.0
     out[-1] = 0.0
     return out
+
+
+def _backward(ctx: _Ctx, grid: np.ndarray, horizon: int, cost: float, steps: int = 1) -> np.ndarray:
+    """Backward induction from V[horizon] = gain down to V[0].
+
+    Layer n belongs to time n * steps: stop there, or pay ``cost`` once for
+    the next ``steps`` observations, with no stop in between.  ``solve`` takes
+    one observation per layer; the binomial-reduction check takes N.
+    """
+    values = np.empty((horizon + 1, grid.size))
+    values[horizon] = gain(grid)
+    for n in range(horizon - 1, -1, -1):
+        values[n] = _step(ctx, grid, n * steps, values[n + 1], cost, steps)
+    return values
 
 
 def bellman_step(next_layer, n: int, grid, prior: Prior, family: NaturalFamily, cost: float):
@@ -148,11 +174,7 @@ def solve(
         raise ValueError("horizon must be at least 1")
     validate_prior_for_family(prior, family)
     grid = make_grid(grid_size, grid_kind, include)
-    ctx = _Ctx(prior, family)
-    values = np.empty((horizon + 1, grid.size))
-    values[horizon] = gain(grid)
-    for n in range(horizon - 1, -1, -1):
-        values[n] = _step(ctx, grid, n, values[n + 1], float(cost))
+    values = _backward(_Ctx(prior, family), grid, horizon, float(cost))
     b1, b2 = _boundaries(values, grid)
     return ValueSurface(cost=float(cost), horizon=horizon, pi_grid=grid, values=values, b1=b1, b2=b2)
 
@@ -299,6 +321,37 @@ def _load_surface(path):
         b1=b1,
         b2=b2,
     ), provenance
+
+
+def _provenance(prior: Prior, family: NaturalFamily, scheme: bool = False) -> dict:
+    """The model and prior a surface is for, as ``write_surface_json`` records them.
+
+    A family read from a scheme file (``scheme``) is named by its outcomes x
+    and base weights h, so the same scheme under another path still matches.
+    """
+    if scheme:
+        model = {"scheme": {"x": family.scheme.points.tolist(), "h": family.scheme.base_weights.tolist()}}
+    else:
+        model = {"model": family.name}
+    weights = [math.exp(w) for w in prior.log_weights.tolist()]
+    return {**model, "prior": {"atoms": prior.atoms.tolist(), "weights": weights, "theta0": prior.theta0}}
+
+
+def _check_provenance(recorded, current):
+    """Refuse to replay a surface against a model or prior it was not solved for.
+
+    Surface files written without provenance are accepted as they are.
+    """
+    if recorded is None:
+        return
+
+    def model(p):
+        return f"model {p['model']!r}" if "model" in p else "a --scheme model"
+
+    if (recorded.get("model"), recorded.get("scheme")) != (current.get("model"), current.get("scheme")):
+        raise ValueError(f"surface was solved for {model(recorded)}, not {model(current)}")
+    if recorded.get("prior") != current["prior"]:
+        raise ValueError("surface was solved for another prior (its atoms, weights or theta0 differ)")
 
 
 def write_boundaries_csv(surface: ValueSurface, path):

@@ -1,13 +1,16 @@
 import json
 import math
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
-from scipy.special import logit
+from scipy.special import expit, logit
 
 import seqtest as st
 from seqtest.checks import PROBE_WINDOWS, sample_random_prior
+from seqtest.priors import _Ctx, _log_odds, _lse_last, _unnorm_log_weights, _y_of_logit
+from seqtest.solver import _backward
 
 
 class TestConcavity:
@@ -187,6 +190,68 @@ class TestBinomialReduction:
     def test_batch_validated(self, benchmark_prior):
         with pytest.raises(ValueError, match="N >= 1"):
             st.check_binomial_reduction(0, benchmark_prior, 0.05)
+
+
+def batched_layers_by_paths(prior, grid, horizon, batch, cost):
+    """Bernoulli layers at batch ends, cost once per batch, summed path by path.
+
+    Reference for the solver's backward loop at ``steps=batch``: every
+    length-``batch`` observation path is enumerated and its mass is the
+    product of the one-step predictives along it, accumulated in log space,
+    so no intermediate layer is interpolated.
+    """
+    ctx = _Ctx(prior, st.make_named_family("bernoulli"))
+    g = st.gain(grid)
+    interior = grid[1:-1]
+    values = np.empty((horizon + 1, grid.size))
+    values[horizon] = g
+    for n in range(horizon - 1, -1, -1):
+        m0 = n * batch
+        y0 = _y_of_logit(ctx, m0, logit(interior))
+        cont = np.zeros(interior.size)
+        for path in product(range(ctx.points.size), repeat=batch):
+            y = y0
+            log_w = np.zeros(interior.size)
+            for j, k in enumerate(path):
+                z = _unnorm_log_weights(ctx, m0 + j, y)
+                lw = z - _lse_last(z)[..., None]
+                log_w = log_w + _lse_last(lw + ctx.ux[k]) + ctx.log_mass[k]
+                y = y + ctx.points[k]
+            next_pi = expit(_log_odds(ctx, m0 + batch, y))
+            cont += np.exp(log_w) * np.interp(next_pi, grid, values[n + 1])
+        values[n, 1:-1] = np.minimum(g[1:-1], cost + cont)
+        values[n, 0] = 0.0
+        values[n, -1] = 0.0
+    return values
+
+
+# the priors of acceptance criterion 07
+CRITERION_07_PRIORS = [
+    st.make_prior([float(logit(0.3)), float(logit(0.7))], [1.0, 1.0], 0.0),
+    st.make_prior([-1.0, -0.1, 1.0], [1.0, 2.0, 1.0], 0.0),
+    st.make_prior([-1.5, -0.4, 0.3, 1.1], [1.0, 1.0, 2.0, 1.0], 0.0),
+]
+
+
+class TestBatchedBackwardLoop:
+    """The solver's backward loop, several observations per layer, against path enumeration."""
+
+    @pytest.mark.parametrize("batch", [1, 2, 3, 4])
+    @pytest.mark.parametrize("prior", CRITERION_07_PRIORS, ids=["two-atom", "three-atom", "four-atom"])
+    def test_matches_path_enumeration(self, prior, batch):
+        grid = st.make_grid(2001)
+        ctx = _Ctx(prior, st.make_named_family("bernoulli"))
+        got = _backward(ctx, grid, 12, 0.05, steps=batch)
+        want = batched_layers_by_paths(prior, grid, 12, batch, 0.05)
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    @pytest.mark.parametrize("model", ["bernoulli", "binomial(3)"])
+    @pytest.mark.parametrize("prior", CRITERION_07_PRIORS, ids=["two-atom", "three-atom", "four-atom"])
+    def test_single_step_is_solve(self, prior, model):
+        family = st.family_for_prior(model, prior)
+        grid = st.make_grid(2001)
+        values = _backward(_Ctx(prior, family), grid, 12, 0.05)
+        assert np.array_equal(values, st.solve(prior, family, 0.05, 12, 2001).values)
 
 
 class TestConjectureProbe:

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -80,6 +82,23 @@ class TestSolve:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            pytest.param(["--model", "bernoulli", "--grid-size", "0"], "grid size must be at least 3",
+                         id="grid-size"),
+            pytest.param(["--model", "gaussian-mean", "--nodes", "0"], "positive integer", id="nodes"),
+            pytest.param(["--model", "bernoulli", "--nodes", "0"], "invalid params for model 'bernoulli'",
+                         id="nodes-finite-model"),
+        ],
+    )
+    def test_explicit_zero_is_not_unset(self, tmp_path, prior_file, capsys, flags, message):
+        out = tmp_path / "x"
+        code = run(["solve", *flags, "--prior", prior_file, "--cost", "0.2", "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_round_trip_reproduces_outputs(self, tmp_path, solved_dir):
         out2 = str(tmp_path / "rerun")
         cfg = os.path.join(solved_dir, "run_config.json")
@@ -145,6 +164,27 @@ class TestVerify:
              "--grid-size", "801"]
         )
         assert code == 0
+
+    def test_zero_tolerance_is_applied(self, solved_dir, tmp_path, capsys):
+        surface = st.read_surface_json(os.path.join(solved_dir, "surface.json"))
+        values = surface.values.copy()
+        values[3, 900] = values[2, 900] - 1e-12  # layer 3 dips below layer 2
+        from dataclasses import replace
+
+        path = str(tmp_path / "dip.json")
+        st.write_surface_json(replace(surface, values=values), path)
+        assert run(["verify", "--check", "time-monotonicity", "--surface", path]) == 0
+        capsys.readouterr()
+        assert run(["verify", "--check", "time-monotonicity", "--surface", path, "--tol", "0"]) == 1
+        assert json.loads(capsys.readouterr().out)["tolerance"] == 0.0
+
+    def test_binomial_reduction_grid_size_zero(self, prior_file, capsys):
+        code = run(
+            ["verify", "--check", "binomial-reduction", "--prior", prior_file, "--N", "2", "--cost", "0.1",
+             "--grid-size", "0"]
+        )
+        assert code == 2
+        assert "grid size must be at least 3" in capsys.readouterr().err
 
     def test_unknown_check(self, solved_dir, capsys):
         code = run(["verify", "--check", "sorcery", "--surface", os.path.join(solved_dir, "surface.json")])
@@ -415,3 +455,19 @@ class TestProvenance:
         surface.write_text(json.dumps(payload))
         assert isinstance(st.read_surface_json(str(surface)), st.ValueSurface)
         assert self._simulate(surface, ["--model", "binomial(3)"], other_prior) == 0
+
+    def test_benchmark_script_records_provenance(self, tmp_path, prior_file, capsys):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+        out = tmp_path / "bench"
+        subprocess.run(
+            [sys.executable, os.path.join(root, "scripts", "bernoulli_benchmark.py"), "--replicates", "200",
+             "--grid-size", "201", "--out", str(out)],
+            check=True, env=env, capture_output=True, timeout=120,
+        )
+        surface = out / "surface.json"
+        assert json.loads(surface.read_text())["provenance"]["model"] == "bernoulli"
+        assert self._simulate(surface, ["--model", "bernoulli"], prior_file) == 0
+        capsys.readouterr()
+        assert self._simulate(surface, ["--model", "binomial(3)"], prior_file) == 2
+        assert "solved for model 'bernoulli', not model 'binomial(3)'" in capsys.readouterr().err
