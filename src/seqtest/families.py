@@ -345,6 +345,9 @@ def make_named_family(name: str, params: dict | None = None) -> NaturalFamily:
     """
     base, inline = _split_name(name)
     kwargs = {**inline, **(params or {})}
+    nodes = kwargs.get("nodes")
+    if base in ("gaussian-mean", "exponential-rate", "gaussian-variance") and nodes is not None and int(nodes) < 1:
+        raise ValueError(f"nodes must be a positive integer for model '{base}', got {nodes}")
     try:
         if base == "gaussian-mean":
             return _gaussian_mean(**kwargs)

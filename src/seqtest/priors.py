@@ -210,11 +210,13 @@ class _Ctx:
         self.ux = np.multiply.outer(self.points, self.atoms) - self.B_atoms
 
 
-def _unnorm_log_weights(ctx: _Ctx, n: int, y):
-    return ctx.lw0 + np.multiply.outer(np.asarray(y, dtype=float), ctx.atoms) - n * ctx.B_atoms
+def _unnorm_log_weights(ctx: _Ctx, n, y):
+    """log w_i + u_i y - n B(u_i); an array ``n`` pairs with ``y`` entry by entry."""
+    nb = np.multiply.outer(n, ctx.B_atoms) if isinstance(n, np.ndarray) else n * ctx.B_atoms
+    return ctx.lw0 + np.multiply.outer(np.asarray(y, dtype=float), ctx.atoms) - nb
 
 
-def _log_odds(ctx: _Ctx, n: int, y, slope: bool = False):
+def _log_odds(ctx: _Ctx, n, y, slope: bool = False):
     """Log-odds of the upper side at (n, y); with ``slope``, also its y-derivative.
 
     The derivative is E_up[u] - E_lo[u], the difference of the side-wise
@@ -247,7 +249,9 @@ def _y_of_logit(ctx: _Ctx, n: int, target):
     evaluated again.  A point stops once its Newton step or its bracket is
     within 8 ulp of max(1, |y|): near y = 0 the rounding of the log-odds is
     absolute, and where the slope is tiny the steps stall above 8 ulp while
-    the midpoints close the bracket.
+    the midpoints close the bracket.  An array ``n`` broadcast against
+    ``target`` inverts several layers in one pass, point by point with the
+    same arithmetic.
 
     Measured on the five named models, n up to 120 and the 2001-point grid
     plus pi = 1.01e-12 and 1 - 1.01e-12: 4-8 steps on six-atom priors and at
@@ -256,6 +260,10 @@ def _y_of_logit(ctx: _Ctx, n: int, target):
     bisections (1.1e-13).
     """
     t = np.asarray(target, dtype=float)
+    layers = isinstance(n, np.ndarray)
+    if layers:
+        n, t = np.broadcast_arrays(n, t)
+        n = n.ravel()
     tf = np.atleast_1d(t).ravel()
     gap = ctx.atoms[ctx.split] - ctx.atoms[ctx.split - 1]
     span = ctx.atoms[-1] - ctx.atoms[0]
@@ -269,7 +277,7 @@ def _y_of_logit(ctx: _Ctx, n: int, target):
         if idx.size == 0:
             break
         ya = y[idx]
-        r, s = _log_odds(ctx, n, ya, slope=True)
+        r, s = _log_odds(ctx, n[idx] if layers else n, ya, slope=True)
         f = r - tf[idx]
         la = np.where(f < 0, ya, lo[idx])
         ha = np.where(f > 0, ya, hi[idx])

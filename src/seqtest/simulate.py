@@ -15,10 +15,10 @@ import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import expit, logit, logsumexp
 
 from .families import NaturalFamily
-from .priors import Prior, _Ctx, _log_odds, _unnorm_log_weights, validate_prior_for_family
+from .priors import LEVEL_EPS, Prior, _Ctx, _log_odds, _unnorm_log_weights, _y_of_logit, validate_prior_for_family
 from .solver import ValueSurface
 
 __all__ = [
@@ -143,12 +143,16 @@ class FixedSampleRule:
 
     size: int
 
+    def __post_init__(self):
+        if self.size < 0:
+            raise ValueError(f"fixed sample size must be non-negative, got {self.size}")
+
     @property
     def cap(self) -> int:
         return self.size
 
-    def stop_mask(self, n, pi):
-        return np.full(pi.shape, n >= self.size)
+    def band(self, n):
+        return -np.inf, np.inf
 
 
 @dataclass(frozen=True)
@@ -159,18 +163,66 @@ class ThresholdRule:
     high: float
     max_steps: int
 
+    def __post_init__(self):
+        if not 0.0 <= self.low <= self.high <= 1.0:
+            raise ValueError(f"threshold rule needs 0 <= low <= high <= 1, got low={self.low}, high={self.high}")
+        if self.max_steps < 0:
+            raise ValueError(f"threshold rule cap must be non-negative, got {self.max_steps}")
+
     @property
     def cap(self) -> int:
         return self.max_steps
 
-    def stop_mask(self, n, pi):
-        if n >= self.max_steps:
-            return np.full(pi.shape, True)
-        return (pi <= self.low) | (pi >= self.high)
+    def band(self, n):
+        return self.low, self.high
 
 
-def _run_block(stop_fn, cap, ctx, prior, family, rng, size):
+# half-width of the uncertain band around a level curve, in log-odds, beyond
+# the measured inversion residual: _BAND_REL times the summed magnitudes of
+# the log-odds' terms covers its rounding (about 10 ulp of that sum) 10^5
+# times over, and _BAND_ULPS ulp of p, turned into log-odds by dpi/dL =
+# p(1 - p), covers the rounding of expit (about 2 ulp of p) 30 times over
+_BAND_REL = 1e-9
+_BAND_ULPS = 64
+
+
+def _level_bands(ctx, n, p):
+    """Uncertain y-interval [a, b] of the test pi > p at layer n, for each p.
+
+    Where y < a, the pi the replay computes, expit(_log_odds(ctx, n, y)), is
+    below p, and where y > b it is above p; only y in [a, b] needs that pi
+    computed.  The interval is the level-curve point y(n, p) widened by the
+    log-odds margin above divided by the atom gap across theta0, a lower
+    bound on the log-odds slope.  A p outside the invertible range, such as
+    a boundary at 0 or 1, is inverted at 1.01 LEVEL_EPS from its end and
+    the band runs on to infinity past it; p = -inf or inf needs no band.
+    ``n`` broadcasts against ``p``.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.clip(p, 1.01 * LEVEL_EPS, 1.0 - 1.01 * LEVEL_EPS)
+    t = logit(q)
+    y = _y_of_logit(ctx, n, t)
+    scale = (1.0 + np.abs(t) + np.abs(y) * np.max(np.abs(ctx.atoms)) + n * np.max(np.abs(ctx.B_atoms))
+             + np.max(np.abs(ctx.lw0)))
+    margin = (np.abs(_log_odds(ctx, n, y) - t) + _BAND_REL * scale
+              + _BAND_ULPS * np.spacing(q) / (q * (1.0 - q)))
+    dy = margin / (ctx.atoms[ctx.split] - ctx.atoms[ctx.split - 1])
+    a = np.where(np.isinf(p), p, np.where(p < q, -np.inf, y - dy))
+    b = np.where(np.isinf(p), p, np.where(p > q, np.inf, y + dy))
+    return a, b
+
+
+def _run_block(lo, hi, ya, yb, ctx, prior, family, rng, size):
     """Replay one block of replicates drawn from its own generator ``rng``.
+
+    A row at layer n continues while lo[n] < pi < hi[n] and, once stopped,
+    accepts the upper side if pi > 1/2; the last layer has lo = hi = inf, so
+    every row still running stops there.  Since pi is increasing in the
+    observation sum y, each test is made on y against the uncertain bands
+    [ya[n, j], yb[n, j]] of the thresholds (lo[n], hi[n], 1/2) from
+    ``_level_bands``.  Rows inside a band of (lo[n], hi[n]), and stopping
+    rows inside the band of 1/2, compute pi from their log-odds, and no
+    other row does, so every decision is the one a test on pi makes.
 
     Every draw covers all ``_BLOCK`` rows, whether a row is still running,
     has stopped or is padding past ``size`` (padding never runs), so a row's
@@ -178,18 +230,29 @@ def _run_block(stop_fn, cap, ctx, prior, family, rng, size):
     ``_CHUNK`` steps at a time, and no more once every row has stopped.
     Returns the first ``size`` rows' (theta, tau, accept).
     """
+    cap = lo.size - 1
     thetas = prior.atoms[rng.choice(prior.n_atoms, size=_BLOCK, p=np.exp(prior.log_weights))]
     y = np.zeros(_BLOCK)
     tau = np.full(size, cap, dtype=int)
     accept = np.zeros(size, dtype=int)
     rows = np.arange(size)
     for n in range(cap + 1):
-        pi_now = expit(_log_odds(ctx, n, y[rows]))
-        stop_now = stop_fn(n, pi_now) if n < cap else np.full(pi_now.shape, True)
-        stopping = rows[stop_now]
+        yr = y[rows]
+        a, b = ya[n], yb[n]
+        stop = (yr < a[0]) | (yr > b[1])
+        near = ((yr >= a[0]) & (yr <= b[0])) | ((yr >= a[1]) & (yr <= b[1]))
+        if near.any():
+            pi = expit(_log_odds(ctx, n, yr[near]))
+            stop[near] = (pi <= lo[n]) | (pi >= hi[n])
+        ys = yr[stop]
+        up = ys > b[2]
+        near = (ys >= a[2]) & (ys <= b[2])
+        if near.any():
+            up[near] = expit(_log_odds(ctx, n, ys[near])) > 0.5
+        stopping = rows[stop]
         tau[stopping] = n
-        accept[stopping] = pi_now[stop_now] > 0.5
-        rows = rows[~stop_now]
+        accept[stopping] = up
+        rows = rows[~stop]
         if not rows.size:
             break
         if n % _CHUNK == 0:
@@ -198,17 +261,20 @@ def _run_block(stop_fn, cap, ctx, prior, family, rng, size):
     return thetas[:size], tau, accept
 
 
-def _run(stop_fn, cap, prior, family, cost, replicates, seed, trace_path=None):
+def _run(band, cap, prior, family, cost, replicates, seed, trace_path=None):
     replicates = int(replicates)
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
     validate_prior_for_family(prior, family)
     ctx = _Ctx(prior, family)
+    # continuation intervals of layers 0 .. cap; the cap layer's is empty
+    lo, hi = np.array([band(n) for n in range(cap)] + [(np.inf, np.inf)], dtype=float).T
+    ya, yb = _level_bands(ctx, np.arange(cap + 1)[:, None], np.stack([lo, hi, np.full(cap + 1, 0.5)], axis=1))
 
     # block b holds replicates b * _BLOCK onwards and draws from its own
     # generator (seed, b), so replicate r's path depends only on (seed, r)
     blocks = [
-        _run_block(stop_fn, cap, ctx, prior, family, np.random.default_rng([seed, b]),
+        _run_block(lo, hi, ya, yb, ctx, prior, family, np.random.default_rng([seed, b]),
                    min(_BLOCK, replicates - start))
         for b, start in enumerate(range(0, replicates, _BLOCK))
     ]
@@ -248,11 +314,8 @@ def simulate_policy(
 ) -> SimulationReport:
     """Replay the solved stopping policy; deterministic given the seed."""
     b1, b2 = surface.b1, surface.b2
-
-    def stop_fn(n, pi):
-        return ~((b1[n] < pi) & (pi < b2[n]))
-
-    return _run(stop_fn, surface.horizon, prior, family, surface.cost, replicates, seed, trace_path)
+    return _run(lambda n: (b1[n], b2[n]), surface.horizon, prior, family, surface.cost, replicates, seed,
+                trace_path)
 
 
 def simulate_alternative(
@@ -271,4 +334,4 @@ def simulate_alternative(
     """
     if cost <= 0:
         raise ValueError("cost must be positive")
-    return _run(rule.stop_mask, rule.cap, prior, family, float(cost), replicates, seed, trace_path)
+    return _run(rule.band, rule.cap, prior, family, float(cost), replicates, seed, trace_path)

@@ -99,6 +99,19 @@ class TestSolve:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("model", ["gaussian-mean", "exponential-rate", "gaussian-variance"])
+    @pytest.mark.parametrize("nodes", ["0", "-2"])
+    def test_nodes_must_be_positive(self, tmp_path, capsys, model, nodes):
+        prior = tmp_path / "prior.csv"
+        prior.write_text("# theta0=1.0\nu,w\n0.5,1.0\n1.5,1.0\n")
+        out = tmp_path / "x"
+        code = run(["solve", "--model", model, "--nodes", nodes, "--prior", str(prior), "--cost", "0.2",
+                    "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: nodes must be a positive integer for model '{model}', got {nodes}\n"
+        assert not out.exists()
+
     def test_config_round_trip_reproduces_outputs(self, tmp_path, solved_dir):
         out2 = str(tmp_path / "rerun")
         cfg = os.path.join(solved_dir, "run_config.json")
@@ -243,6 +256,32 @@ class TestSimulate:
         assert len(lines) == 101
         taus = {int(l.split(",")[2]) for l in lines[1:]}
         assert taus == {2}
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("fixed:-1", "fixed sample size must be non-negative"),
+            ("threshold:0.2,0.8,-3", "threshold rule cap must be non-negative"),
+            ("threshold:nan,0.5", "0 <= low <= high <= 1"),
+            ("threshold:0.8,0.2", "0 <= low <= high <= 1"),
+            ("threshold:0.2,inf", "0 <= low <= high <= 1"),
+        ],
+    )
+    def test_invalid_rule_is_usage_error(self, solved_dir, prior_file, tmp_path, capsys, spec, message):
+        out = tmp_path / "report.json"
+        code = run(["simulate", "--surface", os.path.join(solved_dir, "surface.json"), "--model", "bernoulli",
+                    "--prior", prior_file, "--replicates", "10", "--rule", spec, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_equal_thresholds_are_legal(self, solved_dir, prior_file, tmp_path):
+        out = tmp_path / "report.json"
+        code = run(["simulate", "--surface", os.path.join(solved_dir, "surface.json"), "--model", "bernoulli",
+                    "--prior", prior_file, "--replicates", "10", "--rule", "threshold:0.5,0.5", "--out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["mean_stopping_time"] == 0.0
 
     def test_bad_rule_spec(self, solved_dir, prior_file, capsys):
         code = run(

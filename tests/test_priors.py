@@ -189,6 +189,20 @@ class TestLevelCurveInversion:
         assert np.all(np.diff(y) > 0)
 
     @pytest.mark.parametrize("model, spec", INVERSION_CASES, ids=INVERSION_IDS)
+    def test_array_of_layers_matches_layer_by_layer(self, model, spec):
+        prior = st.make_prior(*spec)
+        ctx = priors_mod._Ctx(prior, st.family_for_prior(model, prior))
+        ns = np.array([0, 1, 30, 60, 120])
+        t = logit(INVERSION_PIS)
+        y = priors_mod._y_of_logit(ctx, ns[:, None], t)
+        assert y.shape == (ns.size, t.size)
+        for n, row in zip(ns, y):
+            want = priors_mod._y_of_logit(ctx, int(n), t)
+            # the same arithmetic point by point; the batched matrix-vector
+            # products may round differently in the last place
+            assert np.all(np.abs(row - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("model, spec", INVERSION_CASES, ids=INVERSION_IDS)
     def test_scalar_input_returns_float(self, model, spec):
         prior = st.make_prior(*spec)
         fam = st.family_for_prior(model, prior)

@@ -1,11 +1,15 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import expit, logit
 
 import seqtest as st
-from seqtest.simulate import _BLOCK
+from seqtest import simulate as simulate_mod
+from seqtest.priors import _Ctx, _log_odds, _y_of_logit
+from seqtest.simulate import _BLOCK, _CHUNK
 
 
 def plain_bernoulli_recursion(c, horizon, t1=0.3, t2=0.7, pi=0.5):
@@ -235,3 +239,242 @@ class TestReachableEnumeration:
     def test_requires_finite_scheme(self, three_atom_prior, gaussian_mean_family):
         with pytest.raises(ValueError, match="finite outcomes"):
             st.enumerate_reachable_pis(three_atom_prior, gaussian_mean_family, 3)
+
+
+def replay_by_pi(stop_fn, cap):
+    """The replay's block as it was before level-curve thresholds.
+
+    A drop-in for ``simulate._run_block`` that ignores the thresholds it is
+    handed: every running row computes pi = expit(log-odds) at every step
+    and ``stop_fn(n, pi)`` decides, with the same draws in the same order.
+    """
+
+    def block(lo, hi, ya, yb, ctx, prior, family, rng, size):
+        thetas = prior.atoms[rng.choice(prior.n_atoms, size=_BLOCK, p=np.exp(prior.log_weights))]
+        y = np.zeros(_BLOCK)
+        tau = np.full(size, cap, dtype=int)
+        accept = np.zeros(size, dtype=int)
+        rows = np.arange(size)
+        for n in range(cap + 1):
+            pi_now = expit(_log_odds(ctx, n, y[rows]))
+            stop_now = stop_fn(n, pi_now) if n < cap else np.full(pi_now.shape, True)
+            stopping = rows[stop_now]
+            tau[stopping] = n
+            accept[stopping] = pi_now[stop_now] > 0.5
+            rows = rows[~stop_now]
+            if not rows.size:
+                break
+            if n % _CHUNK == 0:
+                obs = family.sampler(thetas[:, None], rng, (_BLOCK, min(_CHUNK, cap - n)))
+            y[rows] += obs[rows, n % _CHUNK]
+        return thetas[:size], tau, accept
+
+    return block
+
+
+SIX = ([-1.5, -0.9, -0.3, 0.3, 0.9, 1.5], [1.0, 2.0, 1.0, 1.0, 0.5, 1.0], 0.0)
+SIX_POSITIVE = ([0.4, 0.7, 1.0, 1.4, 1.9, 2.5], [1.0, 2.0, 1.0, 1.0, 0.5, 1.0], 1.2)
+MODEL_PRIORS = {
+    "bernoulli": SIX,
+    "binomial(3)": SIX,
+    "gaussian-mean": SIX,
+    "exponential-rate": SIX_POSITIVE,
+    "gaussian-variance": SIX_POSITIVE,
+}
+# atoms a hair either side of theta0, and a near-flat middle with faint far
+# atoms: the log-odds slope falls to 2e-3 and 2e-4
+STRESS_PRIORS = {
+    "gaussian-mean-narrow": ("gaussian-mean", ([-2.0, -1e-3, 1e-3, 2.0], [1.0, 1.0, 1.0, 1.0], 0.0)),
+    "bernoulli-faint-tails": ("bernoulli", ([-2.4, -1e-4, 1e-4, 2.4], [1e-6, 1.0, 1.0, 1e-6], 0.0)),
+}
+
+
+class TestLevelCurveReplay:
+    """Stopping by y against per-layer level curves decides as the per-row pi replay does."""
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        out = {}
+        for model, spec in MODEL_PRIORS.items():
+            prior = st.make_prior(*spec)
+            family = st.family_for_prior(model, prior)
+            out[model] = (prior, family, st.solve(prior, family, 0.02, 30, grid_size=501))
+        return out
+
+    def _both(self, tmp_path, monkeypatch, stop_fn, cap, replay):
+        monkeypatch.setattr(simulate_mod, "_run_block", replay_by_pi(stop_fn, cap))
+        want = replay(tmp_path / "want.csv")
+        monkeypatch.undo()
+        got = replay(tmp_path / "got.csv")
+        assert got == want
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        return got
+
+    @pytest.mark.parametrize("model", list(MODEL_PRIORS))
+    def test_policy_matches_pi_replay(self, solved, tmp_path, monkeypatch, model):
+        prior, family, surface = solved[model]
+        b1, b2 = surface.b1, surface.b2
+        rep = self._both(
+            tmp_path, monkeypatch, lambda n, pi: ~((b1[n] < pi) & (pi < b2[n])), surface.horizon,
+            lambda path: st.simulate_policy(surface, prior, family, 3000, 11, path))
+        assert 0 < rep.mean_stopping_time < surface.horizon
+
+    @pytest.mark.parametrize("model", ["bernoulli", "gaussian-mean", "exponential-rate"])
+    @pytest.mark.parametrize(
+        "rule, stop_fn",
+        [
+            (st.FixedSampleRule(0), lambda n, pi: np.full(pi.shape, True)),
+            (st.FixedSampleRule(3), lambda n, pi: np.full(pi.shape, n >= 3)),
+            (st.ThresholdRule(0.2, 0.8, 30), lambda n, pi: (pi <= 0.2) | (pi >= 0.8)),
+            (st.ThresholdRule(0.5, 0.5, 30), lambda n, pi: (pi <= 0.5) | (pi >= 0.5)),
+            (st.ThresholdRule(0.0, 1.0, 20), lambda n, pi: (pi <= 0.0) | (pi >= 1.0)),
+            (st.ThresholdRule(1e-13, 1.0 - 1e-13, 20), lambda n, pi: (pi <= 1e-13) | (pi >= 1.0 - 1e-13)),
+        ],
+        ids=["fixed:0", "fixed:3", "threshold:0.2,0.8", "threshold:0.5,0.5", "threshold:0,1", "threshold:1e-13"],
+    )
+    def test_rules_match_pi_replay(self, solved, tmp_path, monkeypatch, model, rule, stop_fn):
+        prior, family, _ = solved[model]
+        self._both(tmp_path, monkeypatch, stop_fn, rule.cap,
+                   lambda path: st.simulate_alternative(rule, prior, family, 0.02, 2000, 5, path))
+
+    @pytest.mark.parametrize("model", ["bernoulli", "gaussian-variance"])
+    def test_boundaries_at_zero_and_one(self, solved, tmp_path, monkeypatch, model):
+        prior, family, surface = solved[model]
+        b1, b2 = surface.b1.copy(), surface.b2.copy()
+        b1[::3] = 0.0
+        b2[1::3] = 1.0
+        b1[2::5], b2[2::5] = 0.0, 1.0
+        edged = dataclasses.replace(surface, b1=b1, b2=b2)
+        self._both(tmp_path, monkeypatch, lambda n, pi: ~((b1[n] < pi) & (pi < b2[n])), edged.horizon,
+                   lambda path: st.simulate_policy(edged, prior, family, 3000, 2, path))
+
+    def test_several_blocks(self, benchmark_surface, benchmark_prior, bernoulli_family, tmp_path, monkeypatch):
+        # a symmetric prior puts bernoulli sums exactly on pi = 1/2: ties at every even n
+        b1, b2 = benchmark_surface.b1, benchmark_surface.b2
+        rep = self._both(
+            tmp_path, monkeypatch, lambda n, pi: ~((b1[n] < pi) & (pi < b2[n])), benchmark_surface.horizon,
+            lambda path: st.simulate_policy(benchmark_surface, benchmark_prior, bernoulli_family,
+                                            2 * _BLOCK + 500, 4, path))
+        assert rep.replicates == 2 * _BLOCK + 500
+
+    @pytest.mark.parametrize(
+        "rule", [st.ThresholdRule(0.5, 0.5, 12), st.FixedSampleRule(2)], ids=["threshold:0.5,0.5", "fixed:2"]
+    )
+    def test_log_odds_only_inside_bands(self, benchmark_prior, bernoulli_family, monkeypatch, rule):
+        # the symmetric prior puts pi exactly at 1/2 on y = n / 2: those rows
+        # need pi to stop (threshold) or to decide (fixed size)
+        ctx = _Ctx(benchmark_prior, bernoulli_family)
+        calls = []
+
+        def counted(ctx, n, y, slope=False):
+            calls.append((n, np.array(y)))
+            return _log_odds(ctx, n, y, slope)
+
+        monkeypatch.setattr(simulate_mod, "_log_odds", counted)
+        st.simulate_alternative(rule, benchmark_prior, bernoulli_family, 0.05, 5000, 3)
+        monkeypatch.undo()
+        # the band set-up evaluates its residuals for every layer at once; the
+        # replay loop then passes one layer at a time
+        replay = [(n, y) for n, y in calls if np.ndim(n) == 0]
+        assert replay
+        for n, y in replay:
+            lo, hi = rule.band(n) if n < rule.cap else (np.inf, np.inf)
+            a, b = simulate_mod._level_bands(ctx, n, [lo, hi, 0.5])
+            assert np.all(np.any((y[:, None] >= a) & (y[:, None] <= b), axis=1))
+        # every row stops at n = 0 or 2 and needs pi at most twice: to stop and to decide
+        assert sum(y.size for _, y in replay) <= 2 * 5000
+
+
+# ulp steps either side of a level-curve point, and multiples of the band's half-width
+ULP_STEPS = np.arange(-6, 7)
+HALF_WIDTHS = np.array([-4.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 4.0])
+SWEEP_PIS = [1.01e-12, 5e-4, 0.3, 0.5, 0.9995, 1.0 - 1.01e-12]
+
+
+class TestLevelBands:
+    @pytest.fixture(scope="class", params=[*MODEL_PRIORS, *STRESS_PRIORS])
+    def ctx(self, request):
+        model, spec = STRESS_PRIORS.get(request.param, (request.param, MODEL_PRIORS.get(request.param)))
+        prior = st.make_prior(*spec)
+        return _Ctx(prior, st.family_for_prior(model, prior))
+
+    @staticmethod
+    def _decide(ctx, n, y, p, a, b):
+        """pi > p and pi >= p as the replay makes them: by y outside [a, b], by pi inside."""
+        near = (y >= a) & (y <= b)
+        pi = expit(_log_odds(ctx, n, y))
+        return np.where(near, pi > p, y > b), np.where(near, pi >= p, y > b)
+
+    @pytest.mark.parametrize("n", [0, 30, 120])
+    @pytest.mark.parametrize("p", SWEEP_PIS)
+    def test_threshold_matches_direct_test(self, ctx, n, p):
+        # p and its neighbouring double towards 1/2: near 1, expit rounds onto
+        # a grid coarser than the doubles, which hits one of the two exactly
+        # over a range of y
+        for p in (p, np.nextafter(p, 0.0 if p >= 0.5 else 1.0)):
+            a, b = simulate_mod._level_bands(ctx, n, p)
+            y_p = float(_y_of_logit(ctx, n, logit(p)))
+            delta = 0.5 * (b - a)
+            assert y_p - delta == pytest.approx(a, rel=1e-12, abs=1e-12)
+            # a ladder from four half-widths halving down to the ulp scale: a
+            # narrower band than the rounding needs leaves some rung decided wrongly
+            ladder = 4.0 * delta * 0.5 ** np.arange(48)
+            y = np.concatenate([y_p + ULP_STEPS * np.spacing(y_p), y_p + HALF_WIDTHS * delta,
+                                y_p - ladder, y_p + ladder])
+            pi = expit(_log_odds(ctx, n, y))
+            gt, ge = self._decide(ctx, n, y, p, a, b)
+            np.testing.assert_array_equal(gt, pi > p)
+            np.testing.assert_array_equal(ge, pi >= p)
+            # the points two and four half-widths out are decided by y alone
+            outside = np.abs(y - y_p) > 1.5 * delta
+            assert np.count_nonzero(outside) == 8 and not np.any((y[outside] >= a) & (y[outside] <= b))
+
+    @pytest.mark.parametrize("model", list(MODEL_PRIORS))
+    def test_bands_are_thin(self, model):
+        prior = st.make_prior(*MODEL_PRIORS[model])
+        ctx = _Ctx(prior, st.family_for_prior(model, prior))
+        p = np.array([5e-4, 0.3, 0.5, 0.9995])
+        for n in (0, 30, 120):
+            a, b = simulate_mod._level_bands(ctx, n, p)
+            y_p = _y_of_logit(ctx, n, logit(p))
+            assert np.all(0.5 * (b - a) <= 1e-6 * np.maximum(1.0, np.abs(y_p)))
+
+    @pytest.mark.parametrize("p", [0.0, 1e-13, 1.0 - 1e-13, 1.0])
+    def test_thresholds_outside_invertible_range(self, ctx, p):
+        n = 30
+        a, b = simulate_mod._level_bands(ctx, n, p)
+        # the band runs on to infinity on the side of the unreachable end
+        assert (a == -np.inf) if p < 0.5 else (b == np.inf)
+        edge = b if p < 0.5 else a
+        y = edge + np.array([-1.0, 1.0]) * max(1.0, abs(edge)) * 1e-6
+        y = np.concatenate([y, edge + np.linspace(-50.0, 50.0, 41)])
+        gt, ge = self._decide(ctx, n, y, p, a, b)
+        pi = expit(_log_odds(ctx, n, y))
+        np.testing.assert_array_equal(gt, pi > p)
+        np.testing.assert_array_equal(ge, pi >= p)
+
+    def test_infinite_thresholds_need_no_band(self, ctx):
+        a, b = simulate_mod._level_bands(ctx, np.arange(4)[:, None], [[-np.inf, np.inf]] * 4)
+        np.testing.assert_array_equal(a, [[-np.inf, np.inf]] * 4)
+        np.testing.assert_array_equal(b, a)
+
+
+class TestRuleValidation:
+    def test_fixed_rejects_negative(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            st.FixedSampleRule(-1)
+
+    @pytest.mark.parametrize("low, high", [(0.0, 1.0), (0.5, 0.5), (0.2, 0.8)])
+    def test_threshold_accepts(self, low, high):
+        assert st.ThresholdRule(low, high, 4).band(0) == (low, high)
+
+    @pytest.mark.parametrize(
+        "low, high", [(0.8, 0.2), (math.nan, 0.5), (0.2, math.nan), (-0.1, 0.5), (0.5, 1.1), (-math.inf, math.inf)]
+    )
+    def test_threshold_rejects_bad_interval(self, low, high):
+        with pytest.raises(ValueError, match="0 <= low <= high <= 1"):
+            st.ThresholdRule(low, high, 4)
+
+    def test_threshold_rejects_negative_cap(self):
+        with pytest.raises(ValueError, match="cap must be non-negative"):
+            st.ThresholdRule(0.2, 0.8, -3)
