@@ -185,6 +185,8 @@ def _parse_rule(spec, default_cap):
 
 
 def _cmd_simulate(args):
+    if not 0 <= args.seed < 2**64:
+        raise ValueError(f"--seed must be an integer in [0, 2**64), got {args.seed}")
     surface, recorded = _load_surface(_require_file(args.surface, "surface file"))
     prior = load_prior_csv(_require_file(args.prior, "prior file"))
     family = _load_model(args, prior)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit, logit, logsumexp
+from scipy.special import expit, logit, logsumexp, ndtri
 
 __all__ = [
     "ObservationScheme",
@@ -123,8 +123,11 @@ IDENTITY_TRANSFORM = ParamTransform(_identity, _identity, flips_order=False)
 class NaturalFamily:
     """Observation model p_u(x) = exp{u*x - B(u)} against a base measure.
 
-    Immutable after construction; safe for shared concurrent use.  Sampling
-    takes an externally supplied numpy Generator, the family holds no
+    Immutable after construction; safe for shared concurrent use.
+    ``sampler(u, rng, size)`` is the model's inverse CDF applied to
+    ``rng.random(size)`` (to ``rng.random(np.shape(u))`` when ``size`` is
+    None): it reads nothing from ``rng`` but those uniforms, so any object
+    with a ``random(size)`` method can supply them, and the family holds no
     mutable state.  ``scheme_domain``, when set, is the open parameter range
     over which the (quadrature) scheme keeps the transition law's mass and
     mean to ~1e-13; priors with atoms outside it are rejected by the engine.
@@ -175,8 +178,26 @@ def log_density(family: NaturalFamily, u, x):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _inverse_cdf(quantile):
+    """The sampler drawing ``quantile(u, U)`` at the uniforms U = rng.random(size).
+
+    ``size`` is the shape of the draws, as for a numpy Generator, and ``u``
+    is broadcast to it.
+    """
+
+    def sampler(u, rng, size=None):
+        u = np.asarray(u, dtype=float)
+        U = np.asarray(rng.random(u.shape if size is None else size))
+        return quantile(np.broadcast_to(u, U.shape), U)
+
+    return sampler
+
+
 def sample_observation(family: NaturalFamily, u, rng, size=None):
-    """Draw observations with law P(X in A | parameter u); deterministic given rng."""
+    """Draw observations with law P(X in A | parameter u); deterministic given rng.
+
+    Each draw is the model's inverse CDF at one uniform from ``rng.random``.
+    """
     _require_in_domain(family, u)
     return family.sampler(u, rng, size)
 
@@ -209,7 +230,7 @@ def _gaussian_mean(center: float = 0.0, nodes: int = 128) -> NaturalFamily:
         log_partition=lambda u: 0.5 * u * u,
         natural_domain=(-math.inf, math.inf),
         scheme=scheme,
-        sampler=lambda u, rng, size=None: rng.normal(u, 1.0, size),
+        sampler=_inverse_cdf(lambda u, U: u + ndtri(U)),
         scheme_domain=(center - 10.0, center + 10.0),
     )
 
@@ -223,14 +244,7 @@ _LOGIT_TRANSFORM = ParamTransform(
 
 def _bernoulli() -> NaturalFamily:
     scheme = ObservationScheme(kind="finite", points=np.array([0.0, 1.0]), base_weights=np.array([1.0, 1.0]))
-    return NaturalFamily(
-        name="bernoulli",
-        log_partition=lambda u: np.logaddexp(0.0, u),
-        natural_domain=(-math.inf, math.inf),
-        scheme=scheme,
-        sampler=lambda u, rng, size=None: np.asarray(rng.random(size) < expit(u), dtype=float),
-        transform=_LOGIT_TRANSFORM,
-    )
+    return _finite_family("bernoulli", scheme, lambda u: np.logaddexp(0.0, u), _LOGIT_TRANSFORM)
 
 
 def _binomial(n: int) -> NaturalFamily:
@@ -240,14 +254,7 @@ def _binomial(n: int) -> NaturalFamily:
     pts = np.arange(n + 1, dtype=float)
     weights = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
     scheme = ObservationScheme(kind="finite", points=pts, base_weights=weights)
-    return NaturalFamily(
-        name=f"binomial({n})",
-        log_partition=lambda u: n * np.logaddexp(0.0, u),
-        natural_domain=(-math.inf, math.inf),
-        scheme=scheme,
-        sampler=lambda u, rng, size=None: np.asarray(rng.binomial(n, expit(u), size), dtype=float),
-        transform=_LOGIT_TRANSFORM,
-    )
+    return _finite_family(f"binomial({n})", scheme, lambda u: n * np.logaddexp(0.0, u), _LOGIT_TRANSFORM)
 
 
 def _exponential_rate(min_rate: float = 0.25, nodes: int = 128) -> NaturalFamily:
@@ -275,7 +282,7 @@ def _exponential_rate(min_rate: float = 0.25, nodes: int = 128) -> NaturalFamily
         log_partition=lambda u: -np.log(u),
         natural_domain=(0.0, math.inf),
         scheme=scheme,
-        sampler=lambda u, rng, size=None: -rng.exponential(1.0 / np.asarray(u, dtype=float), size),
+        sampler=_inverse_cdf(lambda u, U: np.log1p(-U) / u),
         observation_map=lambda raw: -np.asarray(raw, dtype=float) if np.ndim(raw) else -float(raw),
         scheme_domain=(min_rate, math.inf),
     )
@@ -295,11 +302,6 @@ def _gaussian_variance(min_precision: float = 0.25, nodes: int = 128) -> Natural
     x = -0.5 * t * t
     w = t * tw
     order = np.argsort(x)
-
-    def _sample(u, rng, size=None):
-        draws = rng.normal(0.0, 1.0 / np.sqrt(np.asarray(u, dtype=float)), size)
-        return -0.5 * draws * draws
-
     scheme = ObservationScheme(
         kind="continuous",
         points=x[order],
@@ -311,7 +313,7 @@ def _gaussian_variance(min_precision: float = 0.25, nodes: int = 128) -> Natural
         log_partition=lambda u: -0.5 * np.log(u),
         natural_domain=(0.0, math.inf),
         scheme=scheme,
-        sampler=_sample,
+        sampler=_inverse_cdf(lambda u, U: -np.square(ndtri(U)) / (2.0 * u)),
         transform=ParamTransform(
             to_natural=lambda sigma: float(sigma) ** -2.0,
             from_natural=lambda u: float(u) ** -0.5,
@@ -389,18 +391,31 @@ def family_for_prior(name: str, atoms, params: dict | None = None) -> NaturalFam
     return fam
 
 
-def _finite_sampler(points, log_mass, log_partition_fn):
-    def sampler(u, rng, size=None):
-        u_arr = np.asarray(u, dtype=float)
-        logp = log_mass + np.multiply.outer(u_arr, points) - log_partition_fn(u_arr)[..., None]
-        cdf = np.cumsum(np.exp(logp), axis=-1)
-        draws = rng.random(size if size is not None else u_arr.shape or None)
-        idx = np.sum(np.asarray(draws)[..., None] > cdf, axis=-1)
-        idx = np.minimum(idx, points.size - 1)
-        out = points[idx]
-        return float(out) if np.ndim(draws) == 0 else out
+def _finite_family(name, scheme: ObservationScheme, log_partition_fn, transform=IDENTITY_TRANSFORM):
+    """Finite-outcome family on the whole real line, sampled by its outcome CDF."""
+    points = scheme.points
+    log_mass = scheme.log_mass
 
-    return sampler
+    def quantile(u, U):
+        # outcome masses up to a common factor, outcomes on the leading axis,
+        # summed in place into the partial sums of the CDF; the index counts
+        # the partial sums below U times the total
+        z = np.multiply.outer(points, u)
+        z += log_mass.reshape(log_mass.shape + (1,) * u.ndim)
+        z -= z.max(axis=0)
+        cdf = np.exp(z, out=z)
+        for k in range(1, points.size):
+            cdf[k] += cdf[k - 1]
+        return points[np.sum(U * cdf[-1] > cdf[:-1], axis=0)]
+
+    return NaturalFamily(
+        name=name,
+        log_partition=log_partition_fn,
+        natural_domain=(-math.inf, math.inf),
+        scheme=scheme,
+        sampler=_inverse_cdf(quantile),
+        transform=transform,
+    )
 
 
 def family_from_scheme_csv(path, name: str = "custom") -> NaturalFamily:
@@ -441,10 +456,4 @@ def family_from_scheme_csv(path, name: str = "custom") -> NaturalFamily:
         u = np.asarray(u, dtype=float)
         return logsumexp(log_h + np.multiply.outer(u, xs), axis=-1)
 
-    return NaturalFamily(
-        name=name,
-        log_partition=B,
-        natural_domain=(-math.inf, math.inf),
-        scheme=scheme,
-        sampler=_finite_sampler(xs, log_h, B),
-    )
+    return _finite_family(name, scheme, B)

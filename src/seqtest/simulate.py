@@ -12,13 +12,23 @@ reports replicate-level aggregates.
 """
 
 import json
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import expit, logit, logsumexp
 
 from .families import NaturalFamily
-from .priors import LEVEL_EPS, Prior, _Ctx, _log_odds, _unnorm_log_weights, _y_of_logit, validate_prior_for_family
+from .priors import (
+    LEVEL_EPS,
+    Prior,
+    _Ctx,
+    _log_odds,
+    _lse_last,
+    _unnorm_log_weights,
+    _y_of_logit,
+    validate_prior_for_family,
+)
 from .solver import ValueSurface
 
 __all__ = [
@@ -33,11 +43,66 @@ __all__ = [
 
 # distinct (n, y) nodes the oracle lattice may hold
 _MAX_NODES = 10**6
-# replicates per simulation block and observations per draw: the replay's
-# transient arrays hold at most _BLOCK x _CHUNK draws, whatever the
-# replicate count or horizon
-_BLOCK = 8192
-_CHUNK = 8
+# replicates per simulation block: the replay's transient arrays hold a few
+# values per row of one block, whatever the replicate count or horizon.
+# Every draw is keyed by (seed, replicate, step), so results do not depend on it.
+_BLOCK = 32768
+
+# SplitMix64 (Steele, Lea and Flood 2014): the golden-ratio increment and the
+# finalizer's multipliers
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _mix(z):
+    """SplitMix64 finalizer of a uint64 array, a bijection; wraps without warnings."""
+    z = z ^ (z >> np.uint64(30))
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _unit(z):
+    """Map uint64 values to doubles strictly inside (0, 1).
+
+    The top 52 bits k give (k + 1/2) 2^-52, which lies in [2^-53, 1 - 2^-53]
+    and is exact: with 53 bits the half would round the largest k onto 1.
+    """
+    return ((z >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52
+
+
+def _row_keys(seed, rows):
+    """Key of each replicate r in ``rows``: the finalizer of (seed, r)."""
+    seed_key = _mix(np.array([seed], dtype=np.uint64) + np.uint64(_GOLDEN))
+    return _mix(seed_key ^ rows.astype(np.uint64))
+
+
+class _KeyedUniforms:
+    """Uniform source of a set of replicates at one slot of their streams.
+
+    ``random()`` returns U(seed, r, slot) for each row key: output slot + 1
+    of the SplitMix64 generator seeded with the key.  Slot 0 draws the
+    parameter and slot n + 1 the observation taken at layer n.  It stands in
+    for a Generator in ``family.sampler``, which reads only ``random``, and
+    always returns one uniform per key.
+    """
+
+    def __init__(self, keys, slot):
+        self.keys = keys
+        self.offset = np.uint64((slot + 1) * _GOLDEN % 2**64)
+
+    def random(self, size=None):
+        return _unit(_mix(self.keys + self.offset))
+
+
+def _draw_thetas(prior, keys):
+    """Each replicate's parameter: the prior's weight CDF inverted at its slot-0 uniform."""
+    cdf = np.cumsum(np.exp(prior.log_weights))
+    idx = np.searchsorted(cdf, _KeyedUniforms(keys, 0).random(), side="right")
+    return prior.atoms[np.minimum(idx, prior.n_atoms - 1)]
 
 
 @dataclass(frozen=True)
@@ -184,6 +249,9 @@ class ThresholdRule:
 # p(1 - p), covers the rounding of expit (about 2 ulp of p) 30 times over
 _BAND_REL = 1e-9
 _BAND_ULPS = 64
+# halvings of the gap-based half-width tried against a steeper slope bound:
+# 2^-23 covers a slope 8e6 times the gap
+_BAND_HALVINGS = 24
 
 
 def _level_bands(ctx, n, p):
@@ -192,10 +260,12 @@ def _level_bands(ctx, n, p):
     Where y < a, the pi the replay computes, expit(_log_odds(ctx, n, y)), is
     below p, and where y > b it is above p; only y in [a, b] needs that pi
     computed.  The interval is the level-curve point y(n, p) widened by the
-    log-odds margin above divided by the atom gap across theta0, a lower
-    bound on the log-odds slope.  A p outside the invertible range, such as
-    a boundary at 0 or 1, is inverted at 1.01 LEVEL_EPS from its end and
-    the band runs on to infinity past it; p = -inf or inf needs no band.
+    log-odds margin above divided by a lower bound on the log-odds slope
+    over the interval: the atom gap across theta0, or where larger the
+    difference of the side-wise posterior means at the interval's ends.  A
+    p outside the invertible range, such as a boundary at 0 or 1, is
+    inverted at 1.01 LEVEL_EPS from its end and the band runs on to
+    infinity past it; p = -inf or inf needs no band.
     ``n`` broadcasts against ``p``.
     """
     p = np.asarray(p, dtype=float)
@@ -206,14 +276,29 @@ def _level_bands(ctx, n, p):
              + np.max(np.abs(ctx.lw0)))
     margin = (np.abs(_log_odds(ctx, n, y) - t) + _BAND_REL * scale
               + _BAND_ULPS * np.spacing(q) / (q * (1.0 - q)))
-    dy = margin / (ctx.atoms[ctx.split] - ctx.atoms[ctx.split - 1])
+    # The log-odds slope E_up[u] - E_lo[u] is at least the atom gap across
+    # theta0 and, since both side-wise means increase in y, at least
+    # E_up[u](y - d) - E_lo[u](y + d) on [y - d, y + d].  Candidate half-widths
+    # d halve down from the margin over the gap; the narrowest whose bound s
+    # covers the margin (d s >= margin) gives the band margin / s, which lies
+    # inside [y - d, y + d], where s holds.  The widest candidate always holds
+    gap = ctx.atoms[ctx.split] - ctx.atoms[ctx.split - 1]
+    d = (margin / gap)[..., None] * 0.5 ** np.arange(_BAND_HALVINGS)
+    nd = n[..., None] if isinstance(n, np.ndarray) else n
+    e_up = _lse_last(_unnorm_log_weights(ctx, nd, y[..., None] - d)[..., ctx.split:], ctx.atoms[ctx.split:])[1]
+    e_lo = _lse_last(_unnorm_log_weights(ctx, nd, y[..., None] + d)[..., :ctx.split], ctx.atoms[:ctx.split])[1]
+    slope = np.maximum(gap, e_up - e_lo)
+    enough = d * slope >= margin[..., None]
+    enough[..., 0] = True
+    k = _BAND_HALVINGS - 1 - np.argmax(enough[..., ::-1], axis=-1)
+    dy = margin / np.take_along_axis(slope, k[..., None], axis=-1)[..., 0]
     a = np.where(np.isinf(p), p, np.where(p < q, -np.inf, y - dy))
     b = np.where(np.isinf(p), p, np.where(p > q, np.inf, y + dy))
     return a, b
 
 
-def _run_block(lo, hi, ya, yb, ctx, prior, family, rng, size):
-    """Replay one block of replicates drawn from its own generator ``rng``.
+def _run_block(lo, hi, ya, yb, ctx, prior, family, keys):
+    """Replay the replicates whose row keys are ``keys``.
 
     A row at layer n continues while lo[n] < pi < hi[n] and, once stopped,
     accepts the upper side if pi > 1/2; the last layer has lo = hi = inf, so
@@ -224,59 +309,58 @@ def _run_block(lo, hi, ya, yb, ctx, prior, family, rng, size):
     rows inside the band of 1/2, compute pi from their log-odds, and no
     other row does, so every decision is the one a test on pi makes.
 
-    Every draw covers all ``_BLOCK`` rows, whether a row is still running,
-    has stopped or is padding past ``size`` (padding never runs), so a row's
-    stream does not depend on the other rows.  Observations are drawn
-    ``_CHUNK`` steps at a time, and no more once every row has stopped.
-    Returns the first ``size`` rows' (theta, tau, accept).
+    Only rows still running draw, one observation per step each:
+    ``family.sampler``, the model's inverse CDF, applied to the uniforms of
+    ``_KeyedUniforms``.  Every draw is a function of (seed, replicate, step)
+    alone, so a row's path does not depend on the other rows or on the
+    block.  Returns each row's (theta, tau, accept).
     """
     cap = lo.size - 1
-    thetas = prior.atoms[rng.choice(prior.n_atoms, size=_BLOCK, p=np.exp(prior.log_weights))]
-    y = np.zeros(_BLOCK)
-    tau = np.full(size, cap, dtype=int)
-    accept = np.zeros(size, dtype=int)
-    rows = np.arange(size)
+    thetas = _draw_thetas(prior, keys)
+    tau = np.full(keys.size, cap, dtype=int)
+    accept = np.zeros(keys.size, dtype=int)
+    # the running rows: their index in the block, key, parameter and sum y
+    rows, run_keys, run_thetas, y = np.arange(keys.size), keys, thetas, np.zeros(keys.size)
     for n in range(cap + 1):
-        yr = y[rows]
         a, b = ya[n], yb[n]
-        stop = (yr < a[0]) | (yr > b[1])
-        near = ((yr >= a[0]) & (yr <= b[0])) | ((yr >= a[1]) & (yr <= b[1]))
+        stop = (y < a[0]) | (y > b[1])
+        near = ((y >= a[0]) & (y <= b[0])) | ((y >= a[1]) & (y <= b[1]))
         if near.any():
-            pi = expit(_log_odds(ctx, n, yr[near]))
+            pi = expit(_log_odds(ctx, n, y[near]))
             stop[near] = (pi <= lo[n]) | (pi >= hi[n])
-        ys = yr[stop]
-        up = ys > b[2]
-        near = (ys >= a[2]) & (ys <= b[2])
-        if near.any():
-            up[near] = expit(_log_odds(ctx, n, ys[near])) > 0.5
-        stopping = rows[stop]
-        tau[stopping] = n
-        accept[stopping] = up
-        rows = rows[~stop]
-        if not rows.size:
-            break
-        if n % _CHUNK == 0:
-            obs = family.sampler(thetas[:, None], rng, (_BLOCK, min(_CHUNK, cap - n)))
-        y[rows] += obs[rows, n % _CHUNK]
-    return thetas[:size], tau, accept
+        if stop.any():
+            ys = y[stop]
+            up = ys > b[2]
+            near = (ys >= a[2]) & (ys <= b[2])
+            if near.any():
+                up[near] = expit(_log_odds(ctx, n, ys[near])) > 0.5
+            tau[rows[stop]] = n
+            accept[rows[stop]] = up
+            go = ~stop
+            rows, run_keys, run_thetas, y = rows[go], run_keys[go], run_thetas[go], y[go]
+            if not rows.size:
+                break
+        y += family.sampler(run_thetas, _KeyedUniforms(run_keys, n + 1), rows.size)
+    return thetas, tau, accept
 
 
 def _run(band, cap, prior, family, cost, replicates, seed, trace_path=None):
     replicates = int(replicates)
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
+    seed = operator.index(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
     validate_prior_for_family(prior, family)
     ctx = _Ctx(prior, family)
     # continuation intervals of layers 0 .. cap; the cap layer's is empty
     lo, hi = np.array([band(n) for n in range(cap)] + [(np.inf, np.inf)], dtype=float).T
     ya, yb = _level_bands(ctx, np.arange(cap + 1)[:, None], np.stack([lo, hi, np.full(cap + 1, 0.5)], axis=1))
 
-    # block b holds replicates b * _BLOCK onwards and draws from its own
-    # generator (seed, b), so replicate r's path depends only on (seed, r)
     blocks = [
-        _run_block(lo, hi, ya, yb, ctx, prior, family, np.random.default_rng([seed, b]),
-                   min(_BLOCK, replicates - start))
-        for b, start in enumerate(range(0, replicates, _BLOCK))
+        _run_block(lo, hi, ya, yb, ctx, prior, family,
+                   _row_keys(seed, np.arange(start, min(start + _BLOCK, replicates))))
+        for start in range(0, replicates, _BLOCK)
     ]
     thetas, tau, accept = (np.concatenate(parts) for parts in zip(*blocks))
 
@@ -293,7 +377,7 @@ def _run(band, cap, prior, family, cost, replicates, seed, trace_path=None):
         std_error=std_error,
         mean_stopping_time=float(np.mean(tau)),
         error_rates=(float(np.mean(false_upper)), float(np.mean(false_lower))),
-        seed=int(seed),
+        seed=seed,
         capped=int(np.sum(tau == cap)),
     )
     if trace_path is not None:

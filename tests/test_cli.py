@@ -276,6 +276,23 @@ class TestSimulate:
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**70)])
+    def test_seed_outside_uint64_is_usage_error(self, solved_dir, prior_file, tmp_path, capsys, seed):
+        out = tmp_path / "report.json"
+        code = run(["simulate", "--surface", os.path.join(solved_dir, "surface.json"), "--model", "bernoulli",
+                    "--prior", prior_file, "--replicates", "10", "--seed", seed, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seed ") and "[0, 2**64)" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_largest_seed_is_legal(self, solved_dir, prior_file, tmp_path):
+        out = tmp_path / "report.json"
+        code = run(["simulate", "--surface", os.path.join(solved_dir, "surface.json"), "--model", "bernoulli",
+                    "--prior", prior_file, "--replicates", "10", "--seed", str(2**64 - 1), "--out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["seed"] == 2**64 - 1
+
     def test_equal_thresholds_are_legal(self, solved_dir, prior_file, tmp_path):
         out = tmp_path / "report.json"
         code = run(["simulate", "--surface", os.path.join(solved_dir, "surface.json"), "--model", "bernoulli",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
+from scipy import stats
 from scipy.special import expit, logit
 
 import seqtest as st
@@ -126,6 +127,19 @@ class TestSampler:
         b_prime = (st.log_partition(fam, u + h) - st.log_partition(fam, u - h)) / (2 * h)
         sd = draws.std()
         assert abs(draws.mean() - b_prime) < 4.0 * sd / math.sqrt(draws.size)
+
+    @pytest.mark.parametrize("u", [0.3, -40.0])
+    def test_custom_scheme_outcome_frequencies(self, tmp_path, u):
+        path = tmp_path / "scheme.csv"
+        path.write_text("x,h\n-1,1\n0.5,2\n2,0.5\n")
+        fam = st.family_from_scheme_csv(path)
+        draws = st.sample_observation(fam, u, np.random.default_rng(15), size=200_000)
+        probs = np.exp(fam.scheme.log_mass + u * fam.scheme.points - st.log_partition(fam, u))
+        counts = np.array([np.count_nonzero(draws == x) for x in fam.scheme.points])
+        assert counts.sum() == draws.size
+        expected = draws.size * probs
+        chi2 = np.sum((counts - expected) ** 2 / expected)
+        assert chi2 < stats.chi2.ppf(0.999, probs.size - 1)
 
     def test_deterministic_given_rng_state(self):
         fam = build("gaussian-variance")

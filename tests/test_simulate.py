@@ -1,15 +1,17 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.special import expit, logit
 
 import seqtest as st
 from seqtest import simulate as simulate_mod
 from seqtest.priors import _Ctx, _log_odds, _y_of_logit
-from seqtest.simulate import _BLOCK, _CHUNK
+from seqtest.simulate import _BLOCK
 
 
 def plain_bernoulli_recursion(c, horizon, t1=0.3, t2=0.7, pi=0.5):
@@ -246,15 +248,17 @@ def replay_by_pi(stop_fn, cap):
 
     A drop-in for ``simulate._run_block`` that ignores the thresholds it is
     handed: every running row computes pi = expit(log-odds) at every step
-    and ``stop_fn(n, pi)`` decides, with the same draws in the same order.
+    and ``stop_fn(n, pi)`` decides.  It makes the same keyed draws: the
+    parameter at slot 0, and at step n one observation for each row still
+    running, through ``family.sampler`` at slot n + 1.
     """
 
-    def block(lo, hi, ya, yb, ctx, prior, family, rng, size):
-        thetas = prior.atoms[rng.choice(prior.n_atoms, size=_BLOCK, p=np.exp(prior.log_weights))]
-        y = np.zeros(_BLOCK)
-        tau = np.full(size, cap, dtype=int)
-        accept = np.zeros(size, dtype=int)
-        rows = np.arange(size)
+    def block(lo, hi, ya, yb, ctx, prior, family, keys):
+        thetas = simulate_mod._draw_thetas(prior, keys)
+        y = np.zeros(keys.size)
+        tau = np.full(keys.size, cap, dtype=int)
+        accept = np.zeros(keys.size, dtype=int)
+        rows = np.arange(keys.size)
         for n in range(cap + 1):
             pi_now = expit(_log_odds(ctx, n, y[rows]))
             stop_now = stop_fn(n, pi_now) if n < cap else np.full(pi_now.shape, True)
@@ -264,10 +268,8 @@ def replay_by_pi(stop_fn, cap):
             rows = rows[~stop_now]
             if not rows.size:
                 break
-            if n % _CHUNK == 0:
-                obs = family.sampler(thetas[:, None], rng, (_BLOCK, min(_CHUNK, cap - n)))
-            y[rows] += obs[rows, n % _CHUNK]
-        return thetas[:size], tau, accept
+            y[rows] += family.sampler(thetas[rows], simulate_mod._KeyedUniforms(keys[rows], n + 1), rows.size)
+        return thetas, tau, accept
 
     return block
 
@@ -289,17 +291,73 @@ STRESS_PRIORS = {
 }
 
 
+@pytest.fixture(scope="module")
+def solved():
+    out = {}
+    for model, spec in MODEL_PRIORS.items():
+        prior = st.make_prior(*spec)
+        family = st.family_for_prior(model, prior)
+        out[model] = (prior, family, st.solve(prior, family, 0.02, 30, grid_size=501))
+    return out
+
+
+class TestKeyedDraws:
+    """Every draw is a function of (seed, replicate, step), so the block size never shows."""
+
+    @pytest.mark.parametrize("model", list(MODEL_PRIORS))
+    @pytest.mark.parametrize("rule", ["policy", "threshold:0.2,0.8"])
+    def test_results_do_not_depend_on_block_size(self, solved, tmp_path, monkeypatch, model, rule):
+        prior, family, surface = solved[model]
+        threshold = st.ThresholdRule(0.2, 0.8, surface.horizon)
+        runs = []
+        for block in (1000, 8191, _BLOCK):
+            monkeypatch.setattr(simulate_mod, "_BLOCK", block)
+            path = tmp_path / f"trace-{block}.csv"
+            if rule == "policy":
+                report = st.simulate_policy(surface, prior, family, 9000, 13, path)
+            else:
+                report = st.simulate_alternative(threshold, prior, family, 0.02, 9000, 13, path)
+            runs.append((report, path.read_bytes()))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert 0 < runs[0][0].mean_stopping_time
+
+    def test_uniforms_lie_strictly_inside_the_unit_interval(self):
+        ends = np.array([0, 1, 2**12 - 1, 2**12, 2**63, 2**64 - 2**12, 2**64 - 1], dtype=np.uint64)
+        u = simulate_mod._unit(ends)
+        assert np.all((u > 0.0) & (u < 1.0))
+        assert u[0] == u[2] == 2.0**-53 and u[-1] == u[-2] == 1.0 - 2.0**-53
+        keys = simulate_mod._row_keys(2**64 - 1, np.arange(100_000))
+        for slot in (0, 1, 120):
+            u = simulate_mod._KeyedUniforms(keys, slot).random()
+            assert np.all((u > 0.0) & (u < 1.0))
+            assert stats.kstest(u, "uniform").pvalue > 1e-3
+
+    def test_parameter_frequencies_match_prior_weights(self):
+        prior = st.make_prior(*SIX)
+        thetas = simulate_mod._draw_thetas(prior, simulate_mod._row_keys(3, np.arange(200_000)))
+        counts = np.array([np.count_nonzero(thetas == atom) for atom in prior.atoms])
+        assert counts.sum() == thetas.size
+        expected = thetas.size * np.exp(prior.log_weights)
+        chi2 = np.sum((counts - expected) ** 2 / expected)
+        assert chi2 < stats.chi2.ppf(0.999, prior.n_atoms - 1)
+
+    def test_replay_emits_no_warnings(self, solved):
+        # the hash wraps around uint64 on purpose
+        prior, family, surface = solved["binomial(3)"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            st.simulate_policy(surface, prior, family, 2000, 2**64 - 1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_uint64_is_rejected(self, benchmark_surface, benchmark_prior, bernoulli_family, seed):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            st.simulate_policy(benchmark_surface, benchmark_prior, bernoulli_family, 10, seed)
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            st.simulate_alternative(st.FixedSampleRule(1), benchmark_prior, bernoulli_family, 0.05, 10, seed)
+
+
 class TestLevelCurveReplay:
     """Stopping by y against per-layer level curves decides as the per-row pi replay does."""
-
-    @pytest.fixture(scope="class")
-    def solved(self):
-        out = {}
-        for model, spec in MODEL_PRIORS.items():
-            prior = st.make_prior(*spec)
-            family = st.family_for_prior(model, prior)
-            out[model] = (prior, family, st.solve(prior, family, 0.02, 30, grid_size=501))
-        return out
 
     def _both(self, tmp_path, monkeypatch, stop_fn, cap, replay):
         monkeypatch.setattr(simulate_mod, "_run_block", replay_by_pi(stop_fn, cap))
@@ -429,6 +487,19 @@ class TestLevelBands:
             outside = np.abs(y - y_p) > 1.5 * delta
             assert np.count_nonzero(outside) == 8 and not np.any((y[outside] >= a) & (y[outside] <= b))
 
+    # Largest half-width over p = 1.01e-12 and 1 - 1.01e-12, relative to
+    # max(1, |y|), at n = 0 / 30 / 120.  "gap" divides the margin by the atom
+    # gap across theta0 alone; "means" by the larger bound from the side-wise
+    # posterior means at the ends of the band, as _level_bands now does.
+    #
+    #   prior                   gap                      means
+    #   bernoulli               7.6e-4  3.4e-4  1.3e-4   2.5e-4  1.1e-4  4.9e-5
+    #   binomial(3)             7.6e-4  1.6e-4  5.2e-5   2.5e-4  5.5e-5  5.1e-5
+    #   gaussian-mean           7.6e-4  3.6e-4  2.5e-4   2.5e-4  1.7e-4  2.5e-4
+    #   exponential-rate        9.5e-4  1.8e-2  3.2e-4   2.5e-4  4.7e-3  1.0e-4
+    #   gaussian-variance       9.5e-4  1.9e-3  9.6e-4   2.5e-4  5.1e-4  2.6e-4
+    #   gaussian-mean-narrow    2.5e-1  8.0e-2  2.6e-2   2.5e-4  8.0e-5  2.6e-5
+    #   bernoulli-faint-tails   2.0     8.9e-1  3.3e-1   1.7e-4  7.4e-5  2.7e-5
     @pytest.mark.parametrize("model", list(MODEL_PRIORS))
     def test_bands_are_thin(self, model):
         prior = st.make_prior(*MODEL_PRIORS[model])
@@ -438,6 +509,18 @@ class TestLevelBands:
             a, b = simulate_mod._level_bands(ctx, n, p)
             y_p = _y_of_logit(ctx, n, logit(p))
             assert np.all(0.5 * (b - a) <= 1e-6 * np.maximum(1.0, np.abs(y_p)))
+
+    @pytest.mark.parametrize("name", list(STRESS_PRIORS))
+    def test_bands_are_thin_with_a_small_atom_gap(self, name):
+        # the atom gap alone bounds the slope loosely here: bands of 2.0 |y|
+        model, spec = STRESS_PRIORS[name]
+        prior = st.make_prior(*spec)
+        ctx = _Ctx(prior, st.family_for_prior(model, prior))
+        p = np.array([1.01e-12, 1.0 - 1.01e-12])
+        for n in (0, 30, 120):
+            a, b = simulate_mod._level_bands(ctx, n, p)
+            y_p = _y_of_logit(ctx, n, logit(p))
+            assert np.all(0.5 * (b - a) <= 1e-3 * np.maximum(1.0, np.abs(y_p)))
 
     @pytest.mark.parametrize("p", [0.0, 1e-13, 1.0 - 1e-13, 1.0])
     def test_thresholds_outside_invertible_range(self, ctx, p):
