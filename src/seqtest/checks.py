@@ -361,6 +361,10 @@ def conjecture_probe(
     models = list(models)
     if not models:
         raise ValueError("probe requires at least one model")
+    if trials < 1:
+        raise ValueError(f"probe trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"probe seed must be a non-negative integer, got {seed}")
     windows = {**PROBE_WINDOWS, **(windows or {})}
     if horizon is None:
         horizon = choose_horizon(cost)

@@ -24,7 +24,7 @@ from .priors import (
     Prior,
     _Ctx,
     _log_odds,
-    _lse_last,
+    _side_lse_mean,
     _unnorm_log_weights,
     _y_of_logit,
     validate_prior_for_family,
@@ -175,7 +175,7 @@ def brute_force_value(prior: Prior, family: NaturalFamily, cost: float, horizon:
     ctx = _Ctx(prior, family)
     for n in range(horizon, -1, -1):
         z = _unnorm_log_weights(ctx, n, layers[n])
-        pi = expit(logsumexp(z[:, ctx.plus], axis=1) - logsumexp(z[:, ctx.minus], axis=1))
+        pi = expit(logsumexp(z[:, ctx.up], axis=1) - logsumexp(z[:, ctx.lo], axis=1))
         g = np.minimum(pi, 1.0 - pi)
         if n == horizon:
             value = g
@@ -285,8 +285,8 @@ def _level_bands(ctx, n, p):
     gap = ctx.atoms[ctx.split] - ctx.atoms[ctx.split - 1]
     d = (margin / gap)[..., None] * 0.5 ** np.arange(_BAND_HALVINGS)
     nd = n[..., None] if isinstance(n, np.ndarray) else n
-    e_up = _lse_last(_unnorm_log_weights(ctx, nd, y[..., None] - d)[..., ctx.split:], ctx.atoms[ctx.split:])[1]
-    e_lo = _lse_last(_unnorm_log_weights(ctx, nd, y[..., None] + d)[..., :ctx.split], ctx.atoms[:ctx.split])[1]
+    e_up = _side_lse_mean(ctx, ctx.up, nd, y[..., None] - d)[1]
+    e_lo = _side_lse_mean(ctx, ctx.lo, nd, y[..., None] + d)[1]
     slope = np.maximum(gap, e_up - e_lo)
     enough = d * slope >= margin[..., None]
     enough[..., 0] = True

@@ -256,7 +256,8 @@ class TestBatchedBackwardLoop:
 
 class TestConjectureProbe:
     def test_zero_trials(self):
-        assert st.conjecture_probe(["bernoulli"], trials=0, seed=1) == []
+        with pytest.raises(ValueError, match="probe trials must be at least 1, got 0"):
+            st.conjecture_probe(["bernoulli"], trials=0, seed=1)
 
     def test_bernoulli_probe_clean(self):
         reports = st.conjecture_probe(["bernoulli"], trials=4, seed=3, grid_size=301)

@@ -339,6 +339,21 @@ class TestProbe:
         assert len(lines) == 2
         assert all(json.loads(l)["asserted"] is False for l in lines)
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--seed", "-1", "probe seed must be a non-negative integer, got -1"),
+         ("--trials", "0", "probe trials must be at least 1, got 0"),
+         ("--trials", "-3", "probe trials must be at least 1, got -3")],
+    )
+    def test_bad_seed_or_trial_count_is_usage_error(self, capsys, flag, value, message):
+        # the last of a repeated flag wins
+        code = run(["probe", "--models", "bernoulli", "--grid-size", "101", "--trials", "1", "--seed", "0",
+                    flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestPlotData:
     def test_outputs_and_shapes(self, solved_dir, tmp_path):

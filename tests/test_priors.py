@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
-from scipy.special import logit
+from scipy.special import expit, logit
 
 import seqtest as st
 from seqtest import priors as priors_mod
@@ -143,6 +143,41 @@ def _bisection_reference(ctx, n, target):
     return 0.5 * (y_lo + y_hi)
 
 
+def _trailing_lse(z, u=None):
+    """The kernel as it was with the atoms on the trailing axis.
+
+    Log-sum-exp over the last axis and, with ``u``, the mean of ``u`` under
+    the weights exp(z) as a matrix-vector product.
+    """
+    m = np.max(z, axis=-1)
+    e = np.exp(z - m[..., None])
+    s = np.sum(e, axis=-1)
+    if u is None:
+        return m + np.log(s)
+    return m + np.log(s), (e @ u) / s
+
+
+def _trailing_log_odds(ctx, n, y):
+    """Log-odds at (n, y) and its slope from ``_trailing_lse``."""
+    z = priors_mod._unnorm_log_weights(ctx, n, y)
+    r_up, m_up = _trailing_lse(z[..., ctx.up], ctx.atoms[ctx.up])
+    r_lo, m_lo = _trailing_lse(z[..., ctx.lo], ctx.atoms[ctx.lo])
+    return r_up - r_lo, m_up - m_lo
+
+
+def _trailing_transition(ctx, n, y):
+    """``_transition``'s (predictive mass, next pi) pairs from ``_trailing_lse``,
+    its weights normalised by one log-sum-exp over all atoms."""
+    z = priors_mod._unnorm_log_weights(ctx, n, y)
+    lw = z - _trailing_lse(z)[..., None]
+    steps = []
+    for k, x in enumerate(ctx.points):
+        z_next = priors_mod._unnorm_log_weights(ctx, n + 1, y + x)
+        steps.append((np.exp(_trailing_lse(lw + ctx.ux[k]) + ctx.log_mass[k]),
+                      expit(_trailing_lse(z_next[..., ctx.up]) - _trailing_lse(z_next[..., ctx.lo]))))
+    return steps
+
+
 SIX_ATOMS = ([-1.5, -0.9, -0.3, 0.3, 0.9, 1.5], [1.0, 2.0, 1.0, 1.0, 0.5, 1.0], 0.0)
 SIX_POSITIVE_ATOMS = ([0.4, 0.7, 1.0, 1.4, 1.9, 2.5], [1.0, 2.0, 1.0, 1.0, 0.5, 1.0], 1.2)
 INVERSION_CASES = [
@@ -155,9 +190,11 @@ INVERSION_CASES = [
     ("gaussian-mean", ([-2.0, -1e-3, 1e-3, 2.0], [1.0, 1.0, 1.0, 1.0], 0.0)),
     # near-flat middle with faint far atoms: the slope ranges over 2e-4 .. 4.8
     ("bernoulli", ([-2.4, -1e-4, 1e-4, 2.4], [1e-6, 1.0, 1.0, 1e-6], 0.0)),
+    # ten atoms a side: numpy sums 8 or more terms of a single point pairwise
+    ("bernoulli", (np.linspace(-2.0, 2.0, 20).tolist(), [1.0, 2.0, 0.5, 1.0] * 5, 0.0)),
 ]
 INVERSION_IDS = ["bernoulli", "binomial3", "gaussian-mean", "exponential-rate", "gaussian-variance",
-                 "gaussian-mean-narrow", "bernoulli-faint-tails"]
+                 "gaussian-mean-narrow", "bernoulli-faint-tails", "bernoulli-twenty-atoms"]
 # the solver's 2001-point grid interior (0.5 included) plus both ends of the
 # invertible range
 INVERSION_PIS = np.concatenate([[1.01e-12], np.linspace(0.0, 1.0, 2001)[1:-1], [1.0 - 1.01e-12]])
@@ -197,10 +234,36 @@ class TestLevelCurveInversion:
         y = priors_mod._y_of_logit(ctx, ns[:, None], t)
         assert y.shape == (ns.size, t.size)
         for n, row in zip(ns, y):
-            want = priors_mod._y_of_logit(ctx, int(n), t)
-            # the same arithmetic point by point; the batched matrix-vector
-            # products may round differently in the last place
-            assert np.all(np.abs(row - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+            assert np.array_equal(row, priors_mod._y_of_logit(ctx, int(n), t))
+
+    @pytest.mark.parametrize("model, spec", INVERSION_CASES, ids=INVERSION_IDS)
+    def test_atoms_leading_kernel_matches_trailing_reference(self, model, spec):
+        prior = st.make_prior(*spec)
+        ctx = priors_mod._Ctx(prior, st.family_for_prior(model, prior))
+        ns = np.array([0, 30, 120])
+        y_layers = priors_mod._y_of_logit(ctx, ns[:, None], logit(INVERSION_PIS))
+        cases = [(ns[:, None], y_layers)]
+        for n, row in zip(ns, y_layers):
+            cases.append((int(n), row))
+            cases.extend((int(n), float(row[k])) for k in (0, row.size // 2, -1))
+
+        def close(got, want):
+            assert np.shape(got) == np.shape(want)
+            return np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+        for n, y in cases:
+            r, s = priors_mod._log_odds(ctx, n, y, slope=True)
+            r_ref, s_ref = _trailing_log_odds(ctx, n, y)
+            assert close(r, r_ref) and close(s, s_ref)
+            # every 20th point, ends included, keeps the 128-outcome schemes quick
+            y = y[..., ::20] if np.ndim(y) else y
+            steps_ref = _trailing_transition(ctx, n, y)
+            steps = list(priors_mod._transition(ctx, n, y))
+            assert len(steps) == len(steps_ref)
+            for (pred, next_pi), (pred_ref, next_pi_ref) in zip(steps, steps_ref):
+                assert close(pred, pred_ref)
+                # next pi keeps the trailing layout, bit for bit
+                assert np.array_equal(next_pi, next_pi_ref)
 
     @pytest.mark.parametrize("model, spec", INVERSION_CASES, ids=INVERSION_IDS)
     def test_scalar_input_returns_float(self, model, spec):

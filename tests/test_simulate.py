@@ -141,6 +141,10 @@ class TestSimulatePolicy:
         assert abs(rep.mean_cost - v0) <= 3 * rep.std_error
 
 
+# a block size for tests that cross block boundaries: the replays stay small
+SMALL_BLOCK = 1000
+
+
 class TestReplicateStreams:
     """Replicate r's path depends only on (seed, r), never on the replicate count."""
 
@@ -158,8 +162,9 @@ class TestReplicateStreams:
         }
 
     @pytest.mark.parametrize("case", ["policy", "threshold", "gaussian-mean"])
-    @pytest.mark.parametrize("fewer, more", [(50, _BLOCK + 60), (_BLOCK + 3, 2 * _BLOCK + 1)])
-    def test_trace_rows_do_not_depend_on_replicate_count(self, tmp_path, replays, case, fewer, more):
+    @pytest.mark.parametrize("fewer, more", [(50, SMALL_BLOCK + 60), (SMALL_BLOCK + 3, 2 * SMALL_BLOCK + 1)])
+    def test_trace_rows_do_not_depend_on_replicate_count(self, tmp_path, monkeypatch, replays, case, fewer, more):
+        monkeypatch.setattr(simulate_mod, "_BLOCK", SMALL_BLOCK)
         rows = {}
         for replicates in (fewer, more):
             path = tmp_path / f"trace-{replicates}.csv"
@@ -360,9 +365,10 @@ class TestLevelCurveReplay:
     """Stopping by y against per-layer level curves decides as the per-row pi replay does."""
 
     def _both(self, tmp_path, monkeypatch, stop_fn, cap, replay):
+        run_block = simulate_mod._run_block
         monkeypatch.setattr(simulate_mod, "_run_block", replay_by_pi(stop_fn, cap))
         want = replay(tmp_path / "want.csv")
-        monkeypatch.undo()
+        monkeypatch.setattr(simulate_mod, "_run_block", run_block)
         got = replay(tmp_path / "got.csv")
         assert got == want
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
@@ -408,12 +414,13 @@ class TestLevelCurveReplay:
 
     def test_several_blocks(self, benchmark_surface, benchmark_prior, bernoulli_family, tmp_path, monkeypatch):
         # a symmetric prior puts bernoulli sums exactly on pi = 1/2: ties at every even n
+        monkeypatch.setattr(simulate_mod, "_BLOCK", SMALL_BLOCK)
         b1, b2 = benchmark_surface.b1, benchmark_surface.b2
         rep = self._both(
             tmp_path, monkeypatch, lambda n, pi: ~((b1[n] < pi) & (pi < b2[n])), benchmark_surface.horizon,
             lambda path: st.simulate_policy(benchmark_surface, benchmark_prior, bernoulli_family,
-                                            2 * _BLOCK + 500, 4, path))
-        assert rep.replicates == 2 * _BLOCK + 500
+                                            2 * SMALL_BLOCK + 500, 4, path))
+        assert rep.replicates == 2 * SMALL_BLOCK + 500
 
     @pytest.mark.parametrize(
         "rule", [st.ThresholdRule(0.5, 0.5, 12), st.FixedSampleRule(2)], ids=["threshold:0.5,0.5", "fixed:2"]
