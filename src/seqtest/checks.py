@@ -26,16 +26,17 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.special import logit, logsumexp
 
 from .families import NaturalFamily, family_for_prior, make_named_family
 from .priors import (
+    LEVEL_EPS,
     Prior,
     _Ctx,
+    _unnorm_log_weights,
+    _y_of_logit,
     make_prior,
-    mass_below,
-    posterior,
     transition_distribution,
-    y_of_pi,
 )
 from .solver import ValueSurface, _backward, choose_horizon, make_grid, solve
 
@@ -113,6 +114,19 @@ def check_concavity(surface: ValueSurface, tol: float = 1e-8, curvature_allowanc
     )
 
 
+def _level_curves(prior: Prior, family: NaturalFamily, pis, n_max: int):
+    """The context and y(n, pi) for n = 0 .. n_max (rows) and each pi (columns).
+
+    One batched inversion, which equals the layer-by-layer ``y_of_pi`` bit
+    for bit, under ``y_of_pi``'s range check.
+    """
+    pis = np.asarray(pis, dtype=float)
+    if np.any(pis <= LEVEL_EPS) or np.any(pis >= 1.0 - LEVEL_EPS):
+        raise ValueError("level curve out of numerical range: pi must lie in (1e-12, 1-1e-12)")
+    ctx = _Ctx(prior, family)
+    return ctx, _y_of_logit(ctx, np.arange(n_max + 1)[:, None], logit(pis))
+
+
 def check_concentration(
     prior: Prior,
     family: NaturalFamily,
@@ -125,16 +139,17 @@ def check_concentration(
     """Along the pi-level curve, P(param <= a) and P(param > b) never grow."""
     if not a < prior.theta0 < b:
         raise ValueError("concentration check requires a < theta0 < b")
-    below, above = [], []
-    for n in range(n_max + 1):
-        state = posterior(prior, family, n, y_of_pi(prior, family, n, pi))
-        below.append(mass_below(state, a))
-        above.append(1.0 - mass_below(state, b))
-    below = np.asarray(below)
-    above = np.asarray(above)
+    ctx, y = _level_curves(prior, family, [pi], n_max)
+    z = _unnorm_log_weights(ctx, np.arange(n_max + 1), y[:, 0])
+    lw = z - logsumexp(z, axis=1, keepdims=True)
+
+    def mass_at_or_below(cut):
+        sel = prior.atoms <= cut
+        return np.exp(logsumexp(lw[:, sel], axis=1)) if sel.any() else np.zeros(n_max + 1)
+
     worst = -math.inf
     loc = None
-    for name, seq in (("below_a", below), ("above_b", above)):
+    for name, seq in (("below_a", mass_at_or_below(a)), ("above_b", 1.0 - mass_at_or_below(b))):
         inc = np.diff(seq)
         j = int(np.argmax(inc))
         if inc[j] > worst:
@@ -160,10 +175,8 @@ def check_level_spread(
     """y(n, pi2) - y(n, pi1) is non-decreasing in n (curves spread out)."""
     if not 0.0 < pi1 <= pi2 < 1.0:
         raise ValueError("level spread check requires 0 < pi1 <= pi2 < 1")
-    spreads = np.asarray(
-        [y_of_pi(prior, family, n, pi2) - y_of_pi(prior, family, n, pi1) for n in range(n_max + 1)]
-    )
-    dec = -np.diff(spreads)
+    y = _level_curves(prior, family, [pi1, pi2], n_max)[1]
+    dec = -np.diff(y[:, 1] - y[:, 0])
     j = int(np.argmax(dec)) if dec.size else 0
     worst = float(dec[j]) if dec.size else 0.0
     return _report(
@@ -366,6 +379,10 @@ def conjecture_probe(
     if seed < 0:
         raise ValueError(f"probe seed must be a non-negative integer, got {seed}")
     windows = {**PROBE_WINDOWS, **(windows or {})}
+    for model in models:
+        if model not in windows:
+            raise ValueError(f"probe has no prior window for model '{model}'; "
+                             f"models with windows: {', '.join(windows)}")
     if horizon is None:
         horizon = choose_horizon(cost)
     reports = []

@@ -43,9 +43,10 @@ __all__ = [
 
 # distinct (n, y) nodes the oracle lattice may hold
 _MAX_NODES = 10**6
-# replicates per simulation block: the replay's transient arrays hold a few
-# values per row of one block, whatever the replicate count or horizon.
-# Every draw is keyed by (seed, replicate, step), so results do not depend on it.
+# replicates per simulation block: with its straggler pool (``_replay``) the
+# replay holds fewer than 2 _BLOCK rows, whatever the replicate count or
+# horizon.  Every draw is keyed by (seed, replicate, step), so results do not
+# depend on it.
 _BLOCK = 32768
 
 # SplitMix64 (Steele, Lea and Flood 2014): the golden-ratio increment and the
@@ -53,25 +54,39 @@ _BLOCK = 32768
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+# the bits of the double 1.0
+_ONE_BITS = np.uint64(0x3FF0000000000000)
 
 
 def _mix(z):
-    """SplitMix64 finalizer of a uint64 array, a bijection; wraps without warnings."""
-    z = z ^ (z >> np.uint64(30))
-    z *= _MIX1
-    z ^= z >> np.uint64(27)
-    z *= _MIX2
-    z ^= z >> np.uint64(31)
+    """SplitMix64 finalizer of a uint64 array, in place; a bijection.
+
+    The shifts go through one scratch array, and the array ops wrap around
+    without warnings.
+    """
+    t = np.empty_like(z)
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, shift, out=t)
+        z ^= t
+        z *= mult
+    np.right_shift(z, 31, out=t)
+    z ^= t
     return z
 
 
 def _unit(z):
-    """Map uint64 values to doubles strictly inside (0, 1).
+    """Map uint64 values to doubles strictly inside (0, 1), in place.
 
-    The top 52 bits k give (k + 1/2) 2^-52, which lies in [2^-53, 1 - 2^-53]
-    and is exact: with 53 bits the half would round the largest k onto 1.
+    The top 52 bits k become the mantissa of 1 + k 2^-52, and subtracting
+    1 - 2^-53 leaves (k + 1/2) 2^-52 in [2^-53, 1 - 2^-53].  Both steps are
+    exact, the subtraction by Sterbenz's lemma; with 53 bits the half would
+    round the largest k onto 1.  Returns a float view of ``z``.
     """
-    return ((z >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52
+    z >>= np.uint64(12)
+    z |= _ONE_BITS
+    u = z.view(float)
+    u -= 1.0 - 2.0**-53
+    return u
 
 
 def _row_keys(seed, rows):
@@ -85,24 +100,33 @@ class _KeyedUniforms:
 
     ``random()`` returns U(seed, r, slot) for each row key: output slot + 1
     of the SplitMix64 generator seeded with the key.  Slot 0 draws the
-    parameter and slot n + 1 the observation taken at layer n.  It stands in
-    for a Generator in ``family.sampler``, which reads only ``random``, and
-    always returns one uniform per key.
+    parameter and slot n + 1 the observation taken at layer n.  ``slot`` is
+    an int shared by the keys or an array of one slot per key; the offset
+    (slot + 1) GOLDEN wraps around uint64 in array arithmetic, which emits
+    no warnings.  It stands in for a Generator in ``family.sampler``, which
+    reads only ``random``, and always returns one uniform per key.
     """
 
     def __init__(self, keys, slot):
         self.keys = keys
-        self.offset = np.uint64((slot + 1) * _GOLDEN % 2**64)
+        self.offset = (np.atleast_1d(slot).astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN)
 
     def random(self, size=None):
         return _unit(_mix(self.keys + self.offset))
 
 
 def _draw_thetas(prior, keys):
-    """Each replicate's parameter: the prior's weight CDF inverted at its slot-0 uniform."""
+    """Each replicate's parameter: the prior's weight CDF inverted at its slot-0 uniform.
+
+    The atom index counts the first A - 1 CDF values at or below U, which is
+    min(searchsorted(cdf, U, "right"), A - 1).
+    """
     cdf = np.cumsum(np.exp(prior.log_weights))
-    idx = np.searchsorted(cdf, _KeyedUniforms(keys, 0).random(), side="right")
-    return prior.atoms[np.minimum(idx, prior.n_atoms - 1)]
+    u = _KeyedUniforms(keys, 0).random()
+    idx = np.zeros(keys.size, dtype=np.intp)
+    for c in cdf[:-1]:
+        idx += u >= c
+    return prior.atoms[idx]
 
 
 @dataclass(frozen=True)
@@ -297,50 +321,91 @@ def _level_bands(ctx, n, p):
     return a, b
 
 
-def _run_block(lo, hi, ya, yb, ctx, prior, family, keys):
-    """Replay the replicates whose row keys are ``keys``.
+def _advance(run, until, lo, hi, edges, ctx, family, tau, accept):
+    """Replay the running rows ``run`` until at most ``until`` of them still run.
 
-    A row at layer n continues while lo[n] < pi < hi[n] and, once stopped,
-    accepts the upper side if pi > 1/2; the last layer has lo = hi = inf, so
-    every row still running stops there.  Since pi is increasing in the
-    observation sum y, each test is made on y against the uncertain bands
-    [ya[n, j], yb[n, j]] of the thresholds (lo[n], hi[n], 1/2) from
-    ``_level_bands``.  Rows inside a band of (lo[n], hi[n]), and stopping
-    rows inside the band of 1/2, compute pi from their log-odds, and no
-    other row does, so every decision is the one a test on pi makes.
+    ``run`` is (rows, keys, thetas, y, n): each row's replicate index, key,
+    parameter, observation sum and layer, with n an int shared by the rows
+    or an array of one layer per row.  A row at layer n continues while
+    lo[n] < pi < hi[n] and, once stopped, accepts the upper side if pi > 1/2;
+    the last layer has lo = hi = inf, so every row still running stops there.
+    Since pi is increasing in the observation sum y, each test is made on y
+    against the uncertain bands [a, b] of the thresholds lo[n], hi[n] and
+    1/2 from ``_level_bands``; ``edges`` holds their ends per layer as
+    (a_lo, b_lo, a_hi, b_hi, a_half, b_half).  Rows inside a band of lo[n] or
+    hi[n], and stopping rows inside the band of 1/2, compute pi from their
+    log-odds; every other row is decided by a band edge alone, which the
+    bands make exact, so every decision is the one a test on pi makes.
 
     Only rows still running draw, one observation per step each:
     ``family.sampler``, the model's inverse CDF, applied to the uniforms of
-    ``_KeyedUniforms``.  Every draw is a function of (seed, replicate, step)
-    alone, so a row's path does not depend on the other rows or on the
-    block.  Returns each row's (theta, tau, accept).
+    ``_KeyedUniforms`` at slot n + 1.  Every draw is a function of (seed,
+    replicate, step) alone, so a row's path does not depend on the rows
+    beside it.  Stopped rows get their tau and accept entries; returns the
+    rows still running, in the layout of ``run``.
     """
-    cap = lo.size - 1
-    thetas = _draw_thetas(prior, keys)
-    tau = np.full(keys.size, cap, dtype=int)
-    accept = np.zeros(keys.size, dtype=int)
-    # the running rows: their index in the block, key, parameter and sum y
-    rows, run_keys, run_thetas, y = np.arange(keys.size), keys, thetas, np.zeros(keys.size)
-    for n in range(cap + 1):
-        a, b = ya[n], yb[n]
-        stop = (y < a[0]) | (y > b[1])
-        near = ((y >= a[0]) & (y <= b[0])) | ((y >= a[1]) & (y <= b[1]))
+    rows, keys, thetas, y, n = run
+    a_lo, b_lo, a_hi, b_hi, a_half, b_half = edges
+    per_row = isinstance(n, np.ndarray)
+    while rows.size > until:
+        stop = (y < a_lo[n]) | (y > b_hi[n])
+        near = ~(stop | ((y > b_lo[n]) & (y < a_hi[n])))
         if near.any():
-            pi = expit(_log_odds(ctx, n, y[near]))
-            stop[near] = (pi <= lo[n]) | (pi >= hi[n])
+            i = np.flatnonzero(near)
+            ni = n[i] if per_row else n
+            pi = expit(_log_odds(ctx, ni, y[i]))
+            stop[i] = (pi <= lo[ni]) | (pi >= hi[ni])
         if stop.any():
-            ys = y[stop]
-            up = ys > b[2]
-            near = (ys >= a[2]) & (ys <= b[2])
+            i = np.flatnonzero(stop)
+            ys, ni = y[i], n[i] if per_row else n
+            up = ys > b_half[ni]
+            near = (ys >= a_half[ni]) & (ys <= b_half[ni])
             if near.any():
-                up[near] = expit(_log_odds(ctx, n, ys[near])) > 0.5
-            tau[rows[stop]] = n
-            accept[rows[stop]] = up
-            go = ~stop
-            rows, run_keys, run_thetas, y = rows[go], run_keys[go], run_thetas[go], y[go]
+                j = np.flatnonzero(near)
+                up[j] = expit(_log_odds(ctx, ni[j] if per_row else ni, ys[j])) > 0.5
+            tau[rows[i]] = ni
+            accept[rows[i]] = up
+            go = np.flatnonzero(~stop)
+            rows, keys, thetas, y = (v.take(go) for v in (rows, keys, thetas, y))
+            if per_row:
+                n = n.take(go)
             if not rows.size:
                 break
-        y += family.sampler(run_thetas, _KeyedUniforms(run_keys, n + 1), rows.size)
+        y += family.sampler(thetas, _KeyedUniforms(keys, n + 1), rows.size)
+        n = n + 1
+    return rows, keys, thetas, y, n
+
+
+def _replay(lo, hi, ya, yb, ctx, prior, family, seed, replicates):
+    """Replay replicates 0 .. replicates - 1 of ``seed``; returns each one's (theta, tau, accept).
+
+    Replicates run in blocks of ``_BLOCK``.  A block's rows share one layer
+    until at most ``_BLOCK // 8`` of them still run; those stragglers join a
+    pool, each row keeping its own layer, which is replayed to the end
+    whenever it holds ``_BLOCK`` rows and once after the last block.  The
+    tails of many blocks so take one run of steps over rows at mixed
+    layers, and the replay holds fewer than 2 ``_BLOCK`` rows at any time.
+    ``ya`` and ``yb`` are the band edges of (lo, hi, 1/2) per layer.
+    """
+    cap = lo.size - 1
+    edges = tuple(np.ascontiguousarray(e[:, j]) for j in range(3) for e in (ya, yb))
+    thetas = np.empty(replicates)
+    tau = np.full(replicates, cap, dtype=int)
+    accept = np.zeros(replicates, dtype=int)
+    common = (lo, hi, edges, ctx, family, tau, accept)
+    pool, held = [], 0
+    for start in range(0, replicates, _BLOCK):
+        end = min(start + _BLOCK, replicates)
+        rows = np.arange(start, end)
+        keys = _row_keys(seed, rows)
+        thetas[start:end] = _draw_thetas(prior, keys)
+        run = _advance((rows, keys, thetas[start:end], np.zeros(rows.size), 0), _BLOCK // 8, *common)
+        if run[0].size:
+            pool.append(run[:4] + (np.full(run[0].size, run[4]),))
+            held += run[0].size
+        if pool and (held >= _BLOCK or end == replicates):
+            _advance(tuple(np.concatenate(parts) for parts in zip(*pool)), 0, *common)
+            pool, held = [], 0
     return thetas, tau, accept
 
 
@@ -357,12 +422,7 @@ def _run(band, cap, prior, family, cost, replicates, seed, trace_path=None):
     lo, hi = np.array([band(n) for n in range(cap)] + [(np.inf, np.inf)], dtype=float).T
     ya, yb = _level_bands(ctx, np.arange(cap + 1)[:, None], np.stack([lo, hi, np.full(cap + 1, 0.5)], axis=1))
 
-    blocks = [
-        _run_block(lo, hi, ya, yb, ctx, prior, family,
-                   _row_keys(seed, np.arange(start, min(start + _BLOCK, replicates))))
-        for start in range(0, replicates, _BLOCK)
-    ]
-    thetas, tau, accept = (np.concatenate(parts) for parts in zip(*blocks))
+    thetas, tau, accept = _replay(lo, hi, ya, yb, ctx, prior, family, seed, replicates)
 
     false_upper = (accept == 1) & (thetas <= prior.theta0)
     false_lower = (accept == 0) & (thetas > prior.theta0)

@@ -101,6 +101,63 @@ class TestLevelSpread:
             st.check_level_spread(three_atom_prior, gaussian_mean_family, 0.7, 0.3, 5)
 
 
+def concentration_by_layers(prior, family, pi, a, b, n_max):
+    """The concentration check's worst increase, one public scalar call per layer."""
+    below, above = [], []
+    for n in range(n_max + 1):
+        state = st.posterior(prior, family, n, st.y_of_pi(prior, family, n, pi))
+        below.append(st.mass_below(state, a))
+        above.append(1.0 - st.mass_below(state, b))
+    return max(np.max(np.diff(below)), np.max(np.diff(above)))
+
+
+def spread_by_layers(prior, family, pi1, pi2, n_max):
+    """The level-spread check's worst decrease, one public scalar call per layer and level."""
+    spreads = [st.y_of_pi(prior, family, n, pi2) - st.y_of_pi(prior, family, n, pi1) for n in range(n_max + 1)]
+    dec = -np.diff(spreads)
+    return float(np.max(dec)) if dec.size else 0.0
+
+
+SIX = ([-1.5, -0.9, -0.3, 0.3, 0.9, 1.5], [1.0, 2.0, 1.0, 1.0, 0.5, 1.0], 0.0)
+SIX_POSITIVE = ([0.4, 0.7, 1.0, 1.4, 1.9, 2.5], [1.0, 2.0, 1.0, 1.0, 0.5, 1.0], 1.2)
+# each model's prior and concentration cuts (a, b), one cut below the support
+BATCHED_CASES = {
+    "bernoulli": (SIX, (-0.5, 0.5)),
+    "binomial(3)": (SIX, (-2.0, 1.0)),
+    "gaussian-mean": (SIX, (-0.5, 0.5)),
+    "exponential-rate": (SIX_POSITIVE, (0.8, 1.6)),
+    "gaussian-variance": (SIX_POSITIVE, (0.8, 3.0)),
+}
+
+
+class TestBatchedLevelCurveChecks:
+    """One batched inversion gives the worst violations of the per-layer scalar calls."""
+
+    @pytest.mark.parametrize("model", list(BATCHED_CASES))
+    @pytest.mark.parametrize("pi", [0.05, 0.5, 0.9])
+    def test_concentration_matches_scalar_loop(self, model, pi):
+        spec, (a, b) = BATCHED_CASES[model]
+        prior = st.make_prior(*spec)
+        family = st.family_for_prior(model, prior)
+        rep = st.check_concentration(prior, family, pi, a, b, 30)
+        assert abs(rep.worst_violation - concentration_by_layers(prior, family, pi, a, b, 30)) <= 1e-15
+
+    @pytest.mark.parametrize("model", list(BATCHED_CASES))
+    @pytest.mark.parametrize("pi1, pi2", [(0.3, 0.7), (0.01, 0.999), (0.5, 0.5)])
+    def test_level_spread_matches_scalar_loop(self, model, pi1, pi2):
+        prior = st.make_prior(*BATCHED_CASES[model][0])
+        family = st.family_for_prior(model, prior)
+        for n_max in (0, 30):
+            rep = st.check_level_spread(prior, family, pi1, pi2, n_max)
+            assert abs(rep.worst_violation - spread_by_layers(prior, family, pi1, pi2, n_max)) <= 1e-15
+
+    def test_levels_outside_invertible_range_are_refused(self, three_atom_prior, gaussian_mean_family):
+        with pytest.raises(ValueError, match="level curve out of numerical range"):
+            st.check_level_spread(three_atom_prior, gaussian_mean_family, 1e-13, 0.5, 4)
+        with pytest.raises(ValueError, match="level curve out of numerical range"):
+            st.check_concentration(three_atom_prior, gaussian_mean_family, 1.0 - 1e-13, -0.5, 0.5, 4)
+
+
 class TestConvexOrder:
     def test_same_time_is_exact_equality(self, benchmark_prior, bernoulli_family):
         rep = st.check_convex_order(benchmark_prior, bernoulli_family, 0.4, 3, 3)

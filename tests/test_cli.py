@@ -354,6 +354,16 @@ class TestProbe:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("models, model", [("nosuch", "nosuch"), ("binomial(5)", "binomial(5)"),
+                                               ("bernoulli,nosuch,gaussian-mean", "nosuch")])
+    def test_model_without_window_is_usage_error(self, capsys, models, model):
+        code = run(["probe", "--models", models, "--trials", "1", "--grid-size", "101"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"error: probe has no prior window for model '{model}'; models with windows: "
+                                f"{', '.join(st.PROBE_WINDOWS)}\n")
+
 
 class TestPlotData:
     def test_outputs_and_shapes(self, solved_dir, tmp_path):

@@ -249,16 +249,17 @@ class TestReachableEnumeration:
 
 
 def replay_by_pi(stop_fn, cap):
-    """The replay's block as it was before level-curve thresholds.
+    """The replay as it was before level-curve thresholds.
 
-    A drop-in for ``simulate._run_block`` that ignores the thresholds it is
+    A drop-in for ``simulate._replay`` that ignores the thresholds it is
     handed: every running row computes pi = expit(log-odds) at every step
     and ``stop_fn(n, pi)`` decides.  It makes the same keyed draws: the
     parameter at slot 0, and at step n one observation for each row still
     running, through ``family.sampler`` at slot n + 1.
     """
 
-    def block(lo, hi, ya, yb, ctx, prior, family, keys):
+    def replay(lo, hi, ya, yb, ctx, prior, family, seed, replicates):
+        keys = simulate_mod._row_keys(seed, np.arange(replicates))
         thetas = simulate_mod._draw_thetas(prior, keys)
         y = np.zeros(keys.size)
         tau = np.full(keys.size, cap, dtype=int)
@@ -276,7 +277,7 @@ def replay_by_pi(stop_fn, cap):
             y[rows] += family.sampler(thetas[rows], simulate_mod._KeyedUniforms(keys[rows], n + 1), rows.size)
         return thetas, tau, accept
 
-    return block
+    return replay
 
 
 SIX = ([-1.5, -0.9, -0.3, 0.3, 0.9, 1.5], [1.0, 2.0, 1.0, 1.0, 0.5, 1.0], 0.0)
@@ -326,6 +327,100 @@ class TestKeyedDraws:
         assert runs[1] == runs[0] and runs[2] == runs[0]
         assert 0 < runs[0][0].mean_stopping_time
 
+    @pytest.mark.parametrize("model", ["bernoulli", "gaussian-mean"])
+    def test_pool_replayed_between_blocks(self, solved, tmp_path, monkeypatch, model):
+        # 1000-row blocks each hand about 120 stragglers to the pool, which
+        # fills after nine blocks and is replayed before the last of twelve
+        prior, family, _ = solved[model]
+        rule = st.ThresholdRule(0.1, 0.9, 30)
+        advance = simulate_mod._advance
+        runs = []
+        for block in (1000, 8191, _BLOCK):
+            phases = []
+
+            def logged(run, until, *args):
+                phases.append(until)
+                return advance(run, until, *args)
+
+            monkeypatch.setattr(simulate_mod, "_BLOCK", block)
+            monkeypatch.setattr(simulate_mod, "_advance", logged)
+            path = tmp_path / f"trace-{block}.csv"
+            report = st.simulate_alternative(rule, prior, family, 0.02, 12_000, 13, path)
+            runs.append((report, path.read_bytes()))
+            if block == 1000:
+                # the pool (until = 0) is replayed, and a block follows
+                assert block // 8 in phases[phases.index(0) + 1:]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert 0 < runs[0][0].mean_stopping_time
+
+    def test_rows_held_stay_under_two_blocks(self, solved, monkeypatch):
+        prior, family, _ = solved["bernoulli"]
+        block = 1000
+        monkeypatch.setattr(simulate_mod, "_BLOCK", block)
+        advance = simulate_mod._advance
+        pooled, held, flushes = [0], [], []
+
+        def logged(run, until, *args):
+            if until:
+                # a block: its own rows beside the stragglers waiting in the pool
+                held.append(run[0].size + pooled[0])
+                rest = advance(run, until, *args)
+                pooled[0] += rest[0].size
+                return rest
+            # the pool, replayed whole
+            assert run[0].size == pooled[0]
+            held.append(run[0].size)
+            flushes.append(run[0].size)
+            pooled[0] = 0
+            return advance(run, until, *args)
+
+        monkeypatch.setattr(simulate_mod, "_advance", logged)
+        st.simulate_alternative(st.ThresholdRule(0.1, 0.9, 30), prior, family, 0.02, 30_000, 3)
+        assert pooled[0] == 0 and len(flushes) >= 3
+        assert max(held) <= 2 * block
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_per_row_slots_match_scalar_slots(self, dtype):
+        keys = simulate_mod._row_keys(7, np.arange(257))
+        slots = [0, 1, 2, 3, *(2**k for k in range(2, 63)), 2**63 - 2, 2**63 - 1]
+        if dtype is np.uint64:
+            slots += [2**63, 2**64 - 3, 2**64 - 2, 2**64 - 1]
+        # (slot + 1) GOLDEN reaches past 2^64 from slot 1 on, and slot + 1 itself wraps at 2^64 - 1
+        assert (slots[1] + 1) * simulate_mod._GOLDEN >= 2**64
+
+        def by_int_slot(keys, slot):
+            # output slot + 1 of SplitMix64, its offset reduced mod 2^64 in Python ints
+            return simulate_mod._unit(simulate_mod._mix(keys + np.uint64((slot + 1) * simulate_mod._GOLDEN % 2**64)))
+
+        for slot in slots:
+            want = by_int_slot(keys, slot)
+            np.testing.assert_array_equal(simulate_mod._KeyedUniforms(keys, slot).random(), want)
+            per_row = simulate_mod._KeyedUniforms(keys, np.full(keys.size, slot, dtype=dtype)).random()
+            np.testing.assert_array_equal(per_row, want)
+        mixed = np.array(slots, dtype=dtype)
+        per_row = simulate_mod._KeyedUniforms(keys[: mixed.size], mixed).random()
+        want = [by_int_slot(keys[i : i + 1], slot)[0] for i, slot in enumerate(slots)]
+        np.testing.assert_array_equal(per_row, want)
+
+    @pytest.mark.parametrize("weights", [SIX[1], [1.0] * 6, [1e-9, 1.0, 3.0, 1e-3, 2.0, 0.7]])
+    def test_theta_index_matches_searchsorted(self, monkeypatch, weights):
+        prior = st.make_prior(SIX[0], weights, 0.0)
+        cdf = np.cumsum(np.exp(prior.log_weights))
+        u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0), [2.0**-53, 0.5, 1.0 - 2.0**-53],
+                            np.random.default_rng(0).random(1000)])
+
+        class FixedUniforms:
+            def __init__(self, keys, slot):
+                assert slot == 0
+
+            def random(self, size=None):
+                return u
+
+        monkeypatch.setattr(simulate_mod, "_KeyedUniforms", FixedUniforms)
+        got = simulate_mod._draw_thetas(prior, np.zeros(u.size, dtype=np.uint64))
+        want = prior.atoms[np.minimum(np.searchsorted(cdf, u, side="right"), prior.n_atoms - 1)]
+        np.testing.assert_array_equal(got, want)
+
     def test_uniforms_lie_strictly_inside_the_unit_interval(self):
         ends = np.array([0, 1, 2**12 - 1, 2**12, 2**63, 2**64 - 2**12, 2**64 - 1], dtype=np.uint64)
         u = simulate_mod._unit(ends)
@@ -365,10 +460,10 @@ class TestLevelCurveReplay:
     """Stopping by y against per-layer level curves decides as the per-row pi replay does."""
 
     def _both(self, tmp_path, monkeypatch, stop_fn, cap, replay):
-        run_block = simulate_mod._run_block
-        monkeypatch.setattr(simulate_mod, "_run_block", replay_by_pi(stop_fn, cap))
+        level_curve_replay = simulate_mod._replay
+        monkeypatch.setattr(simulate_mod, "_replay", replay_by_pi(stop_fn, cap))
         want = replay(tmp_path / "want.csv")
-        monkeypatch.setattr(simulate_mod, "_run_block", run_block)
+        monkeypatch.setattr(simulate_mod, "_replay", level_curve_replay)
         got = replay(tmp_path / "got.csv")
         assert got == want
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
@@ -428,26 +523,34 @@ class TestLevelCurveReplay:
     def test_log_odds_only_inside_bands(self, benchmark_prior, bernoulli_family, monkeypatch, rule):
         # the symmetric prior puts pi exactly at 1/2 on y = n / 2: those rows
         # need pi to stop (threshold) or to decide (fixed size)
+        # a 4800-row block leaves a last block of 200 rows, which goes
+        # straight to the straggler pool: those rows pass one layer per row
         ctx = _Ctx(benchmark_prior, bernoulli_family)
-        calls = []
+        for block in (_BLOCK, 4800):
+            calls = []
 
-        def counted(ctx, n, y, slope=False):
-            calls.append((n, np.array(y)))
-            return _log_odds(ctx, n, y, slope)
+            def counted(ctx, n, y, slope=False):
+                calls.append((n, np.array(y)))
+                return _log_odds(ctx, n, y, slope)
 
-        monkeypatch.setattr(simulate_mod, "_log_odds", counted)
-        st.simulate_alternative(rule, benchmark_prior, bernoulli_family, 0.05, 5000, 3)
-        monkeypatch.undo()
-        # the band set-up evaluates its residuals for every layer at once; the
-        # replay loop then passes one layer at a time
-        replay = [(n, y) for n, y in calls if np.ndim(n) == 0]
-        assert replay
-        for n, y in replay:
-            lo, hi = rule.band(n) if n < rule.cap else (np.inf, np.inf)
-            a, b = simulate_mod._level_bands(ctx, n, [lo, hi, 0.5])
-            assert np.all(np.any((y[:, None] >= a) & (y[:, None] <= b), axis=1))
-        # every row stops at n = 0 or 2 and needs pi at most twice: to stop and to decide
-        assert sum(y.size for _, y in replay) <= 2 * 5000
+            monkeypatch.setattr(simulate_mod, "_BLOCK", block)
+            monkeypatch.setattr(simulate_mod, "_log_odds", counted)
+            st.simulate_alternative(rule, benchmark_prior, bernoulli_family, 0.05, 5000, 3)
+            monkeypatch.undo()
+            # the band set-up evaluates its residuals for every layer at once
+            # (n of shape (layers, 1)); the replay loop then passes one layer
+            # shared by its rows, or one layer per row
+            replay = [(np.broadcast_to(n, y.shape), y) for n, y in calls if np.ndim(n) < 2]
+            assert replay
+            assert any(np.ndim(n) == 1 for n, _ in calls) == (block != _BLOCK)
+            for layers, ys in replay:
+                for n in np.unique(layers):
+                    y = ys[layers == n]
+                    lo, hi = rule.band(n) if n < rule.cap else (np.inf, np.inf)
+                    a, b = simulate_mod._level_bands(ctx, int(n), [lo, hi, 0.5])
+                    assert np.all(np.any((y[:, None] >= a) & (y[:, None] <= b), axis=1))
+            # every row stops at n = 0 or 2 and needs pi at most twice: to stop and to decide
+            assert sum(y.size for _, y in replay) <= 2 * 5000
 
 
 # ulp steps either side of a level-curve point, and multiples of the band's half-width
