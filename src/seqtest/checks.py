@@ -23,7 +23,7 @@ concurrently on independent instances.
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.special import logit, logsumexp
@@ -84,6 +84,16 @@ def _report(check, instance, worst, tol, location=None, asserted=True) -> CheckR
     )
 
 
+def _worst(a):
+    """Largest entry of ``a`` and its first row-major index, as a float and a tuple of ints.
+
+    The first index is the one a scan layer by layer, keeping a new worst
+    only when it is strictly larger, would report.
+    """
+    idx = np.unravel_index(int(np.argmax(a)), np.shape(a))
+    return float(a[idx]), tuple(int(i) for i in idx)
+
+
 def check_concavity(surface: ValueSurface, tol: float = 1e-8, curvature_allowance: float = 1.0) -> CheckReport:
     """Worst convexity defect over all layers and interior grid triples.
 
@@ -94,23 +104,15 @@ def check_concavity(surface: ValueSurface, tol: float = 1e-8, curvature_allowanc
     grid = surface.pi_grid
     h = float(np.max(np.diff(grid)))
     eff_tol = tol + curvature_allowance * h * h
-    worst = -math.inf
-    loc = None
-    for n, layer in enumerate(surface.values):
-        span = grid[2:] - grid[:-2]
-        lam = (grid[2:] - grid[1:-1]) / span
-        chord = lam * layer[:-2] + (1.0 - lam) * layer[2:]
-        defect = chord - layer[1:-1]
-        j = int(np.argmax(defect))
-        if defect[j] > worst:
-            worst = float(defect[j])
-            loc = {"n": n, "pi": float(grid[j + 1])}
+    values = surface.values
+    lam = (grid[2:] - grid[1:-1]) / (grid[2:] - grid[:-2])
+    worst, (n, j) = _worst(lam * values[:, :-2] + (1.0 - lam) * values[:, 2:] - values[:, 1:-1])
     return _report(
         "concavity",
         {"horizon": surface.horizon, "grid_size": int(grid.size), "cost": surface.cost},
         worst,
         eff_tol,
-        loc,
+        {"n": n, "pi": float(grid[j + 1])},
     )
 
 
@@ -147,20 +149,13 @@ def check_concentration(
         sel = prior.atoms <= cut
         return np.exp(logsumexp(lw[:, sel], axis=1)) if sel.any() else np.zeros(n_max + 1)
 
-    worst = -math.inf
-    loc = None
-    for name, seq in (("below_a", mass_at_or_below(a)), ("above_b", 1.0 - mass_at_or_below(b))):
-        inc = np.diff(seq)
-        j = int(np.argmax(inc))
-        if inc[j] > worst:
-            worst = float(inc[j])
-            loc = {"n": j, "side": name, "pi": pi}
+    worst, (side, j) = _worst(np.diff([mass_at_or_below(a), 1.0 - mass_at_or_below(b)], axis=1))
     return _report(
         "concentration",
         {"model": family.name, "pi": pi, "a": a, "b": b, "n_max": n_max},
         worst,
         tol,
-        loc,
+        {"n": j, "side": ("below_a", "above_b")[side], "pi": pi},
     )
 
 
@@ -177,8 +172,7 @@ def check_level_spread(
         raise ValueError("level spread check requires 0 < pi1 <= pi2 < 1")
     y = _level_curves(prior, family, [pi1, pi2], n_max)[1]
     dec = -np.diff(y[:, 1] - y[:, 0])
-    j = int(np.argmax(dec)) if dec.size else 0
-    worst = float(dec[j]) if dec.size else 0.0
+    worst, (j,) = _worst(dec) if dec.size else (0.0, (0,))
     return _report(
         "level-spread",
         {"model": family.name, "pi1": pi1, "pi2": pi2, "n_max": n_max},
@@ -219,12 +213,11 @@ def check_convex_order(
             )
     sl_m = np.maximum(p_m[None, :] - t_grid[:, None], 0.0) @ w_m
     sl_n = np.maximum(p_n[None, :] - t_grid[:, None], 0.0) @ w_n
-    excess = sl_n - sl_m
-    j = int(np.argmax(excess))
+    worst, (j,) = _worst(sl_n - sl_m)
     return _report(
         "convex-order",
         {"model": family.name, "pi": pi, "m": m, "n": n},
-        float(excess[j]),
+        worst,
         tol,
         {"t": float(t_grid[j])},
     )
@@ -257,23 +250,14 @@ def check_time_monotonicity(surface: ValueSurface, tol: float = 1e-6, burn: int 
     }
     if limit < 1:
         return _report("time-monotonicity", {**instance, "note": "horizon too short for burn"}, 0.0, tol)
-    worst = -math.inf
-    loc = None
-    for n in range(limit):
-        drop = surface.values[n] - surface.values[n + 1]
-        j = int(np.argmax(drop))
-        if drop[j] > worst:
-            worst = float(drop[j])
-            loc = {"kind": "value", "n": n, "pi": float(surface.pi_grid[j])}
+    worst, (n, j) = _worst(surface.values[:limit] - surface.values[1 : limit + 1])
+    loc = {"kind": "value", "n": n, "pi": float(surface.pi_grid[j])}
     cell = 1.5 * float(np.max(np.diff(surface.pi_grid)))
     b1_drop = surface.b1[:limit] - surface.b1[1 : limit + 1]
     b2_rise = surface.b2[1 : limit + 1] - surface.b2[:limit]
-    for kind, move in (("b1", b1_drop), ("b2", b2_rise)):
-        excess = move - cell
-        j = int(np.argmax(excess))
-        if excess[j] > worst:
-            worst = float(excess[j])
-            loc = {"kind": kind, "n": int(j)}
+    excess, (side, j) = _worst(np.stack([b1_drop, b2_rise]) - cell)
+    if excess > worst:
+        worst, loc = excess, {"kind": ("b1", "b2")[side], "n": j}
     return _report("time-monotonicity", instance, worst, tol, loc)
 
 
@@ -306,20 +290,13 @@ def check_binomial_reduction(
     grid = make_grid(grid_size)
     v_binom = solve(prior, binom, float(cost), horizon, grid_size).values
     v_bern = _backward(_Ctx(prior, bern), grid, horizon, float(cost), steps=n_trials)
-    worst = -math.inf
-    loc = None
-    for n in range(horizon + 1):
-        diff = np.abs(v_binom[n] - v_bern[n])
-        j = int(np.argmax(diff))
-        if diff[j] > worst:
-            worst = float(diff[j])
-            loc = {"n": n, "pi": float(grid[j])}
+    worst, (n, j) = _worst(np.abs(v_binom - v_bern))
     return _report(
         "binomial-reduction",
         {"N": n_trials, "cost": cost, "grid_size": int(grid_size), "horizon": int(horizon)},
         worst,
         tol,
-        loc,
+        {"n": n, "pi": float(grid[j])},
     )
 
 
@@ -392,26 +369,20 @@ def conjecture_probe(
         prior = sample_random_prior(rng, windows[model])
         family = family_for_prior(model, prior)
         surface = solve(prior, family, cost, horizon, grid_size)
-        rep = check_time_monotonicity(surface, tol)
-        reports.append(
-            CheckReport(
-                check="conjecture-probe",
-                instance={
-                    "trial": trial,
-                    "seed": int(seed),
-                    "model": model,
-                    "atoms": [float(v) for v in prior.atoms],
-                    "weights": [float(v) for v in np.exp(prior.log_weights)],
-                    "theta0": prior.theta0,
-                    "cost": cost,
-                    "grid_size": int(grid_size),
-                    "horizon": int(horizon),
-                },
-                worst_violation=rep.worst_violation,
-                tolerance=rep.tolerance,
-                passed=rep.passed,
-                location=rep.location,
-                asserted=False,
-            )
-        )
+        reports.append(replace(
+            check_time_monotonicity(surface, tol),
+            check="conjecture-probe",
+            instance={
+                "trial": trial,
+                "seed": int(seed),
+                "model": model,
+                "atoms": [float(v) for v in prior.atoms],
+                "weights": [float(v) for v in np.exp(prior.log_weights)],
+                "theta0": prior.theta0,
+                "cost": cost,
+                "grid_size": int(grid_size),
+                "horizon": int(horizon),
+            },
+            asserted=False,
+        ))
     return reports

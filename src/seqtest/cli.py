@@ -18,6 +18,7 @@ from .simulate import FixedSampleRule, ThresholdRule, brute_force_value, simulat
 from .solver import (
     _check_provenance,
     _load_surface,
+    _positive_cost,
     _provenance,
     choose_horizon,
     read_surface_json,
@@ -49,9 +50,18 @@ def _require_file(path, what):
 
 
 def _resolve_horizon(args):
-    if args.horizon == "auto":
+    h = args.horizon
+    if h == "auto":
         return choose_horizon(float(args.cost), float(args.slack))
-    return int(args.horizon)
+    if not (type(h) is int or isinstance(h, str) and h.strip().isdecimal()) or int(h) < 1:
+        raise ValueError(f"horizon must be 'auto' or an integer >= 1, got {h!r}")
+    return int(h)
+
+
+# solve's settings and their defaults; run_config.json records them with
+# resolved_horizon and subcommand, and a config file may hold only those keys
+_SOLVE_DEFAULTS = {"model": None, "scheme": None, "prior": None, "cost": None, "horizon": "auto", "slack": 0.1,
+                   "grid_size": 2001, "grid_kind": "uniform", "nodes": None, "out": None}
 
 
 def _cmd_solve(args):
@@ -59,35 +69,28 @@ def _cmd_solve(args):
     if args.config:
         with open(_require_file(args.config, "config file"), encoding="utf-8") as fh:
             cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError(f"config file must hold a JSON object, got {type(cfg).__name__}")
+        unknown = sorted(set(cfg) - set(_SOLVE_DEFAULTS) - {"resolved_horizon", "subcommand"})
+        if unknown:
+            raise ValueError(f"config file has unknown key(s): {', '.join(unknown)}")
 
-    def pick(key, default=None):
+    def pick(key, default):
         # a flag given on the command line, even a zero, overrides the config
         flag = getattr(args, key)
         return flag if flag is not None else cfg.get(key, default)
 
-    merged = {
-        "model": pick("model"),
-        "scheme": pick("scheme"),
-        "prior": pick("prior"),
-        "cost": pick("cost"),
-        "horizon": pick("horizon", "auto"),
-        "slack": pick("slack", 0.1),
-        "grid_size": pick("grid_size", 2001),
-        "grid_kind": pick("grid_kind", "uniform"),
-        "nodes": pick("nodes"),
-        "out": pick("out"),
-    }
+    merged = {key: pick(key, default) for key, default in _SOLVE_DEFAULTS.items()}
     if merged["cost"] is None:
         raise ValueError("cost is required")
-    if float(merged["cost"]) <= 0:
-        raise ValueError("cost must be positive")
+    _positive_cost(merged["cost"])
     if not merged["out"]:
         raise ValueError("an --out directory is required")
 
     ns = argparse.Namespace(**merged)
+    horizon = _resolve_horizon(ns)
     prior = load_prior_csv(_require_file(merged["prior"], "prior file"))
     family = _load_model(ns, prior)
-    horizon = _resolve_horizon(ns)
     surface = solve(
         prior,
         family,

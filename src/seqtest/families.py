@@ -75,6 +75,8 @@ class ObservationScheme:
         w = np.asarray(self.base_weights, dtype=float)
         if pts.ndim != 1 or pts.shape != w.shape or pts.size == 0:
             raise ValueError("scheme points and base weights must be matching non-empty 1-d arrays")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("scheme points must be finite")
         if not np.all(np.diff(pts) > 0):
             raise ValueError("scheme points must be distinct and strictly increasing")
         if not np.all(w > 0):

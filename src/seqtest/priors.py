@@ -54,6 +54,8 @@ class Prior:
         lw = np.asarray(self.log_weights, dtype=float)
         if atoms.ndim != 1 or atoms.shape != lw.shape or atoms.size == 0:
             raise ValueError("prior atoms and log weights must be matching non-empty 1-d arrays")
+        if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(lw))):
+            raise ValueError("prior atoms and log weights must be finite")
         if not np.all(np.diff(atoms) > 0):
             raise ValueError("prior atoms must be strictly increasing")
         if abs(logsumexp(lw)) > 1e-9:
@@ -95,6 +97,8 @@ def make_prior(atoms, weights, theta0: float) -> Prior:
     weights = np.asarray(weights, dtype=float)
     if atoms.ndim != 1 or weights.shape != atoms.shape:
         raise ValueError("prior atoms and weights must be matching 1-d arrays")
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("prior weights must be finite")
     if not np.all(weights > 0):
         raise ValueError("prior weights must be strictly positive")
     lw = np.log(weights)
@@ -181,8 +185,9 @@ def validate_prior_for_family(prior: Prior, family: NaturalFamily):
 def _lse_last(z):
     """Log-sum-exp over the trailing axis, the atom axis of ``_unnorm_log_weights``.
 
-    Only the per-outcome loop of ``_transition`` and the value-only
-    ``_log_odds`` reduce this way; side-wise means and the slope come from
+    Its one caller is the per-outcome loop of ``_transition``, whose
+    predictive masses and next pi keep this layout so that the surfaces stay
+    bit for bit; the log-odds and side-wise means come from
     ``_side_lse_mean``, which puts the atoms on the leading axis.
     """
     m = np.max(z, axis=-1)
@@ -256,18 +261,15 @@ def _sum_atoms(e):
 def _log_odds(ctx: _Ctx, n, y, slope: bool = False):
     """Log-odds of the upper side at (n, y); with ``slope``, also its y-derivative.
 
-    The derivative is E_up[u] - E_lo[u], the difference of the side-wise
-    posterior means of the atoms; with it both sides come from
-    ``_side_lse_mean``.  The log-odds alone keeps the atoms-trailing layout
-    of the per-outcome loop of ``_transition``, which computes next pi this
-    way (ROADMAP item 4 moves that loop).
+    Both sides come from ``_side_lse_mean``, the kernel of the Newton
+    inversion, so the replay, the oracle's lattice and ``log_odds_of_y`` read
+    the log-odds with the arithmetic that placed the level curves.  The
+    derivative is E_up[u] - E_lo[u], the difference of the side-wise
+    posterior means of the atoms.
     """
-    if not slope:
-        z = _unnorm_log_weights(ctx, n, y)
-        return _lse_last(z[..., ctx.up]) - _lse_last(z[..., ctx.lo])
     r_up, m_up = _side_lse_mean(ctx, ctx.up, n, y)
     r_lo, m_lo = _side_lse_mean(ctx, ctx.lo, n, y)
-    return r_up - r_lo, m_up - m_lo
+    return (r_up - r_lo, m_up - m_lo) if slope else r_up - r_lo
 
 
 # Newton iterations per point never exceed this; the stop test below ends
@@ -339,14 +341,17 @@ def _transition(ctx: _Ctx, n: int, y):
 
     For outcome x_k the chain moves to q(n+1, y + x_k) with predictive mass
     sum_i w_i(n, y) exp{u_i x_k - B(u_i)} times the scheme's point mass.
-    ``y`` may be a scalar or an array of states.
+    ``y`` may be a scalar or an array of states.  Both reduce over the trailing
+    atom axis (``_lse_last``), which keeps the surfaces bit for bit until the
+    layer's transition becomes one table (ROADMAP item 1).
     """
     z = _unnorm_log_weights(ctx, n, y)
     norm = np.logaddexp(_side_lse_mean(ctx, ctx.up, n, y)[0], _side_lse_mean(ctx, ctx.lo, n, y)[0])
     lw = z - norm[..., None]
     for k in range(ctx.points.size):
         pred = np.exp(_lse_last(lw + ctx.ux[k]) + ctx.log_mass[k])
-        yield pred, expit(_log_odds(ctx, n + 1, y + ctx.points[k]))
+        z_next = _unnorm_log_weights(ctx, n + 1, y + ctx.points[k])
+        yield pred, expit(_lse_last(z_next[..., ctx.up]) - _lse_last(z_next[..., ctx.lo]))
 
 
 # ---------------------------------------------------------------------------

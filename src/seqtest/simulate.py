@@ -29,7 +29,7 @@ from .priors import (
     _y_of_logit,
     validate_prior_for_family,
 )
-from .solver import ValueSurface
+from .solver import ValueSurface, _positive_cost
 
 __all__ = [
     "SimulationReport",
@@ -188,8 +188,7 @@ def brute_force_value(prior: Prior, family: NaturalFamily, cost: float, horizon:
     dynamic-programming recursion on it directly, so the only numerical
     error is log-sum-exp roundoff.  Requires a finite observation scheme.
     """
-    if cost <= 0:
-        raise ValueError("cost must be positive")
+    cost = _positive_cost(cost)
     horizon = int(horizon)
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
@@ -205,7 +204,7 @@ def brute_force_value(prior: Prior, family: NaturalFamily, cost: float, horizon:
             value = g
             continue
         lw = z - logsumexp(z, axis=1)[:, None]
-        cont = np.full(g.shape, float(cost))
+        cont = np.full(g.shape, cost)
         for k in range(ctx.points.size):
             log_pred = logsumexp(lw + ctx.ux[k], axis=1) + ctx.log_mass[k]
             cont += np.exp(log_pred) * value[children[n][:, k]]
@@ -476,6 +475,4 @@ def simulate_alternative(
     Optimality of the solved policy means any rule's mean cost should come
     out at or above the solved value, up to Monte Carlo error.
     """
-    if cost <= 0:
-        raise ValueError("cost must be positive")
-    return _run(rule.band, rule.cap, prior, family, float(cost), replicates, seed, trace_path)
+    return _run(rule.band, rule.cap, prior, family, _positive_cost(cost), replicates, seed, trace_path)

@@ -51,6 +51,14 @@ __all__ = [
 STOP_TOL = 1e-12
 
 
+def _positive_cost(cost) -> float:
+    """``cost`` as a float, refusing zero, negative, nan and infinite costs."""
+    cost = float(cost)
+    if not (math.isfinite(cost) and cost > 0):
+        raise ValueError(f"cost must be positive and finite, got {cost!r}")
+    return cost
+
+
 def gain(pi):
     """Cost of stopping immediately at posterior probability pi."""
     pi = np.asarray(pi, dtype=float)
@@ -167,34 +175,27 @@ def solve(
     include=(),
 ) -> ValueSurface:
     """Solve the truncated problem and extract per-layer stopping boundaries."""
-    if cost <= 0:
-        raise ValueError("cost must be positive")
+    cost = _positive_cost(cost)
     horizon = int(horizon)
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     validate_prior_for_family(prior, family)
     grid = make_grid(grid_size, grid_kind, include)
-    values = _backward(_Ctx(prior, family), grid, horizon, float(cost))
+    values = _backward(_Ctx(prior, family), grid, horizon, cost)
     b1, b2 = _boundaries(values, grid)
-    return ValueSurface(cost=float(cost), horizon=horizon, pi_grid=grid, values=values, b1=b1, b2=b2)
+    return ValueSurface(cost=cost, horizon=horizon, pi_grid=grid, values=values, b1=b1, b2=b2)
 
 
 def _boundaries(values: np.ndarray, grid: np.ndarray):
-    g = gain(grid)
+    """Per layer, the last stopped grid point at or below 1/2 and the first at or
+    above it; 1/2 where there is none or where the layer stops everywhere."""
     i_lo = int(np.searchsorted(grid, 0.5, side="right")) - 1
     i_hi = int(np.searchsorted(grid, 0.5, side="left"))
-    b1 = np.empty(values.shape[0])
-    b2 = np.empty(values.shape[0])
-    for n, layer in enumerate(values):
-        stopped = layer >= g - STOP_TOL
-        if stopped.all():
-            b1[n] = 0.5
-            b2[n] = 0.5
-            continue
-        lo_idx = np.nonzero(stopped[: i_lo + 1])[0]
-        hi_idx = np.nonzero(stopped[i_hi:])[0]
-        b1[n] = grid[lo_idx[-1]] if lo_idx.size else 0.5
-        b2[n] = grid[i_hi + hi_idx[0]] if hi_idx.size else 0.5
+    stopped = values >= gain(grid) - STOP_TOL
+    some = ~stopped.all(axis=1)
+    below, above = stopped[:, i_lo::-1], stopped[:, i_hi:]
+    b1 = np.where(some & below.any(axis=1), grid[i_lo - np.argmax(below, axis=1)], 0.5)
+    b2 = np.where(some & above.any(axis=1), grid[i_hi + np.argmax(above, axis=1)], 0.5)
     return b1, b2
 
 
@@ -226,10 +227,9 @@ def choose_horizon(cost: float, slack: float = 0.1) -> int:
     at c = 0.05 the exact value moves by 2.9e-4 from N = 12 (this choice) to
     N = 23.
     """
-    if cost <= 0:
-        raise ValueError("cost must be positive")
-    if slack <= 0:
-        raise ValueError("slack must be positive")
+    cost = _positive_cost(cost)
+    if not (math.isfinite(slack) and slack > 0):
+        raise ValueError(f"slack must be positive and finite, got {slack!r}")
     guard = 1e-12
     return int(math.ceil(1.0 / (2.0 * cost) - guard)) + int(math.ceil(slack / cost - guard))
 
@@ -252,18 +252,23 @@ def write_surface_json(surface: ValueSurface, path, provenance=None):
     def floats(a):
         return np.asarray(a, dtype=float).tolist()
 
+    # read_surface_json rejects nan and inf, so they are refused before the file is opened
+    values = np.asarray(surface.values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("surface holds non-finite values; refusing to write it")
     head = {"cost": surface.cost, "horizon": surface.horizon, "pi_grid": floats(surface.pi_grid)}
     tail = {"b1": floats(surface.b1), "b2": floats(surface.b2)}
     if provenance is not None:
         tail["provenance"] = provenance
+    head, tail = (json.dumps(part, allow_nan=False) for part in (head, tail))
     # json.dumps runs the C encoder, about twice as fast as json.dump's Python
     # one, but holds all its output in memory, so the values go out one layer
     # at a time; the bytes are those of json.dump on the whole payload
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(head)[:-1] + ', "values": [')
-        for n, layer in enumerate(np.asarray(surface.values, dtype=float)):
+        fh.write(head[:-1] + ', "values": [')
+        for n, layer in enumerate(values):
             fh.write((", " if n else "") + json.dumps(layer.tolist())[1:-1])
-        fh.write("], " + json.dumps(tail)[1:] + "\n")
+        fh.write("], " + tail[1:] + "\n")
 
 
 def _surface_array(payload, key):

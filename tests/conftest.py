@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import logit
@@ -38,3 +40,33 @@ def three_atom_prior():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260808)
+
+
+
+@pytest.fixture(scope="session")
+def five_model_surfaces():
+    """Solved surfaces of the five named models, and copies with injected defects.
+
+    Keyed "model" for each surface (c = 0.05, 401 points, a six-atom prior)
+    and "model/defect" for its copies.  "dip" lowers layer 2 by 1e-3 at
+    pi = 0.1, where every layer stops; "equal-maxima" lowers layer 6 there
+    too, so two layers hold the same worst concavity defect and time
+    decrease; "stopped-below-half" sets layer 3 to the gain below 1/2.
+    """
+    six = ([-1.5, -0.9, -0.3, 0.3, 0.9, 1.5], [1.0, 2.0, 1.0, 1.0, 0.5, 1.0], 0.0)
+    six_positive = ([0.4, 0.7, 1.0, 1.4, 1.9, 2.5], [1.0, 2.0, 1.0, 1.0, 0.5, 1.0], 1.2)
+    surfaces = {}
+    for model in ("bernoulli", "binomial(3)", "gaussian-mean", "exponential-rate", "gaussian-variance"):
+        prior = st.make_prior(*(six_positive if model in ("exponential-rate", "gaussian-variance") else six))
+        surface = st.solve(prior, st.family_for_prior(model, prior), 0.05, st.choose_horizon(0.05), 401)
+        surfaces[model] = surface
+        grid, half = surface.pi_grid, surface.pi_grid.size // 2
+        values = surface.values.copy()
+        values[2, grid.size // 10] -= 1e-3
+        surfaces[f"{model}/dip"] = replace(surface, values=values.copy())
+        values[6, grid.size // 10] -= 1e-3
+        surfaces[f"{model}/equal-maxima"] = replace(surface, values=values)
+        values = surface.values.copy()
+        values[3, 1:half] = st.gain(grid[1:half])
+        surfaces[f"{model}/stopped-below-half"] = replace(surface, values=values)
+    return surfaces

@@ -8,6 +8,7 @@ import pytest
 from scipy.special import expit, logit
 
 import seqtest as st
+from seqtest import checks as checks_mod
 from seqtest.checks import PROBE_WINDOWS, sample_random_prior
 from seqtest.priors import _Ctx, _log_odds, _lse_last, _unnorm_log_weights, _y_of_logit
 from seqtest.solver import _backward
@@ -309,6 +310,132 @@ class TestBatchedBackwardLoop:
         grid = st.make_grid(2001)
         values = _backward(_Ctx(prior, family), grid, 12, 0.05)
         assert np.array_equal(values, st.solve(prior, family, 0.05, 12, 2001).values)
+
+
+def concavity_by_layers(surface, tol=1e-8, curvature_allowance=1.0):
+    """``check_concavity`` as a scan layer by layer: a later layer is kept only if strictly worse."""
+    grid = surface.pi_grid
+    h = float(np.max(np.diff(grid)))
+    worst, loc = -math.inf, None
+    for n, layer in enumerate(surface.values):
+        span = grid[2:] - grid[:-2]
+        lam = (grid[2:] - grid[1:-1]) / span
+        chord = lam * layer[:-2] + (1.0 - lam) * layer[2:]
+        defect = chord - layer[1:-1]
+        j = int(np.argmax(defect))
+        if defect[j] > worst:
+            worst = float(defect[j])
+            loc = {"n": n, "pi": float(grid[j + 1])}
+    instance = {"horizon": surface.horizon, "grid_size": int(grid.size), "cost": surface.cost}
+    return checks_mod._report("concavity", instance, worst, tol + curvature_allowance * h * h, loc)
+
+
+def time_monotonicity_by_layers(surface, tol=1e-6, burn=None):
+    """``check_time_monotonicity`` with its value part scanned layer by layer."""
+    if burn is None:
+        burn = st.default_burn(surface.horizon)
+    limit = surface.horizon - burn
+    instance = {"horizon": surface.horizon, "cost": surface.cost, "grid_size": int(surface.pi_grid.size),
+                "burn": int(burn)}
+    if limit < 1:
+        return checks_mod._report("time-monotonicity", {**instance, "note": "horizon too short for burn"}, 0.0, tol)
+    worst, loc = -math.inf, None
+    for n in range(limit):
+        drop = surface.values[n] - surface.values[n + 1]
+        j = int(np.argmax(drop))
+        if drop[j] > worst:
+            worst = float(drop[j])
+            loc = {"kind": "value", "n": n, "pi": float(surface.pi_grid[j])}
+    cell = 1.5 * float(np.max(np.diff(surface.pi_grid)))
+    b1_drop = surface.b1[:limit] - surface.b1[1 : limit + 1]
+    b2_rise = surface.b2[1 : limit + 1] - surface.b2[:limit]
+    for kind, move in (("b1", b1_drop), ("b2", b2_rise)):
+        excess = move - cell
+        j = int(np.argmax(excess))
+        if excess[j] > worst:
+            worst = float(excess[j])
+            loc = {"kind": kind, "n": int(j)}
+    return checks_mod._report("time-monotonicity", instance, worst, tol, loc)
+
+
+def reduction_by_layers(v_binom, v_bern, grid):
+    """The binomial-reduction check's worst difference and its place, scanned layer by layer."""
+    worst, loc = -math.inf, None
+    for n in range(v_binom.shape[0]):
+        diff = np.abs(v_binom[n] - v_bern[n])
+        j = int(np.argmax(diff))
+        if diff[j] > worst:
+            worst = float(diff[j])
+            loc = {"n": n, "pi": float(grid[j])}
+    return worst, loc
+
+
+class TestWholeSurfaceScan:
+    """One argmax over the whole surface reports what the layer-by-layer scans reported."""
+
+    def test_worst_takes_the_first_of_equal_maxima(self, rng):
+        a = rng.integers(0, 4, size=(6, 9)).astype(float)
+        worst, (n, j) = checks_mod._worst(a)
+        assert worst == 3.0 and (n, j) == divmod(int(np.flatnonzero(a == 3.0)[0]), 9)
+        assert checks_mod._worst(np.array([[-np.inf, -np.inf]])) == (-math.inf, (0, 0))
+
+    @pytest.mark.parametrize("tol", [None, 0.0])
+    def test_concavity(self, five_model_surfaces, tol):
+        kw = {} if tol is None else {"tol": tol, "curvature_allowance": 0.0}
+        for surface in five_model_surfaces.values():
+            assert st.check_concavity(surface, **kw).to_json() == concavity_by_layers(surface, **kw).to_json()
+
+    @pytest.mark.parametrize("burn", [None, 0, 3])
+    @pytest.mark.parametrize("tol", [1e-6, 0.0])
+    def test_time_monotonicity(self, five_model_surfaces, burn, tol):
+        for surface in five_model_surfaces.values():
+            got = st.check_time_monotonicity(surface, tol, burn)
+            assert got.to_json() == time_monotonicity_by_layers(surface, tol, burn).to_json()
+
+    def test_injected_defects_are_located(self, five_model_surfaces):
+        j = five_model_surfaces["bernoulli"].pi_grid.size // 10
+        for name in ("dip", "equal-maxima"):
+            surface = five_model_surfaces[f"bernoulli/{name}"]
+            assert st.check_concavity(surface).location["n"] == 2
+            rep = st.check_time_monotonicity(surface, burn=0)
+            assert rep.location == {"kind": "value", "n": 1, "pi": float(surface.pi_grid[j])}
+        # the ties are real: the first layer of each pair is reported
+        v = five_model_surfaces["bernoulli/equal-maxima"].values
+        drop = v[:-1] - v[1:]
+        assert drop[1, j] == drop[5, j] == np.max(drop)
+        defect = 0.5 * (v[:, j - 1] + v[:, j + 1]) - v[:, j]
+        assert defect[2] == defect[6] > 0
+
+    @pytest.mark.parametrize("defect", [None, "dip", "equal-maxima"])
+    def test_binomial_reduction(self, benchmark_prior, monkeypatch, defect):
+        # the defects reach the check through its solve and backward loop
+        solve, backward = checks_mod.solve, checks_mod._backward
+        seen = {}
+
+        def damage(values, bump):
+            values = values.copy()
+            if defect is not None:
+                values[2, values.shape[1] // 3] += bump
+            if defect == "equal-maxima":
+                values[5:7] = values[1:3]
+            return values
+
+        def damaged_solve(*args):
+            surface = solve(*args)
+            seen["binom"] = damage(surface.values, 0.0)
+            return replace(surface, values=seen["binom"])
+
+        def damaged_backward(*args, **kw):
+            seen["bern"] = damage(backward(*args, **kw), 1e-3)
+            return seen["bern"]
+
+        monkeypatch.setattr(checks_mod, "solve", damaged_solve)
+        monkeypatch.setattr(checks_mod, "_backward", damaged_backward)
+        rep = st.check_binomial_reduction(2, benchmark_prior, 0.05, grid_size=401, tol=0.0)
+        worst, loc = reduction_by_layers(seen["binom"], seen["bern"], st.make_grid(401))
+        assert (rep.worst_violation, rep.location) == (worst, loc)
+        if defect is not None:
+            assert loc["n"] == 2
 
 
 class TestConjectureProbe:

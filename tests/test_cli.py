@@ -552,3 +552,82 @@ class TestProvenance:
         capsys.readouterr()
         assert self._simulate(surface, ["--model", "binomial(3)"], prior_file) == 2
         assert "solved for model 'bernoulli', not model 'binomial(3)'" in capsys.readouterr().err
+
+
+class TestInputRules:
+    """Non-finite costs, weights and outcomes, and malformed configs and horizons: one exit-2 line each."""
+
+    def _usage_error(self, capsys, argv, message):
+        code = run(argv)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ") and message in err, err
+        return out
+
+    def _solve(self, tmp_path, prior, *flags):
+        return ["solve", "--prior", prior, "--grid-size", "101", *flags, "--out", str(tmp_path / "x")]
+
+    @pytest.mark.parametrize("cost", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("horizon", ["5", "auto"])
+    def test_solve_cost_must_be_finite(self, tmp_path, prior_file, capsys, cost, horizon):
+        argv = self._solve(tmp_path, prior_file, "--model", "bernoulli", f"--cost={cost}", "--horizon", horizon)
+        self._usage_error(capsys, argv, f"cost must be positive and finite, got {cost}")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("slack", ["nan", "inf", "0"])
+    def test_auto_horizon_slack_must_be_finite(self, tmp_path, prior_file, capsys, slack):
+        argv = self._solve(tmp_path, prior_file, "--model", "bernoulli", "--cost", "0.1", "--slack", slack)
+        self._usage_error(capsys, argv, f"slack must be positive and finite, got {slack}")
+
+    @pytest.mark.parametrize("cost", ["nan", "inf", "0"])
+    def test_oracle_cost_must_be_finite(self, prior_file, capsys, cost):
+        argv = ["oracle", "--model", "bernoulli", "--prior", prior_file, "--cost", cost, "--horizon", "4"]
+        out = self._usage_error(capsys, argv, "cost must be positive and finite")
+        assert out == ""
+
+    @pytest.mark.parametrize("weight", ["inf", "nan"])
+    def test_prior_weight_must_be_finite(self, tmp_path, capsys, weight):
+        prior = tmp_path / "prior.csv"
+        prior.write_text(f"# theta0=0.0\nu,w\n-0.8,1.0\n0.8,{weight}\n")
+        argv = self._solve(tmp_path, str(prior), "--model", "bernoulli", "--cost", "0.1", "--horizon", "5")
+        self._usage_error(capsys, argv, "prior weights must be finite")
+        assert not (tmp_path / "x").exists()
+
+    def test_scheme_point_must_be_finite(self, tmp_path, prior_file, capsys):
+        scheme = tmp_path / "scheme.csv"
+        scheme.write_text("x,h\n0,1\ninf,1\n")
+        argv = self._solve(tmp_path, prior_file, "--scheme", str(scheme), "--cost", "0.1", "--horizon", "5")
+        self._usage_error(capsys, argv, "scheme points must be finite")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("horizon", ["2.5", "0", "-3", "five", ""])
+    def test_horizon_flag(self, tmp_path, prior_file, capsys, horizon):
+        argv = self._solve(tmp_path, prior_file, "--model", "bernoulli", "--cost", "0.1", "--horizon", horizon)
+        self._usage_error(capsys, argv, f"horizon must be 'auto' or an integer >= 1, got {horizon!r}")
+
+    def _config(self, tmp_path, payload):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        return ["solve", "--config", str(path)]
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        argv = self._config(tmp_path, [{"cost": 0.1}])
+        self._usage_error(capsys, argv, "config file must hold a JSON object, got list")
+
+    def test_config_keys_are_solve_settings(self, tmp_path, prior_file, capsys):
+        settings = {"model": "bernoulli", "prior": prior_file, "cost": 0.1, "horizon": "3",
+                    "out": str(tmp_path / "x")}
+        argv = self._config(tmp_path, {**settings, "gird_size": 101, "colour": "red"})
+        self._usage_error(capsys, argv, "config file has unknown key(s): colour, gird_size")
+        assert not (tmp_path / "x").exists()
+        # the same settings, spelled right, solve on the grid and horizon they name
+        assert run(self._config(tmp_path, {**settings, "grid_size": 101, "subcommand": "solve"})) == 0
+        surface = st.read_surface_json(tmp_path / "x" / "surface.json")
+        assert (surface.horizon, surface.pi_grid.size) == (3, 101)
+
+    @pytest.mark.parametrize("horizon", [3.7, 3.0, 0, True, None, "2.5"])
+    def test_config_horizon(self, tmp_path, prior_file, capsys, horizon):
+        argv = self._config(tmp_path, {"model": "bernoulli", "prior": prior_file, "cost": 0.1,
+                                       "horizon": horizon, "grid_size": 101, "out": str(tmp_path / "x")})
+        self._usage_error(capsys, argv, f"horizon must be 'auto' or an integer >= 1, got {horizon!r}")
+        assert not (tmp_path / "x").exists()

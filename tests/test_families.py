@@ -216,6 +216,17 @@ class TestSchemeValidation:
         with pytest.raises(ValueError, match="strictly positive"):
             ObservationScheme(kind="finite", points=np.array([0.0, 1.0]), base_weights=np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("points", [[0.0, math.inf], [-math.inf, 1.0], [0.0, math.nan]])
+    def test_points_must_be_finite(self, points):
+        with pytest.raises(ValueError, match="^scheme points must be finite$"):
+            ObservationScheme(kind="finite", points=np.array(points), base_weights=np.array([1.0, 1.0]))
+
+    def test_scheme_csv_with_infinite_outcome(self, tmp_path):
+        path = tmp_path / "inf.csv"
+        path.write_text("x,h\n0,1\ninf,1\n")
+        with pytest.raises(ValueError, match="^scheme points must be finite$"):
+            st.family_from_scheme_csv(path)
+
     def test_scheme_csv_errors(self, tmp_path):
         bad_header = tmp_path / "a.csv"
         bad_header.write_text("x,weight\n0,1\n")

@@ -33,6 +33,20 @@ class TestMakePrior:
         with pytest.raises(ValueError, match="strictly positive"):
             st.make_prior([-1.0, 1.0], [1.0, 0.0], 0.0)
 
+    @pytest.mark.parametrize("weight", [math.inf, math.nan])
+    def test_non_finite_weights_rejected(self, weight):
+        with pytest.raises(ValueError, match="^prior weights must be finite$"):
+            st.make_prior([-1.0, 1.0], [1.0, weight], 0.0)
+
+    @pytest.mark.parametrize("atoms, log_weights", [
+        ([-1.0, 1.0], [0.0, -math.inf]),
+        ([-1.0, 1.0], [0.0, math.nan]),
+        ([-1.0, math.inf], [-math.log(2), -math.log(2)]),
+    ], ids=["log-weight-minus-inf", "log-weight-nan", "atom-inf"])
+    def test_prior_refuses_non_finite_entries(self, atoms, log_weights):
+        with pytest.raises(ValueError, match="^prior atoms and log weights must be finite$"):
+            st.Prior(atoms=np.array(atoms), log_weights=np.array(log_weights), theta0=0.0)
+
 
 class TestPosterior:
     def test_zero_data_returns_prior(self, benchmark_prior, bernoulli_family):
@@ -132,12 +146,12 @@ def _bisection_reference(ctx, n, target):
     t = np.asarray(target, dtype=float)
     gap = ctx.atoms[ctx.split] - ctx.atoms[ctx.split - 1]
     span = ctx.atoms[-1] - ctx.atoms[0]
-    d = t - float(priors_mod._log_odds(ctx, n, 0.0))
+    d = t - float(_trailing_log_odds(ctx, n, 0.0)[0])
     y_lo = np.minimum(d / span, d / gap)
     y_hi = np.maximum(d / span, d / gap)
     for _ in range(80):
         mid = 0.5 * (y_lo + y_hi)
-        up = priors_mod._log_odds(ctx, n, mid) < t
+        up = _trailing_log_odds(ctx, n, mid)[0] < t
         y_lo = np.where(up, mid, y_lo)
         y_hi = np.where(up, y_hi, mid)
     return 0.5 * (y_lo + y_hi)

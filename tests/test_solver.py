@@ -54,6 +54,18 @@ class TestSolve:
         with pytest.raises(ValueError, match="cost must be positive"):
             st.solve(benchmark_prior, bernoulli_family, 0.0, 3)
 
+    @pytest.mark.parametrize("cost", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cost_rejected(self, benchmark_prior, bernoulli_family, cost):
+        message = f"^cost must be positive and finite, got {cost!r}$"
+        with pytest.raises(ValueError, match=message):
+            st.solve(benchmark_prior, bernoulli_family, cost, 3)
+        with pytest.raises(ValueError, match=message):
+            st.choose_horizon(cost)
+        with pytest.raises(ValueError, match=message):
+            st.brute_force_value(benchmark_prior, bernoulli_family, cost, 3)
+        with pytest.raises(ValueError, match=message):
+            st.simulate_alternative(st.FixedSampleRule(1), benchmark_prior, bernoulli_family, cost, 10, 0)
+
     def test_horizon_one_is_single_step(self, benchmark_prior, bernoulli_family):
         surf = st.solve(benchmark_prior, bernoulli_family, 0.1, 1, grid_size=301)
         grid = surf.pi_grid
@@ -147,6 +159,40 @@ class TestBoundaries:
         np.testing.assert_array_equal(b1, benchmark_surface.b1)
         np.testing.assert_array_equal(b2, benchmark_surface.b2)
 
+    def test_array_scan_matches_layer_scan(self, five_model_surfaces, benchmark_surface):
+        surfaces = list(five_model_surfaces.values())
+        # a grid without 1/2, a cosine grid, layers stopped nowhere, near the ends and everywhere
+        for grid in (st.make_grid(400), st.make_grid(301, "cosine")):
+            g = st.gain(grid)
+            values = np.tile(g, (4, 1))
+            values[1] -= 0.01
+            values[2, 3:-3] -= 0.01
+            surfaces.append(replace(benchmark_surface, horizon=3, pi_grid=grid, values=values))
+        for surface in surfaces:
+            want = boundaries_by_layers(surface.values, surface.pi_grid)
+            got = st.extract_boundaries(surface)
+            assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
+
+
+def boundaries_by_layers(values, grid):
+    """``extract_boundaries`` as a scan layer by layer."""
+    g = st.gain(grid)
+    i_lo = int(np.searchsorted(grid, 0.5, side="right")) - 1
+    i_hi = int(np.searchsorted(grid, 0.5, side="left"))
+    b1 = np.empty(values.shape[0])
+    b2 = np.empty(values.shape[0])
+    for n, layer in enumerate(values):
+        stopped = layer >= g - STOP_TOL
+        if stopped.all():
+            b1[n] = 0.5
+            b2[n] = 0.5
+            continue
+        lo_idx = np.nonzero(stopped[: i_lo + 1])[0]
+        hi_idx = np.nonzero(stopped[i_hi:])[0]
+        b1[n] = grid[lo_idx[-1]] if lo_idx.size else 0.5
+        b2[n] = grid[i_hi + hi_idx[0]] if hi_idx.size else 0.5
+    return b1, b2
+
 
 class TestPolicyDecide:
     def test_deep_in_stop_region(self, benchmark_surface):
@@ -232,6 +278,26 @@ class TestSurfaceIO:
         for name in ("pi_grid", "values", "b1", "b2"):
             assert getattr(back, name).tobytes() == np.asarray(getattr(surface, name), dtype=float).tobytes()
         assert (back.cost, back.horizon) == (surface.cost, surface.horizon)
+
+    @pytest.mark.parametrize("field, bad", [("values", math.nan), ("values", math.inf), ("b1", math.nan),
+                                            ("cost", math.inf)])
+    def test_non_finite_number_is_refused_before_writing(self, benchmark_surface, tmp_path, field, bad):
+        if field == "cost":
+            surface = replace(benchmark_surface, cost=bad)
+        else:
+            arr = getattr(benchmark_surface, field).copy()
+            arr.flat[3] = bad
+            surface = replace(benchmark_surface, **{field: arr})
+        path = tmp_path / "surface.json"
+        with pytest.raises(ValueError, match="non-finite|not JSON compliant"):
+            st.write_surface_json(surface, path)
+        assert not path.exists()
+
+    def test_non_finite_provenance_is_refused_before_writing(self, benchmark_surface, tmp_path):
+        path = tmp_path / "surface.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            st.write_surface_json(benchmark_surface, path, {"prior": {"weights": [0.0, math.nan]}})
+        assert not path.exists()
 
     def test_boundaries_csv_round_trip(self, benchmark_surface, tmp_path):
         path = tmp_path / "boundaries.csv"
