@@ -8,13 +8,10 @@ an exact lattice oracle.
 """
 
 from .families import (
-    NAMED_MODELS,
     NaturalFamily,
     ObservationScheme,
-    ParamTransform,
     family_for_prior,
     family_from_scheme_csv,
-    log_density,
     log_partition,
     make_named_family,
     sample_observation,

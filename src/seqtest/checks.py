@@ -188,20 +188,18 @@ def check_convex_order(
     pi: float,
     m: int,
     n: int,
-    t_grid=None,
     tol: float = 1e-8,
 ) -> CheckReport:
     """Stop-loss test: the step from time m spreads at least as much as from n >= m.
 
     With equal means (checked first; both transition laws are martingale
-    steps from pi), stop-loss domination at every t is equivalent to convex
-    order.  Finite supports make the stop-loss transform exact.
+    steps from pi), stop-loss domination at every t = 0.01, 0.02, ..., 0.99
+    is equivalent to convex order.  Finite supports make the stop-loss
+    transform exact.
     """
     if m > n:
         raise ValueError("convex order check requires m <= n")
-    if t_grid is None:
-        t_grid = np.linspace(0.01, 0.99, 99)
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = np.linspace(0.01, 0.99, 99)
     p_m, w_m = transition_distribution(prior, family, m, pi)
     p_n, w_n = transition_distribution(prior, family, n, pi)
     for label, p, w in (("m", p_m, w_m), ("n", p_n, w_n)):
@@ -313,13 +311,13 @@ PROBE_WINDOWS = {
 }
 
 
-def sample_random_prior(rng, window, min_atoms: int = 2, max_atoms: int = 10) -> Prior:
+def sample_random_prior(rng, window) -> Prior:
     """Random two-sided prior: 2-10 atoms uniform in the window, Dirichlet weights."""
     lo, hi = window
-    k = int(rng.integers(min_atoms, max_atoms + 1))
+    k = int(rng.integers(2, 11))
     for _ in range(200):
         atoms = np.sort(rng.uniform(lo, hi, size=k))
-        if k == 1 or np.min(np.diff(atoms)) > 1e-3 * (hi - lo):
+        if np.min(np.diff(atoms)) > 1e-3 * (hi - lo):
             break
     weights = rng.dirichlet(np.ones(k))
     weights = np.maximum(weights, 1e-12)
@@ -336,17 +334,16 @@ def conjecture_probe(
     seed: int = 0,
     grid_size: int = 501,
     tol: float = 1e-6,
-    windows: dict | None = None,
-    horizon: int | None = None,
 ) -> list:
     """Hunt for time-monotonicity violations over random priors.
 
     Per-trial randomness derives from (seed, trial index), so results are
     deterministic and independent of execution order; trials can be
-    partitioned across workers.  A violation is a FINDING carrying full
-    reproduction data, never an assertion failure: it may falsify the
-    conjectured monotonicity or expose numerical error, and needs human
-    adjudication either way.
+    partitioned across workers.  Priors come from ``PROBE_WINDOWS`` and
+    each surface runs to ``choose_horizon(cost)``.  A violation is a
+    FINDING carrying full reproduction data, never an assertion failure: it
+    may falsify the conjectured monotonicity or expose numerical error, and
+    needs human adjudication either way.
     """
     models = list(models)
     if not models:
@@ -355,18 +352,16 @@ def conjecture_probe(
         raise ValueError(f"probe trials must be at least 1, got {trials}")
     if seed < 0:
         raise ValueError(f"probe seed must be a non-negative integer, got {seed}")
-    windows = {**PROBE_WINDOWS, **(windows or {})}
     for model in models:
-        if model not in windows:
+        if model not in PROBE_WINDOWS:
             raise ValueError(f"probe has no prior window for model '{model}'; "
-                             f"models with windows: {', '.join(windows)}")
-    if horizon is None:
-        horizon = choose_horizon(cost)
+                             f"models with windows: {', '.join(PROBE_WINDOWS)}")
+    horizon = choose_horizon(cost)
     reports = []
     for trial in range(int(trials)):
         rng = np.random.default_rng([int(seed), trial])
         model = models[trial % len(models)]
-        prior = sample_random_prior(rng, windows[model])
+        prior = sample_random_prior(rng, PROBE_WINDOWS[model])
         family = family_for_prior(model, prior)
         surface = solve(prior, family, cost, horizon, grid_size)
         reports.append(replace(

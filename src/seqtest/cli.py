@@ -16,6 +16,7 @@ from .families import family_for_prior, family_from_scheme_csv
 from .priors import load_prior_csv
 from .simulate import FixedSampleRule, ThresholdRule, brute_force_value, simulate_alternative, simulate_policy
 from .solver import (
+    _boundaries_csv,
     _check_provenance,
     _load_surface,
     _positive_cost,
@@ -37,8 +38,17 @@ def _load_model(args, prior):
         raise ValueError("a --model name (or --scheme file) is required")
     params = {}
     if getattr(args, "nodes", None) is not None:
-        params["nodes"] = int(args.nodes)
+        params["nodes"] = args.nodes
     return family_for_prior(args.model, prior, params or None)
+
+
+def _emit(out, lines):
+    """Write ``lines``, each ending in LF, to the file ``out``, or to stdout when ``out`` is unset."""
+    if not out:
+        sys.stdout.writelines(lines)
+        return
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(lines)
 
 
 def _require_file(path, what):
@@ -74,6 +84,10 @@ def _cmd_solve(args):
         unknown = sorted(set(cfg) - set(_SOLVE_DEFAULTS) - {"resolved_horizon", "subcommand"})
         if unknown:
             raise ValueError(f"config file has unknown key(s): {', '.join(unknown)}")
+        for key in ("grid_size", "nodes"):
+            # a bool is an int to Python, but not a count
+            if key in cfg and type(cfg[key]) is not int and not (key == "nodes" and cfg[key] is None):
+                raise ValueError(f"config file: {key} must be an integer, got {cfg[key]!r}")
 
     def pick(key, default):
         # a flag given on the command line, even a zero, overrides the config
@@ -96,7 +110,7 @@ def _cmd_solve(args):
         family,
         float(merged["cost"]),
         horizon,
-        grid_size=int(merged["grid_size"]),
+        grid_size=merged["grid_size"],
         grid_kind=merged["grid_kind"],
     )
     out = merged["out"]
@@ -113,12 +127,7 @@ def _cmd_solve(args):
 
 def _cmd_boundaries(args):
     surface = read_surface_json(_require_file(args.surface, "surface file"))
-    if args.out:
-        write_boundaries_csv(surface, args.out)
-    else:
-        sys.stdout.write("n,b1,b2\n")
-        for n in range(surface.horizon + 1):
-            sys.stdout.write(f"{n},{float(surface.b1[n])!r},{float(surface.b2[n])!r}\n")
+    _emit(args.out, _boundaries_csv(surface))
     return 0
 
 
@@ -165,12 +174,7 @@ def _run_one_check(name, args):
 
 def _cmd_verify(args):
     reports = [_run_one_check(name, args) for name in args.check]
-    lines = "\n".join(r.to_json() for r in reports)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(lines + "\n")
-    else:
-        print(lines)
+    _emit(args.out, [r.to_json() + "\n" for r in reports])
     return 1 if any(r.asserted and not r.passed for r in reports) else 0
 
 
@@ -201,12 +205,7 @@ def _cmd_simulate(args):
         )
     else:
         report = simulate_policy(surface, prior, family, args.replicates, args.seed, trace_path=args.trace)
-    payload = report.to_json()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
+    _emit(args.out, [report.to_json() + "\n"])
     root_pi = prior.mass_above_threshold
     print(
         f"value at root pi={root_pi!r}: {value_at(surface, 0, root_pi)!r}",
@@ -232,12 +231,7 @@ def _cmd_probe(args):
         seed=int(args.seed),
         grid_size=int(args.grid_size),
     )
-    lines = "\n".join(r.to_json() for r in reports)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(lines + "\n")
-    else:
-        print(lines)
+    _emit(args.out, [r.to_json() + "\n" for r in reports])
     findings = [r for r in reports if not r.passed]
     print(f"probe finished: {len(reports)} trials, {len(findings)} findings", file=sys.stderr)
     return 0  # findings never affect the exit code

@@ -8,16 +8,15 @@ continuous base measure.  Downstream posterior-predictive expectations are
 therefore plain finite sums for every model, and all mass computations run
 in log space (u*y - n*B(u) spans hundreds of nats for moderate n).
 
-Named constructors cover the standard models, applying the usual
-transformations to natural form:
+Named constructors cover the standard models, each stated in its natural
+parameter u and the sufficient statistic x it observes:
 
 * ``gaussian-mean``      observations N(u, 1); B(u) = u^2/2
-* ``bernoulli``          natural parameter u = logit(p); B(u) = log(1+e^u)
+* ``bernoulli``          u = logit(p); B(u) = log(1+e^u)
 * ``binomial(N)``        counts 0..N with base weights C(N,x)
-* ``exponential-rate``   stored observation is -X for X ~ Exp(u); B(u) = -log u
-* ``gaussian-variance``  stored observation is -X^2/2 for X ~ N(0, s^2),
-                         natural parameter u = s^-2 (order-reversing);
-                         B(u) = -log(u)/2
+* ``exponential-rate``   x = -X for X ~ Exp(u); B(u) = -log u
+* ``gaussian-variance``  x = -X^2/2 for X ~ N(0, s^2), u = s^-2, so a
+                         small s is a large u; B(u) = -log(u)/2
 """
 
 import math
@@ -26,28 +25,17 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit, logit, logsumexp, ndtri
+from scipy.special import logsumexp, ndtri
 
 __all__ = [
     "ObservationScheme",
-    "ParamTransform",
     "NaturalFamily",
     "log_partition",
-    "log_density",
     "sample_observation",
     "make_named_family",
     "family_for_prior",
     "family_from_scheme_csv",
-    "NAMED_MODELS",
 ]
-
-NAMED_MODELS = (
-    "gaussian-mean",
-    "bernoulli",
-    "binomial",
-    "exponential-rate",
-    "gaussian-variance",
-)
 
 
 @dataclass(frozen=True)
@@ -101,27 +89,6 @@ class ObservationScheme:
 
 
 @dataclass(frozen=True)
-class ParamTransform:
-    """Map between a model's original parametrization and natural form.
-
-    ``flips_order`` is True when ``to_natural`` is decreasing, in which case
-    a hypothesis "original parameter <= threshold" corresponds to the upper
-    side of the natural threshold.
-    """
-
-    to_natural: Callable
-    from_natural: Callable
-    flips_order: bool = False
-
-
-def _identity(x):
-    return x
-
-
-IDENTITY_TRANSFORM = ParamTransform(_identity, _identity, flips_order=False)
-
-
-@dataclass(frozen=True)
 class NaturalFamily:
     """Observation model p_u(x) = exp{u*x - B(u)} against a base measure.
 
@@ -142,8 +109,6 @@ class NaturalFamily:
     natural_domain: tuple
     scheme: ObservationScheme
     sampler: Callable
-    transform: ParamTransform = IDENTITY_TRANSFORM
-    observation_map: Callable = _identity
     scheme_domain: tuple | None = None
 
 
@@ -165,19 +130,6 @@ def log_partition(family: NaturalFamily, u):
     _require_in_domain(family, u)
     out = family.log_partition(np.asarray(u, dtype=float))
     return float(out) if np.ndim(u) == 0 else out
-
-
-def log_density(family: NaturalFamily, u, x):
-    """log p_u(x) = u*x - B(u), the density of x against the base measure.
-
-    The base factor h(x) lives in the scheme and is applied separately
-    wherever a density against Lebesgue or counting measure is needed.
-    """
-    _require_in_domain(family, u)
-    out = np.asarray(u, dtype=float) * np.asarray(x, dtype=float) - family.log_partition(
-        np.asarray(u, dtype=float)
-    )
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def _inverse_cdf(quantile):
@@ -209,11 +161,6 @@ def sample_observation(family: NaturalFamily, u, rng, size=None):
 # ---------------------------------------------------------------------------
 
 
-def _gauss_legendre(n: int):
-    g, gw = np.polynomial.legendre.leggauss(n)
-    return g, gw
-
-
 def _gaussian_mean(center: float = 0.0, nodes: int = 128) -> NaturalFamily:
     # Gauss-Hermite nodes recentred at `center`; at 128 nodes the transition
     # law's mass and mean hold to ~1e-13 for parameters within roughly +-10
@@ -237,16 +184,9 @@ def _gaussian_mean(center: float = 0.0, nodes: int = 128) -> NaturalFamily:
     )
 
 
-_LOGIT_TRANSFORM = ParamTransform(
-    to_natural=lambda p: float(logit(p)) if np.ndim(p) == 0 else logit(p),
-    from_natural=lambda u: float(expit(u)) if np.ndim(u) == 0 else expit(u),
-    flips_order=False,
-)
-
-
 def _bernoulli() -> NaturalFamily:
     scheme = ObservationScheme(kind="finite", points=np.array([0.0, 1.0]), base_weights=np.array([1.0, 1.0]))
-    return _finite_family("bernoulli", scheme, lambda u: np.logaddexp(0.0, u), _LOGIT_TRANSFORM)
+    return _finite_family("bernoulli", scheme, lambda u: np.logaddexp(0.0, u))
 
 
 def _binomial(n: int) -> NaturalFamily:
@@ -256,7 +196,7 @@ def _binomial(n: int) -> NaturalFamily:
     pts = np.arange(n + 1, dtype=float)
     weights = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
     scheme = ObservationScheme(kind="finite", points=pts, base_weights=weights)
-    return _finite_family(f"binomial({n})", scheme, lambda u: n * np.logaddexp(0.0, u), _LOGIT_TRANSFORM)
+    return _finite_family(f"binomial({n})", scheme, lambda u: n * np.logaddexp(0.0, u))
 
 
 def _exponential_rate(min_rate: float = 0.25, nodes: int = 128) -> NaturalFamily:
@@ -267,7 +207,7 @@ def _exponential_rate(min_rate: float = 0.25, nodes: int = 128) -> NaturalFamily
     if min_rate <= 0:
         raise ValueError("exponential-rate requires min_rate > 0")
     T = math.sqrt(40.0 / min_rate)
-    g, gw = _gauss_legendre(int(nodes))
+    g, gw = np.polynomial.legendre.leggauss(int(nodes))
     t = 0.5 * T * (g + 1.0)
     tw = 0.5 * T * gw
     x = -(t * t)
@@ -285,7 +225,6 @@ def _exponential_rate(min_rate: float = 0.25, nodes: int = 128) -> NaturalFamily
         natural_domain=(0.0, math.inf),
         scheme=scheme,
         sampler=_inverse_cdf(lambda u, U: np.log1p(-U) / u),
-        observation_map=lambda raw: -np.asarray(raw, dtype=float) if np.ndim(raw) else -float(raw),
         scheme_domain=(min_rate, math.inf),
     )
 
@@ -298,7 +237,7 @@ def _gaussian_variance(min_precision: float = 0.25, nodes: int = 128) -> Natural
     if min_precision <= 0:
         raise ValueError("gaussian-variance requires min_precision > 0")
     T = 9.0 / math.sqrt(min_precision)
-    g, gw = _gauss_legendre(int(nodes))
+    g, gw = np.polynomial.legendre.leggauss(int(nodes))
     t = 0.5 * T * (g + 1.0)
     tw = 0.5 * T * gw
     x = -0.5 * t * t
@@ -316,14 +255,6 @@ def _gaussian_variance(min_precision: float = 0.25, nodes: int = 128) -> Natural
         natural_domain=(0.0, math.inf),
         scheme=scheme,
         sampler=_inverse_cdf(lambda u, U: -np.square(ndtri(U)) / (2.0 * u)),
-        transform=ParamTransform(
-            to_natural=lambda sigma: float(sigma) ** -2.0,
-            from_natural=lambda u: float(u) ** -0.5,
-            flips_order=True,
-        ),
-        observation_map=lambda raw: -0.5 * np.square(np.asarray(raw, dtype=float))
-        if np.ndim(raw)
-        else -0.5 * float(raw) ** 2,
         scheme_domain=(min_precision, math.inf),
     )
 
@@ -343,9 +274,8 @@ def make_named_family(name: str, params: dict | None = None) -> NaturalFamily:
 
     Recognized params: gaussian-mean: center, nodes; binomial: n;
     exponential-rate: min_rate, nodes; gaussian-variance: min_precision,
-    nodes.  Thresholds stated in a model's original parametrization map to
-    natural coordinates through ``family.transform`` (mind ``flips_order``
-    for gaussian-variance).
+    nodes.  Priors and thresholds are natural parameters; for
+    gaussian-variance u = s^-2, so "s <= s0" is the upper side u > s0^-2.
     """
     base, inline = _split_name(name)
     kwargs = {**inline, **(params or {})}
@@ -393,7 +323,7 @@ def family_for_prior(name: str, atoms, params: dict | None = None) -> NaturalFam
     return fam
 
 
-def _finite_family(name, scheme: ObservationScheme, log_partition_fn, transform=IDENTITY_TRANSFORM):
+def _finite_family(name, scheme: ObservationScheme, log_partition_fn):
     """Finite-outcome family on the whole real line, sampled by its outcome CDF."""
     points = scheme.points
     log_mass = scheme.log_mass
@@ -416,12 +346,11 @@ def _finite_family(name, scheme: ObservationScheme, log_partition_fn, transform=
         natural_domain=(-math.inf, math.inf),
         scheme=scheme,
         sampler=_inverse_cdf(quantile),
-        transform=transform,
     )
 
 
-def family_from_scheme_csv(path, name: str = "custom") -> NaturalFamily:
-    """Finite family from a CSV with header ``x,h`` (base weights > 0).
+def family_from_scheme_csv(path) -> NaturalFamily:
+    """Finite family named "custom" from a CSV with header ``x,h`` (x and h finite, h > 0).
 
     B(u) is computed by log-sum-exp over the outcomes, so the natural
     domain is the whole real line.
@@ -441,7 +370,12 @@ def family_from_scheme_csv(path, name: str = "custom") -> NaturalFamily:
             parts = line.split(",")
             if len(parts) != 2:
                 raise ValueError(f"malformed scheme row: {line!r}")
-            rows.append((float(parts[0]), float(parts[1])))
+            x, h = float(parts[0]), float(parts[1])
+            if not math.isfinite(x):
+                raise ValueError(f"scheme points must be finite, got row {line!r}")
+            if not math.isfinite(h):
+                raise ValueError(f"scheme base weights must be finite, got row {line!r}")
+            rows.append((x, h))
     if header is None or not rows:
         raise ValueError("scheme file has no data rows")
     rows.sort(key=lambda r: r[0])
@@ -458,4 +392,4 @@ def family_from_scheme_csv(path, name: str = "custom") -> NaturalFamily:
         u = np.asarray(u, dtype=float)
         return logsumexp(log_h + np.multiply.outer(u, xs), axis=-1)
 
-    return _finite_family(name, scheme, B)
+    return _finite_family("custom", scheme, B)

@@ -359,12 +359,17 @@ def _check_provenance(recorded, current):
         raise ValueError("surface was solved for another prior (its atoms, weights or theta0 differ)")
 
 
+def _boundaries_csv(surface: ValueSurface):
+    """The lines of boundaries.csv, each ending in LF: the header n,b1,b2, then one row per layer."""
+    yield "n,b1,b2\n"
+    b1, b2 = (np.asarray(b, dtype=float).tolist() for b in (surface.b1, surface.b2))
+    for n in range(surface.horizon + 1):
+        yield f"{n},{b1[n]!r},{b2[n]!r}\n"
+
+
 def write_boundaries_csv(surface: ValueSurface, path):
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "b1", "b2"])
-        for n in range(surface.horizon + 1):
-            writer.writerow([n, repr(float(surface.b1[n])), repr(float(surface.b2[n]))])
+        fh.writelines(_boundaries_csv(surface))
 
 
 def read_boundaries_csv(path):
@@ -383,11 +388,16 @@ def read_boundaries_csv(path):
     return np.asarray(b1), np.asarray(b2)
 
 
+def _value_layers_csv(surface: ValueSurface):
+    """The lines of value_layers.csv, each ending in LF: the header n,pi,V, then one row per grid point and layer."""
+    yield "n,pi,V\n"
+    grid = np.asarray(surface.pi_grid, dtype=float).tolist()
+    for n in range(surface.horizon + 1):
+        for p, v in zip(grid, np.asarray(surface.values[n], dtype=float).tolist()):
+            yield f"{n},{p!r},{v!r}\n"
+
+
 def write_value_layers_csv(surface: ValueSurface, path):
     """Long-format (n, pi, V) rows for external plotting."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "pi", "V"])
-        for n in range(surface.horizon + 1):
-            for j, p in enumerate(surface.pi_grid):
-                writer.writerow([n, repr(float(p)), repr(float(surface.values[n, j]))])
+        fh.writelines(_value_layers_csv(surface))

@@ -409,6 +409,16 @@ class TestBoundariesCommand:
         n, b1, b2 = lines[1].split(",")
         assert float(b1) == surface.b1[0] and float(b2) == surface.b2[0]
 
+    def test_stdout_out_and_solve_write_the_same_bytes(self, solved_dir, tmp_path, capsysbinary):
+        surface = os.path.join(solved_dir, "surface.json")
+        assert run(["boundaries", "--surface", surface]) == 0
+        stdout = capsysbinary.readouterr().out
+        out = tmp_path / "b.csv"
+        assert run(["boundaries", "--surface", surface, "--out", str(out)]) == 0
+        solved = open(os.path.join(solved_dir, "boundaries.csv"), "rb").read()
+        assert stdout == out.read_bytes() == solved
+        assert stdout.startswith(b"n,b1,b2\n") and b"\r" not in stdout
+
 
 def _swap_grid_points(payload):
     grid = payload["pi_grid"]
@@ -600,6 +610,15 @@ class TestInputRules:
         self._usage_error(capsys, argv, "scheme points must be finite")
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("row, column", [("1,inf", "base weights"), ("1,nan", "base weights"),
+                                             ("inf,1", "points")])
+    def test_scheme_row_must_be_finite(self, tmp_path, prior_file, capsys, row, column):
+        scheme = tmp_path / "scheme.csv"
+        scheme.write_text(f"x,h\n0,1\n{row}\n")
+        argv = self._solve(tmp_path, prior_file, "--scheme", str(scheme), "--cost", "0.1", "--horizon", "5")
+        self._usage_error(capsys, argv, f"error: scheme {column} must be finite, got row {row!r}\n")
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("horizon", ["2.5", "0", "-3", "five", ""])
     def test_horizon_flag(self, tmp_path, prior_file, capsys, horizon):
         argv = self._solve(tmp_path, prior_file, "--model", "bernoulli", "--cost", "0.1", "--horizon", horizon)
@@ -624,6 +643,24 @@ class TestInputRules:
         assert run(self._config(tmp_path, {**settings, "grid_size": 101, "subcommand": "solve"})) == 0
         surface = st.read_surface_json(tmp_path / "x" / "surface.json")
         assert (surface.horizon, surface.pi_grid.size) == (3, 101)
+
+    @pytest.mark.parametrize("key, value", [("grid_size", 101.7), ("grid_size", 101.0), ("grid_size", True),
+                                            ("grid_size", "101"), ("grid_size", None), ("nodes", 8.9),
+                                            ("nodes", 8.0), ("nodes", True), ("nodes", "8")])
+    def test_config_counts_must_be_integers(self, tmp_path, prior_file, capsys, key, value):
+        settings = {"model": "gaussian-mean", "prior": prior_file, "cost": 0.1, "horizon": 3,
+                    "grid_size": 101, "out": str(tmp_path / "x")}
+        argv = self._config(tmp_path, {**settings, key: value})
+        self._usage_error(capsys, argv, f"error: config file: {key} must be an integer, got {value!r}\n")
+        assert not (tmp_path / "x").exists()
+
+    def test_config_integer_counts_are_recorded_as_given(self, tmp_path, prior_file):
+        settings = {"model": "gaussian-mean", "prior": prior_file, "cost": 0.1, "horizon": 3,
+                    "grid_size": 101, "nodes": 8, "out": str(tmp_path / "x")}
+        assert run(self._config(tmp_path, settings)) == 0
+        recorded = json.loads((tmp_path / "x" / "run_config.json").read_text())
+        assert (recorded["grid_size"], recorded["nodes"]) == (101, 8)
+        assert st.read_surface_json(tmp_path / "x" / "surface.json").pi_grid.size == 101
 
     @pytest.mark.parametrize("horizon", [3.7, 3.0, 0, True, None, "2.5"])
     def test_config_horizon(self, tmp_path, prior_file, capsys, horizon):
