@@ -19,7 +19,7 @@ from .solver import (
     _boundaries_csv,
     _check_provenance,
     _load_surface,
-    _positive_cost,
+    _positive_finite,
     _provenance,
     choose_horizon,
     read_surface_json,
@@ -32,14 +32,12 @@ from .solver import (
 
 
 def _load_model(args, prior):
-    if getattr(args, "scheme", None):
+    if args.scheme:
         return family_from_scheme_csv(args.scheme)
-    if not getattr(args, "model", None):
+    if not args.model:
         raise ValueError("a --model name (or --scheme file) is required")
-    params = {}
-    if getattr(args, "nodes", None) is not None:
-        params["nodes"] = args.nodes
-    return family_for_prior(args.model, prior, params or None)
+    params = None if args.nodes is None else {"nodes": args.nodes}
+    return family_for_prior(args.model, prior, params)
 
 
 def _emit(out, lines):
@@ -68,10 +66,16 @@ def _resolve_horizon(args):
     return int(h)
 
 
-# solve's settings and their defaults; run_config.json records them with
-# resolved_horizon and subcommand, and a config file may hold only those keys
-_SOLVE_DEFAULTS = {"model": None, "scheme": None, "prior": None, "cost": None, "horizon": "auto", "slack": 0.1,
-                   "grid_size": 2001, "grid_kind": "uniform", "nodes": None, "out": None}
+# solve's settings: each one's default and the JSON type a config value must
+# have (the horizon's rule is _resolve_horizon's); run_config.json records them
+# with resolved_horizon and subcommand, and a config file may hold only those keys
+_SOLVE_SETTINGS = {"model": (None, "a string"), "scheme": (None, "a string"), "prior": (None, "a string"),
+                   "cost": (None, "a number"), "horizon": ("auto", None), "slack": (0.1, "a number"),
+                   "grid_size": (2001, "an integer"), "grid_kind": ("uniform", "a string"),
+                   "nodes": (None, "an integer"), "out": (None, "a string")}
+# the Python types json.load gives each JSON type; a bool is an int to Python,
+# but type() tells them apart, so true is neither a number nor a count
+_JSON_TYPES = {"a string": (str,), "a number": (int, float), "an integer": (int,)}
 
 
 def _cmd_solve(args):
@@ -81,23 +85,25 @@ def _cmd_solve(args):
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ValueError(f"config file must hold a JSON object, got {type(cfg).__name__}")
-        unknown = sorted(set(cfg) - set(_SOLVE_DEFAULTS) - {"resolved_horizon", "subcommand"})
+        unknown = sorted(set(cfg) - set(_SOLVE_SETTINGS) - {"resolved_horizon", "subcommand"})
         if unknown:
             raise ValueError(f"config file has unknown key(s): {', '.join(unknown)}")
-        for key in ("grid_size", "nodes"):
-            # a bool is an int to Python, but not a count
-            if key in cfg and type(cfg[key]) is not int and not (key == "nodes" and cfg[key] is None):
-                raise ValueError(f"config file: {key} must be an integer, got {cfg[key]!r}")
+        for key, (default, kind) in _SOLVE_SETTINGS.items():
+            value = cfg.get(key, default)
+            if kind and not (value is None and default is None) and type(value) not in _JSON_TYPES[kind]:
+                raise ValueError(f"config file: {key} must be {kind}, got {value!r}")
 
     def pick(key, default):
         # a flag given on the command line, even a zero, overrides the config
         flag = getattr(args, key)
         return flag if flag is not None else cfg.get(key, default)
 
-    merged = {key: pick(key, default) for key, default in _SOLVE_DEFAULTS.items()}
+    merged = {key: pick(key, default) for key, (default, _) in _SOLVE_SETTINGS.items()}
     if merged["cost"] is None:
         raise ValueError("cost is required")
-    _positive_cost(merged["cost"])
+    cost = _positive_finite(merged["cost"])
+    # run_config.json records the slack, so it is checked whatever the horizon
+    _positive_finite(merged["slack"], "slack")
     if not merged["out"]:
         raise ValueError("an --out directory is required")
 
@@ -108,15 +114,14 @@ def _cmd_solve(args):
     surface = solve(
         prior,
         family,
-        float(merged["cost"]),
+        cost,
         horizon,
         grid_size=merged["grid_size"],
         grid_kind=merged["grid_kind"],
     )
     out = merged["out"]
     os.makedirs(out, exist_ok=True)
-    provenance = _provenance(prior, family, scheme=bool(ns.scheme))
-    write_surface_json(surface, os.path.join(out, "surface.json"), provenance)
+    write_surface_json(surface, os.path.join(out, "surface.json"), _provenance(prior, family))
     write_boundaries_csv(surface, os.path.join(out, "boundaries.csv"))
     with open(os.path.join(out, "run_config.json"), "w", encoding="utf-8") as fh:
         json.dump({**merged, "resolved_horizon": horizon, "subcommand": "solve"}, fh, indent=2)
@@ -197,7 +202,7 @@ def _cmd_simulate(args):
     surface, recorded = _load_surface(_require_file(args.surface, "surface file"))
     prior = load_prior_csv(_require_file(args.prior, "prior file"))
     family = _load_model(args, prior)
-    _check_provenance(recorded, _provenance(prior, family, scheme=bool(args.scheme)))
+    _check_provenance(recorded, _provenance(prior, family))
     if args.rule:
         rule = _parse_rule(args.rule, surface.horizon)
         report = simulate_alternative(

@@ -349,42 +349,45 @@ def _finite_family(name, scheme: ObservationScheme, log_partition_fn):
     )
 
 
+def _read_rows(path, what: str, header: tuple, names: tuple):
+    """``(comments, first, second)`` from a CSV of ``#`` lines, the header
+    ``header`` and rows of two finite numbers, the second positive and the first
+    never repeated; the columns come sorted by the first.  Errors name the file
+    as ``what`` and the columns by ``names``, and quote the row at fault.
+    """
+    with open(path, encoding="utf-8") as fh:
+        lines = [line.strip() for line in fh if line.strip()]
+    comments = [line for line in lines if line.startswith("#")]
+    table = [line for line in lines if not line.startswith("#")]
+    if table and [c.strip() for c in table[0].split(",")] != list(header):
+        raise ValueError(f"{what} file must have header '{','.join(header)}', got {table[0]!r}")
+    rows = {}
+    for line in table[1:]:
+        try:
+            a, b = (float(c) for c in line.split(","))
+        except ValueError:
+            raise ValueError(f"malformed {what} row: {line!r}") from None
+        for value, name in zip((a, b), names):
+            if not math.isfinite(value):
+                raise ValueError(f"{what} {name} must be finite, got row {line!r}")
+        if not b > 0:
+            raise ValueError(f"{what} {names[1]} must be strictly positive, got row {line!r}")
+        if a in rows:
+            raise ValueError(f"{what} file contains duplicate {header[0]} values, got row {line!r}")
+        rows[a] = b
+    if not rows:
+        raise ValueError(f"{what} file has no data rows")
+    first = sorted(rows)
+    return comments, np.array(first), np.array([rows[a] for a in first])
+
+
 def family_from_scheme_csv(path) -> NaturalFamily:
     """Finite family named "custom" from a CSV with header ``x,h`` (x and h finite, h > 0).
 
     B(u) is computed by log-sum-exp over the outcomes, so the natural
     domain is the whole real line.
     """
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        header = None
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = [c.strip() for c in line.split(",")]
-                if header != ["x", "h"]:
-                    raise ValueError(f"scheme file must have header 'x,h', got {line!r}")
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"malformed scheme row: {line!r}")
-            x, h = float(parts[0]), float(parts[1])
-            if not math.isfinite(x):
-                raise ValueError(f"scheme points must be finite, got row {line!r}")
-            if not math.isfinite(h):
-                raise ValueError(f"scheme base weights must be finite, got row {line!r}")
-            rows.append((x, h))
-    if header is None or not rows:
-        raise ValueError("scheme file has no data rows")
-    rows.sort(key=lambda r: r[0])
-    xs = np.array([r[0] for r in rows])
-    hs = np.array([r[1] for r in rows])
-    if np.any(np.diff(xs) == 0):
-        raise ValueError("scheme file contains duplicate x values")
-    if np.any(hs <= 0):
-        raise ValueError("scheme base weight column h must be strictly positive")
+    _, xs, hs = _read_rows(path, "scheme", ("x", "h"), ("points", "base weights"))
     scheme = ObservationScheme(kind="finite", points=xs, base_weights=hs)
     log_h = np.log(hs)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, logit, logsumexp
 
-from .families import NaturalFamily
+from .families import NaturalFamily, _read_rows
 
 __all__ = [
     "Prior",
@@ -56,6 +56,8 @@ class Prior:
             raise ValueError("prior atoms and log weights must be matching non-empty 1-d arrays")
         if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(lw))):
             raise ValueError("prior atoms and log weights must be finite")
+        if not np.isfinite(self.theta0):
+            raise ValueError(f"prior theta0 must be finite, got {self.theta0!r}")
         if not np.all(np.diff(atoms) > 0):
             raise ValueError("prior atoms must be strictly increasing")
         if abs(logsumexp(lw)) > 1e-9:
@@ -112,40 +114,16 @@ def load_prior_csv(path) -> Prior:
     Weights need not be pre-normalized.  Rows are sorted by atom; duplicate
     atoms are rejected.
     """
-    theta0 = None
-    rows = []
-    header_seen = False
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if body.startswith("theta0"):
-                    try:
-                        theta0 = float(body.split("=", 1)[1])
-                    except (IndexError, ValueError) as exc:
-                        raise ValueError(f"malformed theta0 metadata line: {line!r}") from exc
-                continue
-            if not header_seen:
-                if [c.strip() for c in line.split(",")] != ["u", "w"]:
-                    raise ValueError(f"prior file must have header 'u,w', got {line!r}")
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"malformed prior row: {line!r}")
-            rows.append((float(parts[0]), float(parts[1])))
-    if theta0 is None:
+    comments, atoms, weights = _read_rows(path, "prior", ("u", "w"), ("atoms", "weights"))
+    found = [line for line in comments if line.lstrip("#").strip().startswith("theta0")]
+    if not found:
         raise ValueError("prior file is missing the '# theta0=<value>' metadata line")
-    if not rows:
-        raise ValueError("prior file has no atom rows")
-    rows.sort(key=lambda r: r[0])
-    atoms = np.array([r[0] for r in rows])
-    if np.any(np.diff(atoms) == 0):
-        raise ValueError("prior file contains duplicate atoms (column u)")
-    weights = np.array([r[1] for r in rows])
+    if len(found) > 1:
+        raise ValueError(f"prior file has a second theta0 metadata line: {found[1]!r}")
+    try:
+        theta0 = float(found[0].split("=", 1)[1])
+    except (IndexError, ValueError) as exc:
+        raise ValueError(f"malformed theta0 metadata line: {found[0]!r}") from exc
     return make_prior(atoms, weights, theta0)
 
 

@@ -29,7 +29,7 @@ from .priors import (
     _y_of_logit,
     validate_prior_for_family,
 )
-from .solver import ValueSurface, _positive_cost
+from .solver import ValueSurface, _positive_finite
 
 __all__ = [
     "SimulationReport",
@@ -188,7 +188,7 @@ def brute_force_value(prior: Prior, family: NaturalFamily, cost: float, horizon:
     dynamic-programming recursion on it directly, so the only numerical
     error is log-sum-exp roundoff.  Requires a finite observation scheme.
     """
-    cost = _positive_cost(cost)
+    cost = _positive_finite(cost)
     horizon = int(horizon)
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
@@ -475,4 +475,4 @@ def simulate_alternative(
     Optimality of the solved policy means any rule's mean cost should come
     out at or above the solved value, up to Monte Carlo error.
     """
-    return _run(rule.band, rule.cap, prior, family, _positive_cost(cost), replicates, seed, trace_path)
+    return _run(rule.band, rule.cap, prior, family, _positive_finite(cost), replicates, seed, trace_path)

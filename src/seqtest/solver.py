@@ -51,12 +51,12 @@ __all__ = [
 STOP_TOL = 1e-12
 
 
-def _positive_cost(cost) -> float:
-    """``cost`` as a float, refusing zero, negative, nan and infinite costs."""
-    cost = float(cost)
-    if not (math.isfinite(cost) and cost > 0):
-        raise ValueError(f"cost must be positive and finite, got {cost!r}")
-    return cost
+def _positive_finite(value, name: str = "cost") -> float:
+    """``value`` as a float, refusing zero, negative, nan and infinite values; ``name`` words the error."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
 
 
 def gain(pi):
@@ -175,7 +175,7 @@ def solve(
     include=(),
 ) -> ValueSurface:
     """Solve the truncated problem and extract per-layer stopping boundaries."""
-    cost = _positive_cost(cost)
+    cost = _positive_finite(cost)
     horizon = int(horizon)
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -227,9 +227,8 @@ def choose_horizon(cost: float, slack: float = 0.1) -> int:
     at c = 0.05 the exact value moves by 2.9e-4 from N = 12 (this choice) to
     N = 23.
     """
-    cost = _positive_cost(cost)
-    if not (math.isfinite(slack) and slack > 0):
-        raise ValueError(f"slack must be positive and finite, got {slack!r}")
+    cost = _positive_finite(cost)
+    slack = _positive_finite(slack, "slack")
     guard = 1e-12
     return int(math.ceil(1.0 / (2.0 * cost) - guard)) + int(math.ceil(slack / cost - guard))
 
@@ -295,11 +294,12 @@ def _load_surface(path):
     missing = [key for key in ("cost", "horizon", "pi_grid", "values", "b1", "b2") if key not in payload]
     if missing:
         raise ValueError(f"surface file is missing key(s): {', '.join(missing)}")
+    # type() refuses a bool, which isinstance() would take for an int
     horizon = payload["horizon"]
-    if not isinstance(horizon, int) or horizon < 1:
+    if type(horizon) is not int or horizon < 1:
         raise ValueError("surface file: 'horizon' must be a positive integer")
     cost = payload["cost"]
-    if not isinstance(cost, (int, float)) or not (math.isfinite(cost) and cost > 0):
+    if type(cost) not in (int, float) or not (math.isfinite(cost) and cost > 0):
         raise ValueError("surface file: 'cost' must be a positive finite number")
     grid = _surface_array(payload, "pi_grid")
     if grid.size < 3 or grid[0] != 0.0 or grid[-1] != 1.0 or np.any(np.diff(grid) <= 0):
@@ -328,13 +328,14 @@ def _load_surface(path):
     ), provenance
 
 
-def _provenance(prior: Prior, family: NaturalFamily, scheme: bool = False) -> dict:
+def _provenance(prior: Prior, family: NaturalFamily) -> dict:
     """The model and prior a surface is for, as ``write_surface_json`` records them.
 
-    A family read from a scheme file (``scheme``) is named by its outcomes x
-    and base weights h, so the same scheme under another path still matches.
+    A family read from a scheme file, the only one named "custom", is named
+    by its outcomes x and base weights h, so the same scheme under another
+    path still matches.
     """
-    if scheme:
+    if family.name == "custom":
         model = {"scheme": {"x": family.scheme.points.tolist(), "h": family.scheme.base_weights.tolist()}}
     else:
         model = {"model": family.name}
@@ -375,17 +376,19 @@ def write_boundaries_csv(surface: ValueSurface, path):
 def read_boundaries_csv(path):
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != ["n", "b1", "b2"]:
             raise ValueError(f"boundaries file must have header 'n,b1,b2', got {header!r}")
-        ns, b1, b2 = [], [], []
+        rows = []
         for row in reader:
-            ns.append(int(row[0]))
-            b1.append(float(row[1]))
-            b2.append(float(row[2]))
-    if ns != list(range(len(ns))):
+            try:
+                n, b1, b2 = row
+                rows.append((int(n), float(b1), float(b2)))
+            except ValueError:
+                raise ValueError(f"malformed boundaries row: {','.join(row)!r}") from None
+    if [r[0] for r in rows] != list(range(len(rows))):
         raise ValueError("boundaries file rows must be consecutive layers starting at 0")
-    return np.asarray(b1), np.asarray(b2)
+    return np.array([r[1] for r in rows]), np.array([r[2] for r in rows])
 
 
 def _value_layers_csv(surface: ValueSurface):

@@ -464,6 +464,8 @@ class TestMalformedSurface:
             pytest.param(lambda p: p["values"].__setitem__(7, math.nan), "finite", id="nan-value"),
             pytest.param(lambda p: p["b1"].__setitem__(0, math.inf), "finite", id="inf-b1"),
             pytest.param(lambda p: p.update(cost=math.inf), "'cost'", id="inf-cost"),
+            pytest.param(lambda p: p.update(cost=True), "'cost'", id="bool-cost"),
+            pytest.param(lambda p: p.update(horizon=True), "'horizon'", id="bool-horizon"),
             pytest.param(lambda p: p.update(values="many"), "'values'", id="string-values"),
             pytest.param(lambda p: p.update(provenance=[1]), "'provenance'", id="list-provenance"),
         ],
@@ -585,9 +587,13 @@ class TestInputRules:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("slack", ["nan", "inf", "0"])
-    def test_auto_horizon_slack_must_be_finite(self, tmp_path, prior_file, capsys, slack):
-        argv = self._solve(tmp_path, prior_file, "--model", "bernoulli", "--cost", "0.1", "--slack", slack)
+    @pytest.mark.parametrize("horizon", ["auto", "3"])
+    def test_slack_must_be_finite(self, tmp_path, prior_file, capsys, slack, horizon):
+        # run_config.json records the slack whatever the horizon
+        argv = self._solve(tmp_path, prior_file, "--model", "bernoulli", "--cost", "0.1", "--horizon", horizon,
+                           "--slack", slack)
         self._usage_error(capsys, argv, f"slack must be positive and finite, got {slack}")
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("cost", ["nan", "inf", "0"])
     def test_oracle_cost_must_be_finite(self, prior_file, capsys, cost):
@@ -619,6 +625,19 @@ class TestInputRules:
         self._usage_error(capsys, argv, f"error: scheme {column} must be finite, got row {row!r}\n")
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("kind", ["prior", "scheme"])
+    def test_row_that_is_not_a_number_is_quoted(self, tmp_path, prior_file, capsys, kind):
+        bad = tmp_path / f"{kind}.csv"
+        if kind == "prior":
+            bad.write_text("# theta0=0.0\nu,w\n-0.8,abc\n0.8,1.0\n")
+            model, row = ["--model", "bernoulli", "--prior", str(bad)], "-0.8,abc"
+        else:
+            bad.write_text("x,h\n0,1\n1,abc\n")
+            model, row = ["--scheme", str(bad), "--prior", prior_file], "1,abc"
+        argv = ["solve", *model, "--cost", "0.1", "--horizon", "5", "--out", str(tmp_path / "x")]
+        self._usage_error(capsys, argv, f"error: malformed {kind} row: {row!r}\n")
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("horizon", ["2.5", "0", "-3", "five", ""])
     def test_horizon_flag(self, tmp_path, prior_file, capsys, horizon):
         argv = self._solve(tmp_path, prior_file, "--model", "bernoulli", "--cost", "0.1", "--horizon", horizon)
@@ -639,19 +658,37 @@ class TestInputRules:
         argv = self._config(tmp_path, {**settings, "gird_size": 101, "colour": "red"})
         self._usage_error(capsys, argv, "config file has unknown key(s): colour, gird_size")
         assert not (tmp_path / "x").exists()
-        # the same settings, spelled right, solve on the grid and horizon they name
-        assert run(self._config(tmp_path, {**settings, "grid_size": 101, "subcommand": "solve"})) == 0
+        # the same settings, spelled right, solve on the grid and horizon they name; null
+        # stands for a setting that is unset by default
+        assert run(self._config(tmp_path, {**settings, "grid_size": 101, "scheme": None, "nodes": None,
+                                           "subcommand": "solve"})) == 0
         surface = st.read_surface_json(tmp_path / "x" / "surface.json")
         assert (surface.horizon, surface.pi_grid.size) == (3, 101)
 
-    @pytest.mark.parametrize("key, value", [("grid_size", 101.7), ("grid_size", 101.0), ("grid_size", True),
-                                            ("grid_size", "101"), ("grid_size", None), ("nodes", 8.9),
-                                            ("nodes", 8.0), ("nodes", True), ("nodes", "8")])
-    def test_config_counts_must_be_integers(self, tmp_path, prior_file, capsys, key, value):
+    @pytest.mark.parametrize("key, value, kind", [
+        ("grid_size", 101.7, "an integer"), ("grid_size", 101.0, "an integer"), ("grid_size", True, "an integer"),
+        ("grid_size", "101", "an integer"), ("grid_size", None, "an integer"), ("nodes", 8.9, "an integer"),
+        ("nodes", 8.0, "an integer"), ("nodes", True, "an integer"), ("nodes", "8", "an integer"),
+        ("model", 5, "a string"), ("model", ["bernoulli"], "a string"), ("out", 7, "a string"),
+        ("scheme", 9, "a string"), ("grid_kind", None, "a string"), ("cost", "0.1", "a number"),
+        ("cost", True, "a number"), ("slack", True, "a number"), ("slack", "x", "a number"),
+        ("slack", None, "a number"),
+    ])
+    def test_config_values_must_have_their_types(self, tmp_path, prior_file, capsys, key, value, kind):
         settings = {"model": "gaussian-mean", "prior": prior_file, "cost": 0.1, "horizon": 3,
                     "grid_size": 101, "out": str(tmp_path / "x")}
         argv = self._config(tmp_path, {**settings, key: value})
-        self._usage_error(capsys, argv, f"error: config file: {key} must be an integer, got {value!r}\n")
+        self._usage_error(capsys, argv, f"error: config file: {key} must be {kind}, got {value!r}\n")
+        assert not (tmp_path / "x").exists()
+
+    def test_config_prior_is_a_path_not_a_file_descriptor(self, tmp_path, prior_file, capsys):
+        fd = os.open(prior_file, os.O_RDONLY)
+        try:
+            argv = self._config(tmp_path, {"model": "bernoulli", "prior": fd, "cost": 0.1, "horizon": 3,
+                                           "grid_size": 101, "out": str(tmp_path / "x")})
+            self._usage_error(capsys, argv, f"error: config file: prior must be a string, got {fd}\n")
+        finally:
+            os.close(fd)
         assert not (tmp_path / "x").exists()
 
     def test_config_integer_counts_are_recorded_as_given(self, tmp_path, prior_file):

@@ -180,6 +180,14 @@ class TestSchemeValidation:
             st.family_from_scheme_csv(path)
         assert str(info.value) == f"scheme {column} must be finite, got row {row!r}"
 
+    @pytest.mark.parametrize("row", ["1,abc", "1", "1,1,1"])
+    def test_scheme_csv_quotes_malformed_row(self, tmp_path, row):
+        path = tmp_path / "s.csv"
+        path.write_text(f"x,h\n0,1\n{row}\n")
+        with pytest.raises(ValueError) as info:
+            st.family_from_scheme_csv(path)
+        assert str(info.value) == f"malformed scheme row: {row!r}"
+
     def test_scheme_csv_errors(self, tmp_path):
         bad_header = tmp_path / "a.csv"
         bad_header.write_text("x,weight\n0,1\n")

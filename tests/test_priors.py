@@ -38,6 +38,11 @@ class TestMakePrior:
         with pytest.raises(ValueError, match="^prior weights must be finite$"):
             st.make_prior([-1.0, 1.0], [1.0, weight], 0.0)
 
+    @pytest.mark.parametrize("theta0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta0_rejected(self, theta0):
+        with pytest.raises(ValueError, match=f"^prior theta0 must be finite, got {theta0!r}$"):
+            st.make_prior([-1.0, 1.0], [1.0, 1.0], theta0)
+
     @pytest.mark.parametrize("atoms, log_weights", [
         ([-1.0, 1.0], [0.0, -math.inf]),
         ([-1.0, 1.0], [0.0, math.nan]),
@@ -392,3 +397,32 @@ class TestPriorCsv:
         path.write_text("# theta0=0.0\nu,w\n-1.0,1\n-1.0,1\n1.0,1\n")
         with pytest.raises(ValueError, match="duplicate"):
             st.load_prior_csv(path)
+
+    @pytest.mark.parametrize("theta0", ["nan", "inf"])
+    def test_non_finite_theta0(self, tmp_path, theta0):
+        path = tmp_path / "p.csv"
+        path.write_text(f"# theta0={theta0}\nu,w\n-1.0,1\n1.0,1\n")
+        with pytest.raises(ValueError, match=f"^prior theta0 must be finite, got {theta0}$"):
+            st.load_prior_csv(path)
+
+    def test_second_theta0_line(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("# theta0=0.0\nu,w\n-1.0,1\n# theta0=5.0\n1.0,1\n")
+        with pytest.raises(ValueError, match="^prior file has a second theta0 metadata line: '# theta0=5.0'$"):
+            st.load_prior_csv(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("1.0,abc", "malformed prior row: '1.0,abc'"),
+        ("1.0", "malformed prior row: '1.0'"),
+        ("1.0,1,2", "malformed prior row: '1.0,1,2'"),
+        ("inf,1", "prior atoms must be finite, got row 'inf,1'"),
+        ("1.0,nan", "prior weights must be finite, got row '1.0,nan'"),
+        ("1.0,0", "prior weights must be strictly positive, got row '1.0,0'"),
+        ("-1.0,2", "prior file contains duplicate u values, got row '-1.0,2'"),
+    ])
+    def test_bad_row_is_quoted(self, tmp_path, row, message):
+        path = tmp_path / "p.csv"
+        path.write_text(f"# theta0=0.0\nu,w\n-1.0,1\n{row}\n")
+        with pytest.raises(ValueError) as info:
+            st.load_prior_csv(path)
+        assert str(info.value) == message

@@ -306,6 +306,14 @@ class TestSurfaceIO:
         np.testing.assert_array_equal(b1, benchmark_surface.b1)
         np.testing.assert_array_equal(b2, benchmark_surface.b2)
 
+    @pytest.mark.parametrize("row", ["1,0.1", "1,0.1,0.9,0", "1,abc,0.9", "one,0.1,0.9"])
+    def test_boundaries_csv_quotes_malformed_row(self, tmp_path, row):
+        path = tmp_path / "boundaries.csv"
+        path.write_text(f"n,b1,b2\n0,0.1,0.9\n{row}\n")
+        with pytest.raises(ValueError) as info:
+            st.read_boundaries_csv(path)
+        assert str(info.value) == f"malformed boundaries row: {row!r}"
+
     def test_value_layers_shape(self, benchmark_surface, tmp_path):
         path = tmp_path / "value_layers.csv"
         st.write_value_layers_csv(benchmark_surface, path)
