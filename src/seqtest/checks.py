@@ -26,13 +26,13 @@ import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.special import logit, logsumexp
+from scipy.special import logsumexp
 
 from .families import NaturalFamily, family_for_prior, make_named_family
 from .priors import (
-    LEVEL_EPS,
     Prior,
     _Ctx,
+    _level_logit,
     _unnorm_log_weights,
     _y_of_logit,
     make_prior,
@@ -122,11 +122,10 @@ def _level_curves(prior: Prior, family: NaturalFamily, pis, n_max: int):
     One batched inversion, which equals the layer-by-layer ``y_of_pi`` bit
     for bit, under ``y_of_pi``'s range check.
     """
-    pis = np.asarray(pis, dtype=float)
-    if np.any(pis <= LEVEL_EPS) or np.any(pis >= 1.0 - LEVEL_EPS):
-        raise ValueError("level curve out of numerical range: pi must lie in (1e-12, 1-1e-12)")
+    if n_max < 0:
+        raise ValueError(f"n_max must be a non-negative integer, got {n_max}")
     ctx = _Ctx(prior, family)
-    return ctx, _y_of_logit(ctx, np.arange(n_max + 1)[:, None], logit(pis))
+    return ctx, _y_of_logit(ctx, np.arange(n_max + 1)[:, None], _level_logit(pis))
 
 
 def check_concentration(
@@ -197,8 +196,8 @@ def check_convex_order(
     is equivalent to convex order.  Finite supports make the stop-loss
     transform exact.
     """
-    if m > n:
-        raise ValueError("convex order check requires m <= n")
+    if not 0 <= m <= n:
+        raise ValueError(f"convex order check requires 0 <= m <= n, got m={m}, n={n}")
     t_grid = np.linspace(0.01, 0.99, 99)
     p_m, w_m = transition_distribution(prior, family, m, pi)
     p_n, w_n = transition_distribution(prior, family, n, pi)
@@ -239,6 +238,8 @@ def check_time_monotonicity(surface: ValueSurface, tol: float = 1e-6, burn: int 
     """
     if burn is None:
         burn = default_burn(surface.horizon)
+    if burn < 0:
+        raise ValueError(f"burn must be a non-negative integer, got {burn}")
     limit = surface.horizon - burn
     instance = {
         "horizon": surface.horizon,

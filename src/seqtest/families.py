@@ -161,166 +161,12 @@ def sample_observation(family: NaturalFamily, u, rng, size=None):
 # ---------------------------------------------------------------------------
 
 
-def _gaussian_mean(center: float = 0.0, nodes: int = 128) -> NaturalFamily:
-    # Gauss-Hermite nodes recentred at `center`; at 128 nodes the transition
-    # law's mass and mean hold to ~1e-13 for parameters within roughly +-10
-    # of the center, kinked value layers only to ~1e-3.
-    s, w = np.polynomial.hermite.hermgauss(int(nodes))
-    x = center + math.sqrt(2.0) * s
-    base = np.exp(np.log(w) + s * s + 0.5 * math.log(2.0))
-    scheme = ObservationScheme(
-        kind="continuous",
-        points=x,
-        base_weights=base,
-        log_base_density=lambda t: -0.5 * t * t - 0.5 * math.log(2.0 * math.pi),
-    )
-    return NaturalFamily(
-        name="gaussian-mean",
-        log_partition=lambda u: 0.5 * u * u,
-        natural_domain=(-math.inf, math.inf),
-        scheme=scheme,
-        sampler=_inverse_cdf(lambda u, U: u + ndtri(U)),
-        scheme_domain=(center - 10.0, center + 10.0),
-    )
-
-
-def _bernoulli() -> NaturalFamily:
-    scheme = ObservationScheme(kind="finite", points=np.array([0.0, 1.0]), base_weights=np.array([1.0, 1.0]))
-    return _finite_family("bernoulli", scheme, lambda u: np.logaddexp(0.0, u))
-
-
-def _binomial(n: int) -> NaturalFamily:
-    n = int(n)
-    if n < 1:
-        raise ValueError("binomial requires N >= 1")
-    pts = np.arange(n + 1, dtype=float)
-    weights = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
-    scheme = ObservationScheme(kind="finite", points=pts, base_weights=weights)
-    return _finite_family(f"binomial({n})", scheme, lambda u: n * np.logaddexp(0.0, u))
-
-
-def _exponential_rate(min_rate: float = 0.25, nodes: int = 128) -> NaturalFamily:
-    # Stored observation is -X; support (-inf, 0) with h = 1.  Nodes are
-    # graded as x = -t^2 so the boundary layer near 0 is resolved for the
-    # whole rate range [min_rate, inf); window sized so that the truncated
-    # tail mass is below 1e-17 at u = min_rate.
-    if min_rate <= 0:
-        raise ValueError("exponential-rate requires min_rate > 0")
-    T = math.sqrt(40.0 / min_rate)
-    g, gw = np.polynomial.legendre.leggauss(int(nodes))
-    t = 0.5 * T * (g + 1.0)
-    tw = 0.5 * T * gw
-    x = -(t * t)
-    w = 2.0 * t * tw
-    order = np.argsort(x)
-    scheme = ObservationScheme(
-        kind="continuous",
-        points=x[order],
-        base_weights=w[order],
-        log_base_density=lambda s: np.zeros_like(s),
-    )
-    return NaturalFamily(
-        name="exponential-rate",
-        log_partition=lambda u: -np.log(u),
-        natural_domain=(0.0, math.inf),
-        scheme=scheme,
-        sampler=_inverse_cdf(lambda u, U: np.log1p(-U) / u),
-        scheme_domain=(min_rate, math.inf),
-    )
-
-
-def _gaussian_variance(min_precision: float = 0.25, nodes: int = 128) -> NaturalFamily:
-    # Stored observation is -X^2/2, natural parameter u = sigma^-2 (note the
-    # order reversal: small original sigma means LARGE u).  Support is
-    # (-inf, 0) with h(x) = (-pi*x)^(-1/2); nodes graded as x = -t^2/2 which
-    # turns the integrand into a half-Gaussian in t.
-    if min_precision <= 0:
-        raise ValueError("gaussian-variance requires min_precision > 0")
-    T = 9.0 / math.sqrt(min_precision)
-    g, gw = np.polynomial.legendre.leggauss(int(nodes))
-    t = 0.5 * T * (g + 1.0)
-    tw = 0.5 * T * gw
-    x = -0.5 * t * t
-    w = t * tw
-    order = np.argsort(x)
-    scheme = ObservationScheme(
-        kind="continuous",
-        points=x[order],
-        base_weights=w[order],
-        log_base_density=lambda s: -0.5 * np.log(-np.pi * s),
-    )
-    return NaturalFamily(
-        name="gaussian-variance",
-        log_partition=lambda u: -0.5 * np.log(u),
-        natural_domain=(0.0, math.inf),
-        scheme=scheme,
-        sampler=_inverse_cdf(lambda u, U: -np.square(ndtri(U)) / (2.0 * u)),
-        scheme_domain=(min_precision, math.inf),
-    )
-
-
-_BINOMIAL_RE = re.compile(r"^binomial\((\d+)\)$")
-
-
-def _split_name(name: str):
-    m = _BINOMIAL_RE.match(name.strip())
-    if m:
-        return "binomial", {"n": int(m.group(1))}
-    return name.strip(), {}
-
-
-def make_named_family(name: str, params: dict | None = None) -> NaturalFamily:
-    """Build one of the named models, e.g. ``make_named_family("binomial(3)")``.
-
-    Recognized params: gaussian-mean: center, nodes; binomial: n;
-    exponential-rate: min_rate, nodes; gaussian-variance: min_precision,
-    nodes.  Priors and thresholds are natural parameters; for
-    gaussian-variance u = s^-2, so "s <= s0" is the upper side u > s0^-2.
-    """
-    base, inline = _split_name(name)
-    kwargs = {**inline, **(params or {})}
-    nodes = kwargs.get("nodes")
-    if base in ("gaussian-mean", "exponential-rate", "gaussian-variance") and nodes is not None and int(nodes) < 1:
-        raise ValueError(f"nodes must be a positive integer for model '{base}', got {nodes}")
-    try:
-        if base == "gaussian-mean":
-            return _gaussian_mean(**kwargs)
-        if base == "bernoulli":
-            return _bernoulli(**kwargs)
-        if base == "binomial":
-            if "n" not in kwargs:
-                raise ValueError("binomial requires a trial count, e.g. 'binomial(3)'")
-            return _binomial(**kwargs)
-        if base == "exponential-rate":
-            return _exponential_rate(**kwargs)
-        if base == "gaussian-variance":
-            return _gaussian_variance(**kwargs)
-    except TypeError as exc:
-        raise ValueError(f"invalid params for model '{base}': {exc}") from exc
-    raise ValueError(f"unknown model '{name}'")
-
-
-def family_for_prior(name: str, atoms, params: dict | None = None) -> NaturalFamily:
-    """Named family with its scheme window sized from the prior's atoms.
-
-    ``atoms`` may be an array of natural parameters or anything with an
-    ``atoms`` attribute.  Finite-outcome models ignore the sizing.
-    """
-    atoms = np.asarray(getattr(atoms, "atoms", atoms), dtype=float)
-    base, inline = _split_name(name)
-    auto: dict = {}
-    if base == "gaussian-mean":
-        auto["center"] = 0.5 * (atoms.min() + atoms.max())
-    elif base == "exponential-rate":
-        auto["min_rate"] = float(atoms.min())
-    elif base == "gaussian-variance":
-        auto["min_precision"] = float(atoms.min())
-    fam = make_named_family(name, {**auto, **(params or {})})
-    if not _in_domain(fam, atoms):
-        raise ValueError(
-            f"prior atom outside natural domain {fam.natural_domain} of model '{fam.name}'"
-        )
-    return fam
+def _quadrature_family(name, x, w, log_h, B, domain, quantile, window) -> NaturalFamily:
+    """Continuous family: B(u) on the natural ``domain``, the base log-density
+    ``log_h`` integrated by the rule of nodes ``x`` and weights ``w``, draws
+    ``quantile(u, U)``, and ``window`` the scheme's accurate parameter range."""
+    scheme = ObservationScheme(kind="continuous", points=x, base_weights=w, log_base_density=log_h)
+    return NaturalFamily(name, B, domain, scheme, _inverse_cdf(quantile), window)
 
 
 def _finite_family(name, scheme: ObservationScheme, log_partition_fn):
@@ -347,6 +193,128 @@ def _finite_family(name, scheme: ObservationScheme, log_partition_fn):
         scheme=scheme,
         sampler=_inverse_cdf(quantile),
     )
+
+
+def _graded_legendre(nodes: int, T: float, a: float):
+    """Nodes x = -a t^2 at the Gauss-Legendre points t of (0, T), in increasing x,
+    and their weights 2a t dt."""
+    g, gw = np.polynomial.legendre.leggauss(nodes)
+    t = 0.5 * T * (g + 1.0)
+    tw = 0.5 * T * gw
+    x = -a * t * t
+    w = 2.0 * a * t * tw
+    order = np.argsort(x)
+    return x[order], w[order]
+
+
+def _gaussian_mean(nodes: int, center: float = 0.0) -> NaturalFamily:
+    # Gauss-Hermite nodes recentred at `center`; at 128 nodes the transition
+    # law's mass and mean hold to ~1e-13 for parameters within roughly +-10
+    # of the center, kinked value layers only to ~1e-3.
+    s, w = np.polynomial.hermite.hermgauss(nodes)
+    x = center + math.sqrt(2.0) * s
+    base = np.exp(np.log(w) + s * s + 0.5 * math.log(2.0))
+    return _quadrature_family("gaussian-mean", x, base,
+                              log_h=lambda t: -0.5 * t * t - 0.5 * math.log(2.0 * math.pi),
+                              B=lambda u: 0.5 * u * u, domain=(-math.inf, math.inf),
+                              quantile=lambda u, U: u + ndtri(U), window=(center - 10.0, center + 10.0))
+
+
+def _binomial(n: int, name: str | None = None) -> NaturalFamily:
+    """Counts 0..N out of ``n`` trials; ``n = 1`` under the name "bernoulli" is that model."""
+    if n < 1:
+        raise ValueError("binomial requires N >= 1")
+    pts = np.arange(n + 1, dtype=float)
+    weights = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+    scheme = ObservationScheme(kind="finite", points=pts, base_weights=weights)
+    return _finite_family(name or f"binomial({n})", scheme, lambda u: n * np.logaddexp(0.0, u))
+
+
+def _exponential_rate(nodes: int, min_rate: float = 0.25) -> NaturalFamily:
+    # Stored observation is -X; support (-inf, 0) with h = 1.  Nodes are
+    # graded as x = -t^2 so the boundary layer near 0 is resolved for the
+    # whole rate range [min_rate, inf); window sized so that the truncated
+    # tail mass is below 1e-17 at u = min_rate.
+    if min_rate <= 0:
+        raise ValueError("exponential-rate requires min_rate > 0")
+    x, w = _graded_legendre(nodes, math.sqrt(40.0 / min_rate), 1.0)
+    return _quadrature_family("exponential-rate", x, w, log_h=lambda s: np.zeros_like(s),
+                              B=lambda u: -np.log(u), domain=(0.0, math.inf),
+                              quantile=lambda u, U: np.log1p(-U) / u, window=(min_rate, math.inf))
+
+
+def _gaussian_variance(nodes: int, min_precision: float = 0.25) -> NaturalFamily:
+    # Stored observation is -X^2/2, natural parameter u = sigma^-2 (note the
+    # order reversal: small original sigma means LARGE u).  Support is
+    # (-inf, 0) with h(x) = (-pi*x)^(-1/2); nodes graded as x = -t^2/2 which
+    # turns the integrand into a half-Gaussian in t.
+    if min_precision <= 0:
+        raise ValueError("gaussian-variance requires min_precision > 0")
+    x, w = _graded_legendre(nodes, 9.0 / math.sqrt(min_precision), 0.5)
+    return _quadrature_family("gaussian-variance", x, w, log_h=lambda s: -0.5 * np.log(-np.pi * s),
+                              B=lambda u: -0.5 * np.log(u), domain=(0.0, math.inf),
+                              quantile=lambda u, U: -np.square(ndtri(U)) / (2.0 * u),
+                              window=(min_precision, math.inf))
+
+
+# The quadrature models: each one's constructor, the window parameter it takes
+# besides the node count, and that window as family_for_prior sizes it from the
+# prior's atoms.  The finite models, bernoulli and binomial(N), take no params.
+_QUADRATURE = {
+    "gaussian-mean": (_gaussian_mean, "center", lambda atoms: 0.5 * (atoms.min() + atoms.max())),
+    "exponential-rate": (_exponential_rate, "min_rate", lambda atoms: float(atoms.min())),
+    "gaussian-variance": (_gaussian_variance, "min_precision", lambda atoms: float(atoms.min())),
+}
+_BINOMIAL_RE = re.compile(r"^binomial\((\d+)\)$")
+
+
+def make_named_family(name: str, params: dict | None = None) -> NaturalFamily:
+    """Build one of the named models, e.g. ``make_named_family("binomial(3)")``.
+
+    bernoulli and binomial(N) take no params.  The quadrature models take
+    ``nodes`` (default 128) and their window: gaussian-mean ``center``,
+    exponential-rate ``min_rate``, gaussian-variance ``min_precision``.
+    Priors and thresholds are natural parameters; for gaussian-variance
+    u = s^-2, so "s <= s0" is the upper side u > s0^-2.
+    """
+    base = name.strip()
+    params = params or {}
+    if base in _QUADRATURE:
+        build, window, _ = _QUADRATURE[base]
+        unknown = sorted(set(params) - {window, "nodes"})
+        if unknown:
+            raise ValueError(f"model '{base}' takes only {window} and nodes, got {', '.join(unknown)}")
+        nodes = params.get("nodes", 128)
+        if int(nodes) < 1:
+            raise ValueError(f"nodes must be a positive integer for model '{base}', got {nodes}")
+        return build(**{**params, "nodes": int(nodes)})
+    m = _BINOMIAL_RE.match(base)
+    if not (m or base in ("bernoulli", "binomial")):
+        raise ValueError(f"unknown model '{name}'")
+    if "nodes" in params:
+        raise ValueError(f"nodes applies only to the quadrature models ({', '.join(_QUADRATURE)}), not '{base}'")
+    if params:
+        raise ValueError(f"model '{base}' takes no params, got {', '.join(sorted(params))}")
+    if base == "binomial":
+        raise ValueError("binomial requires a trial count, e.g. 'binomial(3)'")
+    return _binomial(int(m.group(1))) if m else _binomial(1, "bernoulli")
+
+
+def family_for_prior(name: str, atoms, params: dict | None = None) -> NaturalFamily:
+    """Named family with its scheme window sized from the prior's atoms.
+
+    ``atoms`` may be an array of natural parameters or anything with an
+    ``atoms`` attribute.  Finite-outcome models have no window to size.
+    """
+    atoms = np.asarray(getattr(atoms, "atoms", atoms), dtype=float)
+    entry = _QUADRATURE.get(name.strip())
+    auto = {entry[1]: entry[2](atoms)} if entry else {}
+    fam = make_named_family(name, {**auto, **(params or {})})
+    if not _in_domain(fam, atoms):
+        raise ValueError(
+            f"prior atom outside natural domain {fam.natural_domain} of model '{fam.name}'"
+        )
+    return fam
 
 
 def _read_rows(path, what: str, header: tuple, names: tuple):

@@ -314,22 +314,40 @@ def _y_of_logit(ctx: _Ctx, n: int, target):
     return y.reshape(t.shape)
 
 
-def _transition(ctx: _Ctx, n: int, y):
-    """Yield (predictive mass, next pi) for each scheme outcome from (n, y).
+def _predictive(ctx: _Ctx, n: int, y):
+    """Yield the predictive mass of each scheme outcome from (n, y).
 
-    For outcome x_k the chain moves to q(n+1, y + x_k) with predictive mass
-    sum_i w_i(n, y) exp{u_i x_k - B(u_i)} times the scheme's point mass.
-    ``y`` may be a scalar or an array of states.  Both reduce over the trailing
-    atom axis (``_lse_last``), which keeps the surfaces bit for bit until the
-    layer's transition becomes one table (ROADMAP item 1).
+    Outcome x_k has mass sum_i w_i(n, y) exp{u_i x_k - B(u_i)} times the
+    scheme's point mass.  ``y`` may be a scalar or an array of states.  The
+    sum reduces over the trailing atom axis (``_lse_last``), which keeps the
+    surfaces bit for bit until the layer's transition becomes one table
+    (ROADMAP item 1).
     """
     z = _unnorm_log_weights(ctx, n, y)
     norm = np.logaddexp(_side_lse_mean(ctx, ctx.up, n, y)[0], _side_lse_mean(ctx, ctx.lo, n, y)[0])
     lw = z - norm[..., None]
     for k in range(ctx.points.size):
-        pred = np.exp(_lse_last(lw + ctx.ux[k]) + ctx.log_mass[k])
-        z_next = _unnorm_log_weights(ctx, n + 1, y + ctx.points[k])
+        yield np.exp(_lse_last(lw + ctx.ux[k]) + ctx.log_mass[k])
+
+
+def _transition(ctx: _Ctx, n: int, y):
+    """Yield (predictive mass, next pi) for each scheme outcome from (n, y).
+
+    For outcome x_k the chain moves to q(n+1, y + x_k) with the mass
+    ``_predictive`` gives it.
+    """
+    for x, pred in zip(ctx.points, _predictive(ctx, n, y)):
+        z_next = _unnorm_log_weights(ctx, n + 1, y + x)
         yield pred, expit(_lse_last(z_next[..., ctx.up]) - _lse_last(z_next[..., ctx.lo]))
+
+
+def _level_logit(pi):
+    """logit(pi) for a level-curve inversion, refusing pi (nan too) outside
+    (LEVEL_EPS, 1 - LEVEL_EPS), where the inversion is not reliable."""
+    pi = np.asarray(pi, dtype=float)
+    if not np.all((pi > LEVEL_EPS) & (pi < 1.0 - LEVEL_EPS)):
+        raise ValueError("level curve out of numerical range: pi must lie in (1e-12, 1-1e-12)")
+    return logit(pi)
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +384,7 @@ def y_of_pi(prior: Prior, family: NaturalFamily, n: int, pi):
     """Level-curve coordinate: the unique y with q(n, y) = pi."""
     if n < 0:
         raise ValueError("observation count n must be non-negative")
-    pi_arr = np.asarray(pi, dtype=float)
-    if np.any(pi_arr <= LEVEL_EPS) or np.any(pi_arr >= 1.0 - LEVEL_EPS):
-        raise ValueError("level curve out of numerical range: pi must lie in (1e-12, 1-1e-12)")
-    out = _y_of_logit(_Ctx(prior, family), n, logit(pi_arr))
+    out = _y_of_logit(_Ctx(prior, family), n, _level_logit(pi))
     return float(out) if np.ndim(pi) == 0 else out
 
 
@@ -388,12 +403,13 @@ def transition_distribution(prior: Prior, family: NaturalFamily, n: int, pi: flo
     outcome x the chain moves to q(n+1, y + x) with predictive weight
     sum_i w_i(n, y) * h(x) p_{u_i}(x) (times the quadrature weight for
     continuous schemes).  Weights sum to 1 up to scheme accuracy and the
-    weighted mean of next_pi equals pi (martingale property).
+    weighted mean of next_pi equals pi (martingale property).  n and pi have
+    ``y_of_pi``'s ranges.
     """
-    if not 0.0 < pi < 1.0:
-        raise ValueError("pi must lie strictly in (0, 1)")
+    if n < 0:
+        raise ValueError("observation count n must be non-negative")
     validate_prior_for_family(prior, family)
     ctx = _Ctx(prior, family)
-    y = float(_y_of_logit(ctx, n, np.asarray(logit(pi), dtype=float)))
+    y = float(_y_of_logit(ctx, n, _level_logit(pi)))
     weights, next_pi = (np.array(v) for v in zip(*_transition(ctx, n, y)))
     return next_pi, weights

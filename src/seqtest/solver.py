@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import logit
 
 from .families import NaturalFamily
-from .priors import Prior, _Ctx, _transition, _y_of_logit, validate_prior_for_family
+from .priors import Prior, _Ctx, _predictive, _transition, _y_of_logit, validate_prior_for_family
 
 __all__ = [
     "ValueSurface",
@@ -117,14 +117,14 @@ def _continuation(ctx: _Ctx, grid: np.ndarray, n: int, next_layer: np.ndarray, s
 
     Each observation path carries the product of the predictive masses along
     it to the state it reaches, so only the layer at time n + steps is
-    interpolated.
+    interpolated, and only there is next pi computed.
     """
     paths = [(1.0, _y_of_logit(ctx, n, logit(grid[1:-1])))]
     for m in range(n, n + steps - 1):
         paths = [
             (mass * pred, y + x)
             for mass, y in paths
-            for x, (pred, _) in zip(ctx.points, _transition(ctx, m, y))
+            for x, pred in zip(ctx.points, _predictive(ctx, m, y))
         ]
     cont = 0.0
     for mass, y in paths:
@@ -158,11 +158,14 @@ def _backward(ctx: _Ctx, grid: np.ndarray, horizon: int, cost: float, steps: int
 
 def bellman_step(next_layer, n: int, grid, prior: Prior, family: NaturalFamily, cost: float):
     """One backward step: layer at time n from the layer at time n + 1."""
+    if n < 0:
+        raise ValueError("observation count n must be non-negative")
+    cost = _positive_finite(cost)
     grid = np.asarray(grid, dtype=float)
     next_layer = np.asarray(next_layer, dtype=float)
     if next_layer.shape != grid.shape:
         raise ValueError("next_layer must be defined on the same grid")
-    return _step(_Ctx(prior, family), grid, n, next_layer, float(cost))
+    return _step(_Ctx(prior, family), grid, n, next_layer, cost)
 
 
 def solve(
@@ -225,12 +228,15 @@ def choose_horizon(cost: float, slack: float = 0.1) -> int:
     pushes the residual truncation bias below ``slack``.  The bias left is
     not negligible at coarse costs: on the bundled two-atom Bernoulli prior
     at c = 0.05 the exact value moves by 2.9e-4 from N = 12 (this choice) to
-    N = 23.
+    N = 23.  A cost so small that 1/(2c) or slack/c overflows is refused.
     """
     cost = _positive_finite(cost)
     slack = _positive_finite(slack, "slack")
+    half, extra = 1.0 / (2.0 * cost), slack / cost
+    if not (math.isfinite(half) and math.isfinite(extra)):
+        raise ValueError(f"cost {cost!r} with slack {slack!r} gives no finite horizon: 1/(2c) or slack/c overflows")
     guard = 1e-12
-    return int(math.ceil(1.0 / (2.0 * cost) - guard)) + int(math.ceil(slack / cost - guard))
+    return int(math.ceil(half - guard)) + int(math.ceil(extra - guard))
 
 
 def value_at(surface: ValueSurface, n: int, pi: float) -> float:

@@ -158,6 +158,12 @@ class TestBatchedLevelCurveChecks:
         with pytest.raises(ValueError, match="level curve out of numerical range"):
             st.check_concentration(three_atom_prior, gaussian_mean_family, 1.0 - 1e-13, -0.5, 0.5, 4)
 
+    def test_negative_n_max_is_refused(self, three_atom_prior, gaussian_mean_family):
+        with pytest.raises(ValueError, match="^n_max must be a non-negative integer, got -1$"):
+            st.check_level_spread(three_atom_prior, gaussian_mean_family, 0.3, 0.7, -1)
+        with pytest.raises(ValueError, match="^n_max must be a non-negative integer, got -1$"):
+            st.check_concentration(three_atom_prior, gaussian_mean_family, 0.5, -0.5, 0.5, -1)
+
 
 class TestConvexOrder:
     def test_same_time_is_exact_equality(self, benchmark_prior, bernoulli_family):
@@ -193,6 +199,14 @@ class TestConvexOrder:
         with pytest.raises(ValueError, match="m <= n"):
             st.check_convex_order(benchmark_prior, bernoulli_family, 0.5, 5, 2)
 
+    def test_negative_m_rejected(self, benchmark_prior, bernoulli_family):
+        with pytest.raises(ValueError, match=r"^convex order check requires 0 <= m <= n, got m=-3, n=5$"):
+            st.check_convex_order(benchmark_prior, bernoulli_family, 0.5, -3, 5)
+
+    def test_level_outside_invertible_range_rejected(self, benchmark_prior, bernoulli_family):
+        with pytest.raises(ValueError, match="level curve out of numerical range"):
+            st.check_convex_order(benchmark_prior, bernoulli_family, 1e-300, 0, 5)
+
 
 class TestTimeMonotonicity:
     def test_gain_everywhere_passes(self, benchmark_prior, bernoulli_family):
@@ -225,6 +239,10 @@ class TestTimeMonotonicity:
         rep = st.check_time_monotonicity(surf)  # burn 4 exceeds horizon 3
         assert rep.passed
         assert "note" in rep.instance
+
+    def test_negative_burn_rejected(self, benchmark_surface):
+        with pytest.raises(ValueError, match="^burn must be a non-negative integer, got -3$"):
+            st.check_time_monotonicity(benchmark_surface, burn=-3)
 
     def test_default_burn(self):
         assert st.default_burn(12) == 4

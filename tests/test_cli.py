@@ -88,8 +88,8 @@ class TestSolve:
             pytest.param(["--model", "bernoulli", "--grid-size", "0"], "grid size must be at least 3",
                          id="grid-size"),
             pytest.param(["--model", "gaussian-mean", "--nodes", "0"], "positive integer", id="nodes"),
-            pytest.param(["--model", "bernoulli", "--nodes", "0"], "invalid params for model 'bernoulli'",
-                         id="nodes-finite-model"),
+            pytest.param(["--model", "bernoulli", "--nodes", "0"],
+                         "nodes applies only to the quadrature models", id="nodes-finite-model"),
         ],
     )
     def test_explicit_zero_is_not_unset(self, tmp_path, prior_file, capsys, flags, message):
@@ -97,6 +97,21 @@ class TestSolve:
         code = run(["solve", *flags, "--prior", prior_file, "--cost", "0.2", "--out", str(out)])
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--model", "bernoulli", "--nodes", "5"], "nodes applies only to the quadrature models "
+         "(gaussian-mean, exponential-rate, gaussian-variance), not 'bernoulli'"),
+        (["--model", "binomial(3)", "--nodes", "128"], "nodes applies only to the quadrature models "
+         "(gaussian-mean, exponential-rate, gaussian-variance), not 'binomial(3)'"),
+        (["--model", "bernoulli", "--cost", "1e-320", "--horizon", "auto"],
+         "cost 1e-320 with slack 0.1 gives no finite horizon: 1/(2c) or slack/c overflows"),
+    ])
+    def test_refused_with_one_line(self, tmp_path, prior_file, capsys, flags, message):
+        out = tmp_path / "x"
+        code = run(["solve", "--cost", "0.2", *flags, "--prior", prior_file, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("model", ["gaussian-mean", "exponential-rate", "gaussian-variance"])
@@ -198,6 +213,19 @@ class TestVerify:
         )
         assert code == 2
         assert "grid size must be at least 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("check, flags, message", [
+        ("convex-order", ["--m", "-3"], "convex order check requires 0 <= m <= n, got m=-3, n=5"),
+        ("convex-order", ["--pi", "1e-300"], "level curve out of numerical range: pi must lie in (1e-12, 1-1e-12)"),
+        ("level-spread", ["--n-max", "-1"], "n_max must be a non-negative integer, got -1"),
+        ("concentration", ["--n-max", "-1"], "n_max must be a non-negative integer, got -1"),
+        ("time-monotonicity", ["--burn", "-3"], "burn must be a non-negative integer, got -3"),
+    ])
+    def test_out_of_range_argument_is_usage_error(self, solved_dir, prior_file, capsys, check, flags, message):
+        code = run(["verify", "--check", check, *flags, "--model", "bernoulli", "--prior", prior_file,
+                    "--surface", os.path.join(solved_dir, "surface.json")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unknown_check(self, solved_dir, capsys):
         code = run(["verify", "--check", "sorcery", "--surface", os.path.join(solved_dir, "surface.json")])

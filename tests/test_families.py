@@ -48,6 +48,28 @@ class TestNamedFamilies:
         with pytest.raises(ValueError, match="trial count"):
             st.make_named_family("binomial")
 
+    def test_bernoulli_is_binomial_one(self):
+        bern, one = build("bernoulli"), build("binomial(1)")
+        assert (bern.name, one.name) == ("bernoulli", "binomial(1)")
+        u = np.linspace(-30.0, 30.0, 61)
+        for a, b in ((bern.scheme.points, one.scheme.points), (bern.scheme.log_mass, one.scheme.log_mass),
+                     (bern.log_partition(u), one.log_partition(u))):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("name, params, message", [
+        ("bernoulli", {"nodes": 5}, "^nodes applies only to the quadrature models "
+         r"\(gaussian-mean, exponential-rate, gaussian-variance\), not 'bernoulli'$"),
+        ("binomial(3)", {"nodes": 0}, "nodes applies only to the quadrature models .* not 'binomial\\(3\\)'$"),
+        ("binomial(3)", {"n": 3}, "^model 'binomial\\(3\\)' takes no params, got n$"),
+        ("gaussian-mean", {"min_rate": 1.0}, "^model 'gaussian-mean' takes only center and nodes, got min_rate$"),
+        ("exponential-rate", {"center": 0.0, "size": 3}, "takes only min_rate and nodes, got center, size$"),
+    ])
+    def test_params_checked_against_the_model(self, name, params, message):
+        with pytest.raises(ValueError, match=message):
+            st.make_named_family(name, params)
+        with pytest.raises(ValueError, match=message):
+            st.family_for_prior(name, np.array([0.5, 1.5]), params)
+
 
 class TestSampler:
     def test_bernoulli_symmetric_coin(self):

@@ -139,6 +139,8 @@ class TestYOfPi:
             st.y_of_pi(three_atom_prior, bernoulli_family, 0, 1e-13)
         with pytest.raises(ValueError, match="level curve out of numerical range"):
             st.y_of_pi(three_atom_prior, bernoulli_family, 0, 1.0)
+        with pytest.raises(ValueError, match="level curve out of numerical range"):
+            st.y_of_pi(three_atom_prior, bernoulli_family, 0, [0.5, math.nan])
 
     def test_level_curves_ordered(self, three_atom_prior, gaussian_mean_family):
         for n in (0, 4):
@@ -343,6 +345,15 @@ class TestTransitionDistribution:
         next_pi, w = st.transition_distribution(benchmark_prior, bernoulli_family, 3, 0.4)
         assert next_pi.shape == (2,)
         assert w.shape == (2,)
+
+    def test_negative_time_rejected(self, benchmark_prior, bernoulli_family):
+        with pytest.raises(ValueError, match="^observation count n must be non-negative$"):
+            st.transition_distribution(benchmark_prior, bernoulli_family, -3, 0.5)
+
+    @pytest.mark.parametrize("pi", [1e-300, 1e-12, 1.0 - 1e-13, math.nan])
+    def test_level_outside_invertible_range_rejected(self, benchmark_prior, bernoulli_family, pi):
+        with pytest.raises(ValueError, match="level curve out of numerical range"):
+            st.transition_distribution(benchmark_prior, bernoulli_family, 0, pi)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -43,6 +44,17 @@ class TestBellmanStep:
         grid = st.make_grid(201)
         with pytest.raises(ValueError, match="same grid"):
             st.bellman_step(np.zeros(100), 0, grid, benchmark_prior, bernoulli_family, 0.1)
+
+    def test_negative_time_rejected(self, benchmark_prior, bernoulli_family):
+        grid = st.make_grid(201)
+        with pytest.raises(ValueError, match="^observation count n must be non-negative$"):
+            st.bellman_step(st.gain(grid), -1, grid, benchmark_prior, bernoulli_family, 0.1)
+
+    @pytest.mark.parametrize("cost", [math.nan, -1.0, 0.0, math.inf])
+    def test_bad_cost_rejected(self, benchmark_prior, bernoulli_family, cost):
+        grid = st.make_grid(201)
+        with pytest.raises(ValueError, match=f"^cost must be positive and finite, got {cost!r}$"):
+            st.bellman_step(st.gain(grid), 0, grid, benchmark_prior, bernoulli_family, cost)
 
 
 class TestSolve:
@@ -226,6 +238,12 @@ class TestChooseHorizon:
             st.choose_horizon(0.0)
         with pytest.raises(ValueError):
             st.choose_horizon(0.1, 0.0)
+
+    @pytest.mark.parametrize("cost, slack", [(1e-320, 0.1), (5e-324, 0.1), (1e-10, 1e300)])
+    def test_rejects_overflowing_horizon(self, cost, slack):
+        message = "^" + re.escape(f"cost {cost!r} with slack {slack!r} gives no finite horizon")
+        with pytest.raises(ValueError, match=message):
+            st.choose_horizon(cost, slack)
 
     def test_truncation_bias_decays_geometrically(self, benchmark_prior, bernoulli_family):
         # the bias at the chosen horizon is far below the slack target, and
