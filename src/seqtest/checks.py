@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 from scipy.special import logsumexp
 
-from .families import NaturalFamily, family_for_prior, make_named_family
+from .families import NaturalFamily, _count, family_for_prior, make_named_family
 from .priors import (
     Prior,
     _Ctx,
@@ -122,8 +122,6 @@ def _level_curves(prior: Prior, family: NaturalFamily, pis, n_max: int):
     One batched inversion, which equals the layer-by-layer ``y_of_pi`` bit
     for bit, under ``y_of_pi``'s range check.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be a non-negative integer, got {n_max}")
     ctx = _Ctx(prior, family)
     return ctx, _y_of_logit(ctx, np.arange(n_max + 1)[:, None], _level_logit(pis))
 
@@ -140,6 +138,7 @@ def check_concentration(
     """Along the pi-level curve, P(param <= a) and P(param > b) never grow."""
     if not a < prior.theta0 < b:
         raise ValueError("concentration check requires a < theta0 < b")
+    n_max = _count(n_max, "n_max")
     ctx, y = _level_curves(prior, family, [pi], n_max)
     z = _unnorm_log_weights(ctx, np.arange(n_max + 1), y[:, 0])
     lw = z - logsumexp(z, axis=1, keepdims=True)
@@ -169,6 +168,7 @@ def check_level_spread(
     """y(n, pi2) - y(n, pi1) is non-decreasing in n (curves spread out)."""
     if not 0.0 < pi1 <= pi2 < 1.0:
         raise ValueError("level spread check requires 0 < pi1 <= pi2 < 1")
+    n_max = _count(n_max, "n_max")
     y = _level_curves(prior, family, [pi1, pi2], n_max)[1]
     dec = -np.diff(y[:, 1] - y[:, 0])
     worst, (j,) = _worst(dec) if dec.size else (0.0, (0,))
@@ -196,7 +196,8 @@ def check_convex_order(
     is equivalent to convex order.  Finite supports make the stop-loss
     transform exact.
     """
-    if not 0 <= m <= n:
+    m, n = _count(m, "convex order time m"), _count(n, "convex order time n")
+    if m > n:
         raise ValueError(f"convex order check requires 0 <= m <= n, got m={m}, n={n}")
     t_grid = np.linspace(0.01, 0.99, 99)
     p_m, w_m = transition_distribution(prior, family, m, pi)
@@ -236,16 +237,13 @@ def check_time_monotonicity(surface: ValueSurface, tol: float = 1e-6, burn: int 
     and do not count as violations; only the excess beyond that enters the
     reported magnitude.
     """
-    if burn is None:
-        burn = default_burn(surface.horizon)
-    if burn < 0:
-        raise ValueError(f"burn must be a non-negative integer, got {burn}")
+    burn = default_burn(surface.horizon) if burn is None else _count(burn, "burn")
     limit = surface.horizon - burn
     instance = {
         "horizon": surface.horizon,
         "cost": surface.cost,
         "grid_size": int(surface.pi_grid.size),
-        "burn": int(burn),
+        "burn": burn,
     }
     if limit < 1:
         return _report("time-monotonicity", {**instance, "note": "horizon too short for burn"}, 0.0, tol)
@@ -279,20 +277,18 @@ def check_binomial_reduction(
     one-step Bernoulli predictives through every intermediate posterior state,
     so only batch-end layers are interpolated.
     """
-    n_trials = int(n_trials)
-    if n_trials < 1:
-        raise ValueError("binomial reduction requires N >= 1")
+    n_trials = _count(n_trials, "binomial reduction N", 1)
     if horizon is None:
         horizon = choose_horizon(cost)
     binom = make_named_family(f"binomial({n_trials})")
     bern = make_named_family("bernoulli")
     grid = make_grid(grid_size)
-    v_binom = solve(prior, binom, float(cost), horizon, grid_size).values
-    v_bern = _backward(_Ctx(prior, bern), grid, horizon, float(cost), steps=n_trials)
-    worst, (n, j) = _worst(np.abs(v_binom - v_bern))
+    surface = solve(prior, binom, float(cost), horizon, grid_size)
+    v_bern = _backward(_Ctx(prior, bern), grid, surface.horizon, float(cost), steps=n_trials)
+    worst, (n, j) = _worst(np.abs(surface.values - v_bern))
     return _report(
         "binomial-reduction",
-        {"N": n_trials, "cost": cost, "grid_size": int(grid_size), "horizon": int(horizon)},
+        {"N": n_trials, "cost": cost, "grid_size": int(grid_size), "horizon": surface.horizon},
         worst,
         tol,
         {"n": n, "pi": float(grid[j])},
@@ -349,18 +345,16 @@ def conjecture_probe(
     models = list(models)
     if not models:
         raise ValueError("probe requires at least one model")
-    if trials < 1:
-        raise ValueError(f"probe trials must be at least 1, got {trials}")
-    if seed < 0:
-        raise ValueError(f"probe seed must be a non-negative integer, got {seed}")
+    trials = _count(trials, "probe trials", 1)
+    seed = _count(seed, "probe seed")
     for model in models:
         if model not in PROBE_WINDOWS:
             raise ValueError(f"probe has no prior window for model '{model}'; "
                              f"models with windows: {', '.join(PROBE_WINDOWS)}")
     horizon = choose_horizon(cost)
     reports = []
-    for trial in range(int(trials)):
-        rng = np.random.default_rng([int(seed), trial])
+    for trial in range(trials):
+        rng = np.random.default_rng([seed, trial])
         model = models[trial % len(models)]
         prior = sample_random_prior(rng, PROBE_WINDOWS[model])
         family = family_for_prior(model, prior)
@@ -370,7 +364,7 @@ def conjecture_probe(
             check="conjecture-probe",
             instance={
                 "trial": trial,
-                "seed": int(seed),
+                "seed": seed,
                 "model": model,
                 "atoms": [float(v) for v in prior.atoms],
                 "weights": [float(v) for v in np.exp(prior.log_weights)],

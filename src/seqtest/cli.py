@@ -12,14 +12,13 @@ import os
 import sys
 
 from . import checks as checks_mod
-from .families import family_for_prior, family_from_scheme_csv
+from .families import _positive_finite, family_for_prior, family_from_scheme_csv
 from .priors import load_prior_csv
 from .simulate import FixedSampleRule, ThresholdRule, brute_force_value, simulate_alternative, simulate_policy
 from .solver import (
     _boundaries_csv,
     _check_provenance,
     _load_surface,
-    _positive_finite,
     _provenance,
     choose_horizon,
     read_surface_json,
@@ -60,7 +59,7 @@ def _require_file(path, what):
 def _resolve_horizon(args):
     h = args.horizon
     if h == "auto":
-        return choose_horizon(float(args.cost), float(args.slack))
+        return choose_horizon(args.cost, args.slack)
     if not (type(h) is int or isinstance(h, str) and h.strip().isdecimal()) or int(h) < 1:
         raise ValueError(f"horizon must be 'auto' or an integer >= 1, got {h!r}")
     return int(h)
@@ -156,7 +155,7 @@ def _run_one_check(name, args):
         if args.N is None or args.cost is None:
             raise ValueError("binomial-reduction requires --N and --cost")
         return checks_mod.check_binomial_reduction(
-            args.N, prior, float(args.cost), grid_size=args.grid_size, **tol
+            args.N, prior, args.cost, grid_size=args.grid_size, **tol
         )
     family = _load_model(args, prior)
     if name == "concentration":
@@ -222,19 +221,15 @@ def _cmd_simulate(args):
 def _cmd_oracle(args):
     prior = load_prior_csv(_require_file(args.prior, "prior file"))
     family = _load_model(args, prior)
-    value = brute_force_value(prior, family, float(args.cost), int(args.horizon))
-    print(json.dumps({"value": value, "horizon": int(args.horizon), "cost": float(args.cost)}))
+    value = brute_force_value(prior, family, args.cost, args.horizon)
+    print(json.dumps({"value": value, "horizon": args.horizon, "cost": args.cost}))
     return 0
 
 
 def _cmd_probe(args):
     models = [m.strip() for m in args.models.split(",") if m.strip()]
     reports = checks_mod.conjecture_probe(
-        models,
-        cost=float(args.cost),
-        trials=int(args.trials),
-        seed=int(args.seed),
-        grid_size=int(args.grid_size),
+        models, cost=args.cost, trials=args.trials, seed=args.seed, grid_size=args.grid_size
     )
     _emit(args.out, [r.to_json() + "\n" for r in reports])
     findings = [r for r in reports if not r.passed]

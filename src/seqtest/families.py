@@ -20,6 +20,7 @@ parameter u and the sufficient statistic x it observes:
 """
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Callable
@@ -112,14 +113,10 @@ class NaturalFamily:
     scheme_domain: tuple | None = None
 
 
-def _in_domain(family: NaturalFamily, u) -> bool:
+def _require_in_domain(family: NaturalFamily, u):
     lo, hi = family.natural_domain
     u = np.asarray(u, dtype=float)
-    return bool(np.all(u > lo) and np.all(u < hi))
-
-
-def _require_in_domain(family: NaturalFamily, u):
-    if not _in_domain(family, u):
+    if not (np.all(u > lo) and np.all(u < hi)):
         raise ValueError(
             f"parameter outside natural domain {family.natural_domain} of model '{family.name}'"
         )
@@ -222,8 +219,7 @@ def _gaussian_mean(nodes: int, center: float = 0.0) -> NaturalFamily:
 
 def _binomial(n: int, name: str | None = None) -> NaturalFamily:
     """Counts 0..N out of ``n`` trials; ``n = 1`` under the name "bernoulli" is that model."""
-    if n < 1:
-        raise ValueError("binomial requires N >= 1")
+    n = _count(n, "binomial trial count N", 1)
     pts = np.arange(n + 1, dtype=float)
     weights = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
     scheme = ObservationScheme(kind="finite", points=pts, base_weights=weights)
@@ -284,10 +280,8 @@ def make_named_family(name: str, params: dict | None = None) -> NaturalFamily:
         unknown = sorted(set(params) - {window, "nodes"})
         if unknown:
             raise ValueError(f"model '{base}' takes only {window} and nodes, got {', '.join(unknown)}")
-        nodes = params.get("nodes", 128)
-        if int(nodes) < 1:
-            raise ValueError(f"nodes must be a positive integer for model '{base}', got {nodes}")
-        return build(**{**params, "nodes": int(nodes)})
+        nodes = _count(params.get("nodes", 128), f"nodes for model '{base}'", 1)
+        return build(**{**params, "nodes": nodes})
     m = _BINOMIAL_RE.match(base)
     if not (m or base in ("bernoulli", "binomial")):
         raise ValueError(f"unknown model '{name}'")
@@ -304,17 +298,35 @@ def family_for_prior(name: str, atoms, params: dict | None = None) -> NaturalFam
     """Named family with its scheme window sized from the prior's atoms.
 
     ``atoms`` may be an array of natural parameters or anything with an
-    ``atoms`` attribute.  Finite-outcome models have no window to size.
+    ``atoms`` attribute.  Finite-outcome models have no window to size.  The
+    posterior code refuses a prior the family does not admit
+    (``validate_prior_for_family``), so atoms are not checked here.
     """
     atoms = np.asarray(getattr(atoms, "atoms", atoms), dtype=float)
     entry = _QUADRATURE.get(name.strip())
     auto = {entry[1]: entry[2](atoms)} if entry else {}
-    fam = make_named_family(name, {**auto, **(params or {})})
-    if not _in_domain(fam, atoms):
-        raise ValueError(
-            f"prior atom outside natural domain {fam.natural_domain} of model '{fam.name}'"
-        )
-    return fam
+    return make_named_family(name, {**auto, **(params or {})})
+
+
+def _count(value, name: str, least: int = 0) -> int:
+    """``value`` as an int, refusing a bool, a value that is not an integer
+    (Python's or numpy's) and one below ``least``; ``name`` words the error."""
+    try:
+        count = None if isinstance(value, (bool, np.bool_)) else operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or count < least:
+        kind = {0: "a non-negative integer", 1: "a positive integer"}.get(least, f"an integer >= {least}")
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return count
+
+
+def _positive_finite(value, name: str = "cost") -> float:
+    """``value`` as a float, refusing zero, negative, nan and infinite values; ``name`` words the error."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
 
 
 def _read_rows(path, what: str, header: tuple, names: tuple):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, logit, logsumexp
 
-from .families import NaturalFamily, _read_rows
+from .families import NaturalFamily, _count, _read_rows
 
 __all__ = [
     "Prior",
@@ -139,7 +139,8 @@ def validate_prior_for_family(prior: Prior, family: NaturalFamily):
     """Reject priors whose atoms leave the natural domain or scheme window.
 
     Support touching the boundary of the natural domain is rejected rather
-    than special-cased.
+    than special-cased.  ``_Ctx`` calls it, so every posterior computation
+    passes this check.
     """
     lo, hi = family.natural_domain
     if not (np.all(prior.atoms > lo) and np.all(prior.atoms < hi)):
@@ -175,11 +176,12 @@ def _lse_last(z):
 
 
 class _Ctx:
-    """Precomputed per-(prior, family) arrays for the hot paths."""
+    """Precomputed per-(prior, family) arrays for the hot paths, for a prior the family admits."""
 
     __slots__ = ("atoms", "lw0", "B_atoms", "split", "up", "lo", "points", "log_mass", "ux")
 
     def __init__(self, prior: Prior, family: NaturalFamily):
+        validate_prior_for_family(prior, family)
         self.atoms = prior.atoms
         self.lw0 = prior.log_weights
         self.B_atoms = np.asarray(family.log_partition(prior.atoms), dtype=float)
@@ -357,20 +359,14 @@ def _level_logit(pi):
 
 def posterior(prior: Prior, family: NaturalFamily, n: int, y: float) -> PosteriorState:
     """Posterior state at (n, y): exact reweighting of the prior atoms."""
-    if n < 0:
-        raise ValueError("observation count n must be non-negative")
-    ctx = _Ctx(prior, family)
-    z = _unnorm_log_weights(ctx, n, float(y))
-    return PosteriorState(
-        n=int(n), y=float(y), atoms=prior.atoms, log_weights=z - logsumexp(z)
-    )
+    n = _count(n, "observation count n")
+    z = _unnorm_log_weights(_Ctx(prior, family), n, float(y))
+    return PosteriorState(n=n, y=float(y), atoms=prior.atoms, log_weights=z - logsumexp(z))
 
 
 def log_odds_of_y(prior: Prior, family: NaturalFamily, n: int, y):
     """log-odds of the upper hypothesis at (n, y); increasing in y."""
-    if n < 0:
-        raise ValueError("observation count n must be non-negative")
-    out = _log_odds(_Ctx(prior, family), n, y)
+    out = _log_odds(_Ctx(prior, family), _count(n, "observation count n"), y)
     return float(out) if np.ndim(y) == 0 else out
 
 
@@ -382,9 +378,7 @@ def pi_of_y(prior: Prior, family: NaturalFamily, n: int, y):
 
 def y_of_pi(prior: Prior, family: NaturalFamily, n: int, pi):
     """Level-curve coordinate: the unique y with q(n, y) = pi."""
-    if n < 0:
-        raise ValueError("observation count n must be non-negative")
-    out = _y_of_logit(_Ctx(prior, family), n, _level_logit(pi))
+    out = _y_of_logit(_Ctx(prior, family), _count(n, "observation count n"), _level_logit(pi))
     return float(out) if np.ndim(pi) == 0 else out
 
 
@@ -406,9 +400,7 @@ def transition_distribution(prior: Prior, family: NaturalFamily, n: int, pi: flo
     weighted mean of next_pi equals pi (martingale property).  n and pi have
     ``y_of_pi``'s ranges.
     """
-    if n < 0:
-        raise ValueError("observation count n must be non-negative")
-    validate_prior_for_family(prior, family)
+    n = _count(n, "observation count n")
     ctx = _Ctx(prior, family)
     y = float(_y_of_logit(ctx, n, _level_logit(pi)))
     weights, next_pi = (np.array(v) for v in zip(*_transition(ctx, n, y)))

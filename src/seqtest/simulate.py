@@ -12,24 +12,14 @@ reports replicate-level aggregates.
 """
 
 import json
-import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import expit, logit, logsumexp
 
-from .families import NaturalFamily
-from .priors import (
-    LEVEL_EPS,
-    Prior,
-    _Ctx,
-    _log_odds,
-    _side_lse_mean,
-    _unnorm_log_weights,
-    _y_of_logit,
-    validate_prior_for_family,
-)
-from .solver import ValueSurface, _positive_finite
+from .families import NaturalFamily, _count, _positive_finite
+from .priors import LEVEL_EPS, Prior, _Ctx, _log_odds, _side_lse_mean, _unnorm_log_weights, _y_of_logit
+from .solver import _MAX_VALUES, ValueSurface
 
 __all__ = [
     "SimulationReport",
@@ -169,7 +159,7 @@ def _lattice(family: NaturalFamily, horizon: int):
     layers = [np.zeros(1)]
     children = []
     nodes = 1
-    for _ in range(horizon):
+    for _ in range(_count(horizon, "horizon")):
         ys = layers[-1]
         # the next layer has at most ys.size * K nodes; refuse before building it
         if nodes + ys.size * points.size > _MAX_NODES:
@@ -189,13 +179,9 @@ def brute_force_value(prior: Prior, family: NaturalFamily, cost: float, horizon:
     error is log-sum-exp roundoff.  Requires a finite observation scheme.
     """
     cost = _positive_finite(cost)
-    horizon = int(horizon)
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
     layers, children = _lattice(family, horizon)
-    validate_prior_for_family(prior, family)
-
     ctx = _Ctx(prior, family)
+    horizon = len(layers) - 1
     for n in range(horizon, -1, -1):
         z = _unnorm_log_weights(ctx, n, layers[n])
         pi = expit(logsumexp(z[:, ctx.up], axis=1) - logsumexp(z[:, ctx.lo], axis=1))
@@ -232,8 +218,7 @@ class FixedSampleRule:
     size: int
 
     def __post_init__(self):
-        if self.size < 0:
-            raise ValueError(f"fixed sample size must be non-negative, got {self.size}")
+        object.__setattr__(self, "size", _count(self.size, "fixed sample size"))
 
     @property
     def cap(self) -> int:
@@ -254,8 +239,7 @@ class ThresholdRule:
     def __post_init__(self):
         if not 0.0 <= self.low <= self.high <= 1.0:
             raise ValueError(f"threshold rule needs 0 <= low <= high <= 1, got low={self.low}, high={self.high}")
-        if self.max_steps < 0:
-            raise ValueError(f"threshold rule cap must be non-negative, got {self.max_steps}")
+        object.__setattr__(self, "max_steps", _count(self.max_steps, "threshold rule cap"))
 
     @property
     def cap(self) -> int:
@@ -409,13 +393,14 @@ def _replay(lo, hi, ya, yb, ctx, prior, family, seed, replicates):
 
 
 def _run(band, cap, prior, family, cost, replicates, seed, trace_path=None):
-    replicates = int(replicates)
-    if replicates < 1:
-        raise ValueError("replicates must be at least 1")
-    seed = operator.index(seed)
-    if not 0 <= seed < 2**64:
+    replicates = _count(replicates, "replicates", 1)
+    seed = _count(seed, "seed")
+    if seed >= 2**64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
-    validate_prior_for_family(prior, family)
+    # _level_bands evaluates each side's atoms at 3 thresholds and _BAND_HALVINGS widths per layer
+    if (cap + 1) * 3 * _BAND_HALVINGS * prior.n_atoms > _MAX_VALUES:
+        raise ValueError(f"a rule cap of {cap} steps needs a band table of more than {_MAX_VALUES} values "
+                         f"for {prior.n_atoms} atoms; lower the cap")
     ctx = _Ctx(prior, family)
     # continuation intervals of layers 0 .. cap; the cap layer's is empty
     lo, hi = np.array([band(n) for n in range(cap)] + [(np.inf, np.inf)], dtype=float).T

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logit
 
-from .families import NaturalFamily
-from .priors import Prior, _Ctx, _predictive, _transition, _y_of_logit, validate_prior_for_family
+from .families import NaturalFamily, _count, _positive_finite
+from .priors import Prior, _Ctx, _predictive, _transition, _y_of_logit
 
 __all__ = [
     "ValueSurface",
@@ -49,14 +49,8 @@ __all__ = [
 
 # points with V >= gain - STOP_TOL are classified as stopped
 STOP_TOL = 1e-12
-
-
-def _positive_finite(value, name: str = "cost") -> float:
-    """``value`` as a float, refusing zero, negative, nan and infinite values; ``name`` words the error."""
-    value = float(value)
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    return value
+# doubles a surface, or the replay's band table, may hold: 800 MB
+_MAX_VALUES = 10**8
 
 
 def gain(pi):
@@ -89,9 +83,7 @@ def make_grid(size: int, kind: str = "uniform", include=()) -> np.ndarray:
     ``include`` splices extra interior points into the base grid (used to
     make specific starting probabilities exactly representable).
     """
-    size = int(size)
-    if size < 3:
-        raise ValueError("grid size must be at least 3")
+    size = _count(size, "grid size", 3)
     if kind == "uniform":
         base = np.linspace(0.0, 1.0, size)
     elif kind == "cosine":
@@ -147,8 +139,12 @@ def _backward(ctx: _Ctx, grid: np.ndarray, horizon: int, cost: float, steps: int
 
     Layer n belongs to time n * steps: stop there, or pay ``cost`` once for
     the next ``steps`` observations, with no stop in between.  ``solve`` takes
-    one observation per layer; the binomial-reduction check takes N.
+    one observation per layer; the binomial-reduction check takes N.  A
+    surface of more than ``_MAX_VALUES`` values is refused before it is built.
     """
+    if (horizon + 1) * grid.size > _MAX_VALUES:
+        raise ValueError(f"a surface of horizon {horizon} on {grid.size} grid points exceeds the budget of "
+                         f"{_MAX_VALUES} values; raise the cost or lower the horizon or the grid size")
     values = np.empty((horizon + 1, grid.size))
     values[horizon] = gain(grid)
     for n in range(horizon - 1, -1, -1):
@@ -158,8 +154,7 @@ def _backward(ctx: _Ctx, grid: np.ndarray, horizon: int, cost: float, steps: int
 
 def bellman_step(next_layer, n: int, grid, prior: Prior, family: NaturalFamily, cost: float):
     """One backward step: layer at time n from the layer at time n + 1."""
-    if n < 0:
-        raise ValueError("observation count n must be non-negative")
+    n = _count(n, "observation count n")
     cost = _positive_finite(cost)
     grid = np.asarray(grid, dtype=float)
     next_layer = np.asarray(next_layer, dtype=float)
@@ -179,10 +174,7 @@ def solve(
 ) -> ValueSurface:
     """Solve the truncated problem and extract per-layer stopping boundaries."""
     cost = _positive_finite(cost)
-    horizon = int(horizon)
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    validate_prior_for_family(prior, family)
+    horizon = _count(horizon, "horizon", 1)
     grid = make_grid(grid_size, grid_kind, include)
     values = _backward(_Ctx(prior, family), grid, horizon, cost)
     b1, b2 = _boundaries(values, grid)
@@ -213,7 +205,7 @@ def policy_decide(surface: ValueSurface, n: int, pi: float) -> PolicyDecision:
     On stopping, the upper hypothesis is accepted iff pi > 1/2 (ties go to
     the lower hypothesis).  At the terminal layer stopping is forced.
     """
-    if not 0 <= n <= surface.horizon:
+    if _count(n, "time index n") > surface.horizon:
         raise ValueError("time index outside the surface horizon")
     if n < surface.horizon and surface.b1[n] < pi < surface.b2[n]:
         return PolicyDecision(action="continue")
@@ -241,7 +233,7 @@ def choose_horizon(cost: float, slack: float = 0.1) -> int:
 
 def value_at(surface: ValueSurface, n: int, pi: float) -> float:
     """Piecewise-linear read of the surface at (n, pi)."""
-    if not 0 <= n <= surface.horizon:
+    if _count(n, "time index n") > surface.horizon:
         raise ValueError("time index outside the surface horizon")
     return float(np.interp(pi, surface.pi_grid, surface.values[n]))
 
@@ -300,10 +292,7 @@ def _load_surface(path):
     missing = [key for key in ("cost", "horizon", "pi_grid", "values", "b1", "b2") if key not in payload]
     if missing:
         raise ValueError(f"surface file is missing key(s): {', '.join(missing)}")
-    # type() refuses a bool, which isinstance() would take for an int
-    horizon = payload["horizon"]
-    if type(horizon) is not int or horizon < 1:
-        raise ValueError("surface file: 'horizon' must be a positive integer")
+    horizon = _count(payload["horizon"], "surface file: 'horizon'", 1)
     cost = payload["cost"]
     if type(cost) not in (int, float) or not (math.isfinite(cost) and cost > 0):
         raise ValueError("surface file: 'cost' must be a positive finite number")

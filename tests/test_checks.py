@@ -200,7 +200,7 @@ class TestConvexOrder:
             st.check_convex_order(benchmark_prior, bernoulli_family, 0.5, 5, 2)
 
     def test_negative_m_rejected(self, benchmark_prior, bernoulli_family):
-        with pytest.raises(ValueError, match=r"^convex order check requires 0 <= m <= n, got m=-3, n=5$"):
+        with pytest.raises(ValueError, match=r"^convex order time m must be a non-negative integer, got -3$"):
             st.check_convex_order(benchmark_prior, bernoulli_family, 0.5, -3, 5)
 
     def test_level_outside_invertible_range_rejected(self, benchmark_prior, bernoulli_family):
@@ -264,7 +264,7 @@ class TestBinomialReduction:
         assert rep.passed
 
     def test_batch_validated(self, benchmark_prior):
-        with pytest.raises(ValueError, match="N >= 1"):
+        with pytest.raises(ValueError, match="binomial reduction N must be a positive integer, got 0"):
             st.check_binomial_reduction(0, benchmark_prior, 0.05)
 
 
@@ -458,7 +458,7 @@ class TestWholeSurfaceScan:
 
 class TestConjectureProbe:
     def test_zero_trials(self):
-        with pytest.raises(ValueError, match="probe trials must be at least 1, got 0"):
+        with pytest.raises(ValueError, match="probe trials must be a positive integer, got 0"):
             st.conjecture_probe(["bernoulli"], trials=0, seed=1)
 
     def test_bernoulli_probe_clean(self):

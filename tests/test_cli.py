@@ -85,7 +85,7 @@ class TestSolve:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            pytest.param(["--model", "bernoulli", "--grid-size", "0"], "grid size must be at least 3",
+            pytest.param(["--model", "bernoulli", "--grid-size", "0"], "grid size must be an integer >= 3, got 0",
                          id="grid-size"),
             pytest.param(["--model", "gaussian-mean", "--nodes", "0"], "positive integer", id="nodes"),
             pytest.param(["--model", "bernoulli", "--nodes", "0"],
@@ -106,6 +106,10 @@ class TestSolve:
          "(gaussian-mean, exponential-rate, gaussian-variance), not 'binomial(3)'"),
         (["--model", "bernoulli", "--cost", "1e-320", "--horizon", "auto"],
          "cost 1e-320 with slack 0.1 gives no finite horizon: 1/(2c) or slack/c overflows"),
+        *((["--model", "bernoulli", "--cost", cost, "--horizon", horizon],
+           f"a surface of horizon {st.choose_horizon(float(cost)) if horizon == 'auto' else horizon} on 2001 grid "
+           "points exceeds the budget of 100000000 values; raise the cost or lower the horizon or the grid size")
+          for cost, horizon in (("1e-12", "auto"), ("0.2", "600000000000"), ("1e-300", "auto"))),
     ])
     def test_refused_with_one_line(self, tmp_path, prior_file, capsys, flags, message):
         out = tmp_path / "x"
@@ -124,7 +128,7 @@ class TestSolve:
                     "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err == f"error: nodes must be a positive integer for model '{model}', got {nodes}\n"
+        assert err == f"error: nodes for model '{model}' must be a positive integer, got {nodes}\n"
         assert not out.exists()
 
     def test_config_round_trip_reproduces_outputs(self, tmp_path, solved_dir):
@@ -212,10 +216,10 @@ class TestVerify:
              "--grid-size", "0"]
         )
         assert code == 2
-        assert "grid size must be at least 3" in capsys.readouterr().err
+        assert "grid size must be an integer >= 3, got 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("check, flags, message", [
-        ("convex-order", ["--m", "-3"], "convex order check requires 0 <= m <= n, got m=-3, n=5"),
+        ("convex-order", ["--m", "-3"], "convex order time m must be a non-negative integer, got -3"),
         ("convex-order", ["--pi", "1e-300"], "level curve out of numerical range: pi must lie in (1e-12, 1-1e-12)"),
         ("level-spread", ["--n-max", "-1"], "n_max must be a non-negative integer, got -1"),
         ("concentration", ["--n-max", "-1"], "n_max must be a non-negative integer, got -1"),
@@ -288,8 +292,10 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "spec, message",
         [
-            ("fixed:-1", "fixed sample size must be non-negative"),
-            ("threshold:0.2,0.8,-3", "threshold rule cap must be non-negative"),
+            ("fixed:-1", "fixed sample size must be a non-negative integer, got -1"),
+            ("threshold:0.2,0.8,-3", "threshold rule cap must be a non-negative integer, got -3"),
+            ("threshold:0.2,0.8,1000000000000", "a rule cap of 1000000000000 steps needs a band table of more "
+             "than 100000000 values for 2 atoms; lower the cap"),
             ("threshold:nan,0.5", "0 <= low <= high <= 1"),
             ("threshold:0.8,0.2", "0 <= low <= high <= 1"),
             ("threshold:0.2,inf", "0 <= low <= high <= 1"),
@@ -370,8 +376,8 @@ class TestProbe:
     @pytest.mark.parametrize(
         "flag, value, message",
         [("--seed", "-1", "probe seed must be a non-negative integer, got -1"),
-         ("--trials", "0", "probe trials must be at least 1, got 0"),
-         ("--trials", "-3", "probe trials must be at least 1, got -3")],
+         ("--trials", "0", "probe trials must be a positive integer, got 0"),
+         ("--trials", "-3", "probe trials must be a positive integer, got -3")],
     )
     def test_bad_seed_or_trial_count_is_usage_error(self, capsys, flag, value, message):
         # the last of a repeated flag wins

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -43,7 +45,7 @@ class TestNamedFamilies:
             st.make_named_family("weibull")
 
     def test_binomial_requires_valid_count(self):
-        with pytest.raises(ValueError, match="N >= 1"):
+        with pytest.raises(ValueError, match="binomial trial count N must be a positive integer, got 0"):
             st.make_named_family("binomial(0)")
         with pytest.raises(ValueError, match="trial count"):
             st.make_named_family("binomial")
@@ -250,3 +252,74 @@ def test_family_for_prior_sizes_windows():
         st.validate_prior_for_family(small, st.make_named_family("exponential-rate"))
     fam_small = st.family_for_prior("exponential-rate", small)
     st.validate_prior_for_family(small, fam_small)
+
+
+# every public count: the test id, the count's name in the error, the rule it
+# must meet, and a call passing the count v (p the prior, f its bernoulli
+# family, s a solved surface)
+_COUNT_SITES = [
+    ("posterior", "observation count n", "a non-negative integer", lambda v, p, f, s: st.posterior(p, f, v, 0.0)),
+    ("log_odds_of_y", "observation count n", "a non-negative integer",
+     lambda v, p, f, s: st.log_odds_of_y(p, f, v, 0.0)),
+    ("pi_of_y", "observation count n", "a non-negative integer", lambda v, p, f, s: st.pi_of_y(p, f, v, 0.0)),
+    ("y_of_pi", "observation count n", "a non-negative integer", lambda v, p, f, s: st.y_of_pi(p, f, v, 0.5)),
+    ("transition_distribution", "observation count n", "a non-negative integer",
+     lambda v, p, f, s: st.transition_distribution(p, f, v, 0.5)),
+    ("make_grid", "grid size", "an integer >= 3", lambda v, p, f, s: st.make_grid(v)),
+    ("bellman_step", "observation count n", "a non-negative integer",
+     lambda v, p, f, s: st.bellman_step(s.values[1], v, s.pi_grid, p, f, s.cost)),
+    ("solve", "horizon", "a positive integer", lambda v, p, f, s: st.solve(p, f, 0.1, v, 101)),
+    ("policy_decide", "time index n", "a non-negative integer", lambda v, p, f, s: st.policy_decide(s, v, 0.5)),
+    ("value_at", "time index n", "a non-negative integer", lambda v, p, f, s: st.value_at(s, v, 0.5)),
+    ("brute_force_value", "horizon", "a non-negative integer",
+     lambda v, p, f, s: st.brute_force_value(p, f, 0.1, v)),
+    ("enumerate_reachable_pis", "horizon", "a non-negative integer",
+     lambda v, p, f, s: st.enumerate_reachable_pis(p, f, v)),
+    ("replicates", "replicates", "a positive integer", lambda v, p, f, s: st.simulate_policy(s, p, f, v, 0)),
+    ("seed", "seed", "a non-negative integer", lambda v, p, f, s: st.simulate_policy(s, p, f, 10, v)),
+    ("FixedSampleRule", "fixed sample size", "a non-negative integer", lambda v, p, f, s: st.FixedSampleRule(v)),
+    ("ThresholdRule", "threshold rule cap", "a non-negative integer",
+     lambda v, p, f, s: st.ThresholdRule(0.2, 0.8, v)),
+    ("check_concentration", "n_max", "a non-negative integer",
+     lambda v, p, f, s: st.check_concentration(p, f, 0.5, -0.5, 0.5, v)),
+    ("check_level_spread", "n_max", "a non-negative integer",
+     lambda v, p, f, s: st.check_level_spread(p, f, 0.3, 0.7, v)),
+    ("check_convex_order-m", "convex order time m", "a non-negative integer",
+     lambda v, p, f, s: st.check_convex_order(p, f, 0.5, v, 5)),
+    ("check_convex_order-n", "convex order time n", "a non-negative integer",
+     lambda v, p, f, s: st.check_convex_order(p, f, 0.5, 0, v)),
+    ("check_time_monotonicity", "burn", "a non-negative integer",
+     lambda v, p, f, s: st.check_time_monotonicity(s, burn=v)),
+    ("check_binomial_reduction-N", "binomial reduction N", "a positive integer",
+     lambda v, p, f, s: st.check_binomial_reduction(v, p, 0.1, 101)),
+    ("check_binomial_reduction-horizon", "horizon", "a positive integer",
+     lambda v, p, f, s: st.check_binomial_reduction(2, p, 0.1, 101, horizon=v)),
+    ("conjecture_probe-trials", "probe trials", "a positive integer",
+     lambda v, p, f, s: st.conjecture_probe(["bernoulli"], trials=v, grid_size=101)),
+    ("conjecture_probe-seed", "probe seed", "a non-negative integer",
+     lambda v, p, f, s: st.conjecture_probe(["bernoulli"], trials=1, seed=v, grid_size=101)),
+    ("make_named_family-nodes", "nodes for model 'gaussian-mean'", "a positive integer",
+     lambda v, p, f, s: st.make_named_family("gaussian-mean", {"nodes": v})),
+]
+
+
+class TestCountRule:
+    """Every count refuses a fraction, a bool and a negative value with one message."""
+
+    @pytest.mark.parametrize("value", [1.5, True, -1])
+    @pytest.mark.parametrize("name, kind, call", [pytest.param(*site[1:], id=site[0]) for site in _COUNT_SITES])
+    def test_refused(self, benchmark_prior, bernoulli_family, benchmark_surface, name, kind, call, value):
+        message = "^" + re.escape(f"{name} must be {kind}, got {value!r}") + "$"
+        with pytest.raises(ValueError, match=message):
+            call(value, benchmark_prior, bernoulli_family, benchmark_surface)
+
+    def test_numpy_integers_pass_as_ints(self, benchmark_prior, bernoulli_family, benchmark_surface):
+        state = st.posterior(benchmark_prior, bernoulli_family, np.int64(2), 1.0)
+        assert type(state.n) is int and state.n == 2
+        assert st.make_grid(np.int32(5)).size == 5
+        assert st.ThresholdRule(0.2, 0.8, np.uint8(7)).cap == 7 and type(st.FixedSampleRule(np.int64(3)).cap) is int
+        assert st.value_at(benchmark_surface, np.int64(0), 0.5) == st.value_at(benchmark_surface, 0, 0.5)
+        # a report records the count as an int, so it serializes
+        for report in (st.check_level_spread(benchmark_prior, bernoulli_family, 0.3, 0.7, np.int64(3)),
+                       st.check_convex_order(benchmark_prior, bernoulli_family, 0.5, np.int64(0), np.int64(2))):
+            assert json.loads(report.to_json())["instance"]["model"] == "bernoulli"

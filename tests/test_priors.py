@@ -304,6 +304,27 @@ class TestLevelCurveInversion:
         np.testing.assert_allclose(slope, fd, rtol=1e-8)
 
 
+class TestPriorFamilyGate:
+    """Every entry that reads the posterior refuses a prior atom its family does not admit."""
+
+    @pytest.mark.parametrize("atom", [-0.5, 0.0])
+    @pytest.mark.parametrize("entry", [
+        pytest.param(lambda p, f, g: st.y_of_pi(p, f, 1, 0.5), id="y_of_pi"),
+        pytest.param(lambda p, f, g: st.pi_of_y(p, f, 1, -0.3), id="pi_of_y"),
+        pytest.param(lambda p, f, g: st.log_odds_of_y(p, f, 1, -0.3), id="log_odds_of_y"),
+        pytest.param(lambda p, f, g: st.posterior(p, f, 1, -0.3), id="posterior"),
+        pytest.param(lambda p, f, g: st.bellman_step(st.gain(g), 0, g, p, f, 0.1), id="bellman_step"),
+        pytest.param(lambda p, f, g: st.check_concentration(p, f, 0.5, 0.5, 1.8, 3), id="check_concentration"),
+        pytest.param(lambda p, f, g: st.check_level_spread(p, f, 0.3, 0.7, 3), id="check_level_spread"),
+    ])
+    def test_atom_outside_natural_domain(self, entry, atom):
+        family = st.make_named_family("exponential-rate")
+        prior = st.make_prior([atom, 1.0, 2.0], [1.0, 1.0, 1.0], 1.5)
+        message = r"^prior atom outside natural domain \(0\.0, inf\) of model 'exponential-rate'$"
+        with pytest.raises(ValueError, match=message):
+            entry(prior, family, st.make_grid(11))
+
+
 class TestMassBelow:
     def test_extremes(self, three_atom_prior, gaussian_mean_family):
         state = st.posterior(three_atom_prior, gaussian_mean_family, 0, 0.0)
@@ -347,7 +368,7 @@ class TestTransitionDistribution:
         assert w.shape == (2,)
 
     def test_negative_time_rejected(self, benchmark_prior, bernoulli_family):
-        with pytest.raises(ValueError, match="^observation count n must be non-negative$"):
+        with pytest.raises(ValueError, match="^observation count n must be a non-negative integer, got -3$"):
             st.transition_distribution(benchmark_prior, bernoulli_family, -3, 0.5)
 
     @pytest.mark.parametrize("pi", [1e-300, 1e-12, 1.0 - 1e-13, math.nan])

@@ -195,6 +195,27 @@ class TestBoundedMemory:
         # a replicates x horizon observation matrix alone would be 96 MB
         assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
+    @pytest.mark.parametrize("rule", [st.FixedSampleRule(10**12), st.ThresholdRule(0.2, 0.8, 10**12)],
+                             ids=["fixed", "threshold"])
+    def test_cap_over_budget_refused_before_allocating(self, benchmark_prior, bernoulli_family, rule):
+        message = ("^a rule cap of 1000000000000 steps needs a band table of more than 100000000 values "
+                   "for 2 atoms; lower the cap$")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                st.simulate_alternative(rule, benchmark_prior, bernoulli_family, 0.05, 10, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+    def test_cap_budget_counts_the_band_table(self, benchmark_prior, bernoulli_family, monkeypatch):
+        # 2 atoms x 3 thresholds x the halvings per layer; cap 10 has 11 layers
+        monkeypatch.setattr(simulate_mod, "_MAX_VALUES", 11 * 3 * simulate_mod._BAND_HALVINGS * 2)
+        st.simulate_alternative(st.FixedSampleRule(10), benchmark_prior, bernoulli_family, 0.05, 10, 0)
+        with pytest.raises(ValueError, match="^a rule cap of 11 steps"):
+            st.simulate_alternative(st.FixedSampleRule(11), benchmark_prior, bernoulli_family, 0.05, 10, 0)
+
 
 class TestAlternativeRules:
     def test_fixed_zero_stops_immediately(self, benchmark_prior, bernoulli_family):
@@ -450,9 +471,11 @@ class TestKeyedDraws:
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_uint64_is_rejected(self, benchmark_surface, benchmark_prior, bernoulli_family, seed):
-        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        message = ("^seed must be a non-negative integer, got -1$" if seed < 0
+                   else r"seed must be an integer in \[0, 2\*\*64\)")
+        with pytest.raises(ValueError, match=message):
             st.simulate_policy(benchmark_surface, benchmark_prior, bernoulli_family, 10, seed)
-        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        with pytest.raises(ValueError, match=message):
             st.simulate_alternative(st.FixedSampleRule(1), benchmark_prior, bernoulli_family, 0.05, 10, seed)
 
 
@@ -669,5 +692,5 @@ class TestRuleValidation:
             st.ThresholdRule(low, high, 4)
 
     def test_threshold_rejects_negative_cap(self):
-        with pytest.raises(ValueError, match="cap must be non-negative"):
+        with pytest.raises(ValueError, match="threshold rule cap must be a non-negative integer, got -3"):
             st.ThresholdRule(0.2, 0.8, -3)

@@ -1,12 +1,14 @@
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import seqtest as st
+from seqtest import solver as solver_mod
 from seqtest.solver import STOP_TOL
 
 # exact tree value of the benchmark instance (two atoms at the natural
@@ -47,7 +49,7 @@ class TestBellmanStep:
 
     def test_negative_time_rejected(self, benchmark_prior, bernoulli_family):
         grid = st.make_grid(201)
-        with pytest.raises(ValueError, match="^observation count n must be non-negative$"):
+        with pytest.raises(ValueError, match="^observation count n must be a non-negative integer, got -1$"):
             st.bellman_step(st.gain(grid), -1, grid, benchmark_prior, bernoulli_family, 0.1)
 
     @pytest.mark.parametrize("cost", [math.nan, -1.0, 0.0, math.inf])
@@ -152,6 +154,31 @@ class TestSolve:
         surf = st.solve(benchmark_prior, bernoulli_family, 0.1, 3, grid_size=301, grid_kind="cosine")
         assert 0.5 in surf.pi_grid
         assert surf.values.shape == (4, 301)
+
+
+class TestSurfaceBudget:
+    """A surface over _MAX_VALUES doubles is refused before anything is allocated."""
+
+    @pytest.mark.parametrize("cost, horizon", [(0.1, 600_000_000_000), (1e-12, None), (1e-300, None)])
+    def test_refused_before_allocating(self, benchmark_prior, bernoulli_family, cost, horizon):
+        horizon = horizon or st.choose_horizon(cost)
+        message = f"^a surface of horizon {horizon} on 2001 grid points exceeds the budget of 100000000 values"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                st.solve(benchmark_prior, bernoulli_family, cost, horizon)
+            with pytest.raises(ValueError, match=message):
+                st.check_binomial_reduction(2, benchmark_prior, cost, horizon=horizon)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+    def test_budget_counts_every_layer(self, benchmark_prior, bernoulli_family, monkeypatch):
+        monkeypatch.setattr(solver_mod, "_MAX_VALUES", 11 * 101)
+        assert st.solve(benchmark_prior, bernoulli_family, 0.1, 10, 101).values.size == 11 * 101
+        with pytest.raises(ValueError, match="^a surface of horizon 11 on 101 grid points exceeds the budget of 1111"):
+            st.solve(benchmark_prior, bernoulli_family, 0.1, 11, 101)
 
 
 class TestBoundaries:
