@@ -183,16 +183,35 @@ def _cmd_verify(args):
 
 
 def _parse_rule(spec, default_cap):
+    """The rule a ``--rule`` spec names; every refusal names the spec and the forms.
+
+    A count reaches the rule as an int when it reads as one, else as its text,
+    so the rule's own count check (``families._count``) words it.
+    """
+    forms = "use fixed:K or threshold:LO,HI[,CAP]"
     kind, _, rest = spec.partition(":")
-    if kind == "fixed":
-        return FixedSampleRule(size=int(rest))
-    if kind == "threshold":
-        parts = rest.split(",")
-        if len(parts) == 2:
-            return ThresholdRule(low=float(parts[0]), high=float(parts[1]), max_steps=default_cap)
-        if len(parts) == 3:
-            return ThresholdRule(low=float(parts[0]), high=float(parts[1]), max_steps=int(parts[2]))
-    raise ValueError(f"malformed rule spec '{spec}'; use fixed:K or threshold:LO,HI[,CAP]")
+    fields = rest.split(",")
+    try:
+        if kind == "fixed" and len(fields) == 1:
+            return FixedSampleRule(size=_int_or_text(fields[0]))
+        if kind == "threshold" and len(fields) in (2, 3):
+            try:
+                low, high = float(fields[0]), float(fields[1])
+            except ValueError:
+                raise ValueError(f"LO and HI must be numbers, got {fields[0]!r} and {fields[1]!r}") from None
+            cap = _int_or_text(fields[2]) if len(fields) == 3 else default_cap
+            return ThresholdRule(low=low, high=high, max_steps=cap)
+    except ValueError as exc:
+        raise ValueError(f"invalid rule spec '{spec}': {exc}; {forms}") from None
+    raise ValueError(f"malformed rule spec '{spec}'; {forms}")
+
+
+def _int_or_text(text):
+    """``text`` as an int when ``int()`` reads it, else unchanged."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
 
 
 def _cmd_simulate(args):

@@ -113,18 +113,17 @@ class NaturalFamily:
     scheme_domain: tuple | None = None
 
 
-def _require_in_domain(family: NaturalFamily, u):
-    lo, hi = family.natural_domain
+def _require_in_domain(domain: tuple, name: str, u, what: str = "parameter"):
+    """Refuse any ``u`` outside the open natural ``domain`` of model ``name``; ``what`` words the error."""
+    lo, hi = domain
     u = np.asarray(u, dtype=float)
     if not (np.all(u > lo) and np.all(u < hi)):
-        raise ValueError(
-            f"parameter outside natural domain {family.natural_domain} of model '{family.name}'"
-        )
+        raise ValueError(f"{what} outside natural domain {domain} of model '{name}'")
 
 
 def log_partition(family: NaturalFamily, u):
     """B(u), the log normalizer of the family at natural parameter u."""
-    _require_in_domain(family, u)
+    _require_in_domain(family.natural_domain, family.name, u)
     out = family.log_partition(np.asarray(u, dtype=float))
     return float(out) if np.ndim(u) == 0 else out
 
@@ -149,7 +148,7 @@ def sample_observation(family: NaturalFamily, u, rng, size=None):
 
     Each draw is the model's inverse CDF at one uniform from ``rng.random``.
     """
-    _require_in_domain(family, u)
+    _require_in_domain(family.natural_domain, family.name, u)
     return family.sampler(u, rng, size)
 
 
@@ -158,12 +157,13 @@ def sample_observation(family: NaturalFamily, u, rng, size=None):
 # ---------------------------------------------------------------------------
 
 
-def _quadrature_family(name, x, w, log_h, B, domain, quantile, window) -> NaturalFamily:
-    """Continuous family: B(u) on the natural ``domain``, the base log-density
-    ``log_h`` integrated by the rule of nodes ``x`` and weights ``w``, draws
-    ``quantile(u, U)``, and ``window`` the scheme's accurate parameter range."""
+def _quadrature_family(name, x, w, log_h, B, quantile, window) -> NaturalFamily:
+    """Continuous family: B(u) on the natural domain ``_QUADRATURE`` states for
+    ``name``, the base log-density ``log_h`` integrated by the rule of nodes
+    ``x`` and weights ``w``, draws ``quantile(u, U)``, and ``window`` the
+    scheme's accurate parameter range."""
     scheme = ObservationScheme(kind="continuous", points=x, base_weights=w, log_base_density=log_h)
-    return NaturalFamily(name, B, domain, scheme, _inverse_cdf(quantile), window)
+    return NaturalFamily(name, B, _QUADRATURE[name][1], scheme, _inverse_cdf(quantile), window)
 
 
 def _finite_family(name, scheme: ObservationScheme, log_partition_fn):
@@ -213,8 +213,8 @@ def _gaussian_mean(nodes: int, center: float = 0.0) -> NaturalFamily:
     base = np.exp(np.log(w) + s * s + 0.5 * math.log(2.0))
     return _quadrature_family("gaussian-mean", x, base,
                               log_h=lambda t: -0.5 * t * t - 0.5 * math.log(2.0 * math.pi),
-                              B=lambda u: 0.5 * u * u, domain=(-math.inf, math.inf),
-                              quantile=lambda u, U: u + ndtri(U), window=(center - 10.0, center + 10.0))
+                              B=lambda u: 0.5 * u * u, quantile=lambda u, U: u + ndtri(U),
+                              window=(center - 10.0, center + 10.0))
 
 
 def _binomial(n: int, name: str | None = None) -> NaturalFamily:
@@ -235,8 +235,8 @@ def _exponential_rate(nodes: int, min_rate: float = 0.25) -> NaturalFamily:
         raise ValueError("exponential-rate requires min_rate > 0")
     x, w = _graded_legendre(nodes, math.sqrt(40.0 / min_rate), 1.0)
     return _quadrature_family("exponential-rate", x, w, log_h=lambda s: np.zeros_like(s),
-                              B=lambda u: -np.log(u), domain=(0.0, math.inf),
-                              quantile=lambda u, U: np.log1p(-U) / u, window=(min_rate, math.inf))
+                              B=lambda u: -np.log(u), quantile=lambda u, U: np.log1p(-U) / u,
+                              window=(min_rate, math.inf))
 
 
 def _gaussian_variance(nodes: int, min_precision: float = 0.25) -> NaturalFamily:
@@ -248,18 +248,19 @@ def _gaussian_variance(nodes: int, min_precision: float = 0.25) -> NaturalFamily
         raise ValueError("gaussian-variance requires min_precision > 0")
     x, w = _graded_legendre(nodes, 9.0 / math.sqrt(min_precision), 0.5)
     return _quadrature_family("gaussian-variance", x, w, log_h=lambda s: -0.5 * np.log(-np.pi * s),
-                              B=lambda u: -0.5 * np.log(u), domain=(0.0, math.inf),
-                              quantile=lambda u, U: -np.square(ndtri(U)) / (2.0 * u),
+                              B=lambda u: -0.5 * np.log(u), quantile=lambda u, U: -np.square(ndtri(U)) / (2.0 * u),
                               window=(min_precision, math.inf))
 
 
-# The quadrature models: each one's constructor, the window parameter it takes
-# besides the node count, and that window as family_for_prior sizes it from the
-# prior's atoms.  The finite models, bernoulli and binomial(N), take no params.
+# The quadrature models: each one's constructor, its natural domain, the window
+# parameter it takes besides the node count, and that window as family_for_prior
+# sizes it from the prior's atoms.  The finite models, bernoulli and binomial(N),
+# take no params and have the whole real line.
 _QUADRATURE = {
-    "gaussian-mean": (_gaussian_mean, "center", lambda atoms: 0.5 * (atoms.min() + atoms.max())),
-    "exponential-rate": (_exponential_rate, "min_rate", lambda atoms: float(atoms.min())),
-    "gaussian-variance": (_gaussian_variance, "min_precision", lambda atoms: float(atoms.min())),
+    "gaussian-mean": (_gaussian_mean, (-math.inf, math.inf), "center",
+                      lambda atoms: 0.5 * (atoms.min() + atoms.max())),
+    "exponential-rate": (_exponential_rate, (0.0, math.inf), "min_rate", lambda atoms: float(atoms.min())),
+    "gaussian-variance": (_gaussian_variance, (0.0, math.inf), "min_precision", lambda atoms: float(atoms.min())),
 }
 _BINOMIAL_RE = re.compile(r"^binomial\((\d+)\)$")
 
@@ -276,7 +277,7 @@ def make_named_family(name: str, params: dict | None = None) -> NaturalFamily:
     base = name.strip()
     params = params or {}
     if base in _QUADRATURE:
-        build, window, _ = _QUADRATURE[base]
+        build, _, window, _ = _QUADRATURE[base]
         unknown = sorted(set(params) - {window, "nodes"})
         if unknown:
             raise ValueError(f"model '{base}' takes only {window} and nodes, got {', '.join(unknown)}")
@@ -298,13 +299,17 @@ def family_for_prior(name: str, atoms, params: dict | None = None) -> NaturalFam
     """Named family with its scheme window sized from the prior's atoms.
 
     ``atoms`` may be an array of natural parameters or anything with an
-    ``atoms`` attribute.  Finite-outcome models have no window to size.  The
-    posterior code refuses a prior the family does not admit
-    (``validate_prior_for_family``), so atoms are not checked here.
+    ``atoms`` attribute.  Finite-outcome models have no window to size.  An
+    atom outside the model's natural domain is refused in the words of
+    ``validate_prior_for_family``, before a window sized from it can be
+    refused in the window's terms; the posterior code checks the rest.
     """
     atoms = np.asarray(getattr(atoms, "atoms", atoms), dtype=float)
-    entry = _QUADRATURE.get(name.strip())
-    auto = {entry[1]: entry[2](atoms)} if entry else {}
+    base = name.strip()
+    entry = _QUADRATURE.get(base)
+    if entry:
+        _require_in_domain(entry[1], base, atoms, "prior atom")
+    auto = {entry[2]: entry[3](atoms)} if entry else {}
     return make_named_family(name, {**auto, **(params or {})})
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, logit, logsumexp
 
-from .families import NaturalFamily, _count, _read_rows
+from .families import NaturalFamily, _count, _read_rows, _require_in_domain
 
 __all__ = [
     "Prior",
@@ -142,11 +142,7 @@ def validate_prior_for_family(prior: Prior, family: NaturalFamily):
     than special-cased.  ``_Ctx`` calls it, so every posterior computation
     passes this check.
     """
-    lo, hi = family.natural_domain
-    if not (np.all(prior.atoms > lo) and np.all(prior.atoms < hi)):
-        raise ValueError(
-            f"prior atom outside natural domain {family.natural_domain} of model '{family.name}'"
-        )
+    _require_in_domain(family.natural_domain, family.name, prior.atoms, "prior atom")
     if family.scheme_domain is not None:
         slo, shi = family.scheme_domain
         if not (np.all(prior.atoms >= slo) and np.all(prior.atoms <= shi)):
@@ -164,10 +160,11 @@ def validate_prior_for_family(prior: Prior, family: NaturalFamily):
 def _lse_last(z):
     """Log-sum-exp over the trailing axis, the atom axis of ``_unnorm_log_weights``.
 
-    Its one caller is the per-outcome loop of ``_transition``, whose
-    predictive masses and next pi keep this layout so that the surfaces stay
-    bit for bit; the log-odds and side-wise means come from
-    ``_side_lse_mean``, which puts the atoms on the leading axis.
+    Its one caller is next pi in the per-outcome loop of ``_transition``,
+    which keeps this layout so that the surfaces stay bit for bit; the
+    log-odds and side-wise means come from ``_side_lse_mean`` and the
+    predictive masses from ``_predictive``, both with the atoms on the
+    leading axis.
     """
     m = np.max(z, axis=-1)
     e = np.exp(z - m[..., None])
@@ -321,15 +318,24 @@ def _predictive(ctx: _Ctx, n: int, y):
 
     Outcome x_k has mass sum_i w_i(n, y) exp{u_i x_k - B(u_i)} times the
     scheme's point mass.  ``y`` may be a scalar or an array of states.  The
-    sum reduces over the trailing atom axis (``_lse_last``), which keeps the
-    surfaces bit for bit until the layer's transition becomes one table
-    (ROADMAP item 1).
+    normalised log weights are laid out once per call as (A, ...), with the
+    atoms on the leading axis; each outcome adds its column of ``ctx.ux`` and
+    reduces max and sum over axis 0, adding the atoms in order
+    (``_sum_atoms``).  With fewer than 8 atoms that is the order in which
+    numpy sums a trailing atom axis, so the masses equal the trailing-axis
+    ones bit for bit; from 8 atoms on numpy sums a trailing axis pairwise.
+    The layer's transition as one (K, P) table waits for ROADMAP item 2.
     """
-    z = _unnorm_log_weights(ctx, n, y)
+    col = (-1,) + (1,) * max(np.ndim(n), np.ndim(y))
     norm = np.logaddexp(_side_lse_mean(ctx, ctx.up, n, y)[0], _side_lse_mean(ctx, ctx.lo, n, y)[0])
-    lw = z - norm[..., None]
+    lw = ctx.lw0.reshape(col) + ctx.atoms.reshape(col) * y - ctx.B_atoms.reshape(col) * n - norm
+    z = np.empty_like(lw)
     for k in range(ctx.points.size):
-        yield np.exp(_lse_last(lw + ctx.ux[k]) + ctx.log_mass[k])
+        np.add(lw, ctx.ux[k].reshape(col), out=z)
+        m = z.max(axis=0)
+        z -= m
+        np.exp(z, out=z)
+        yield np.exp(m + np.log(_sum_atoms(z)) + ctx.log_mass[k])
 
 
 def _transition(ctx: _Ctx, n: int, y):

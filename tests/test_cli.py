@@ -131,6 +131,24 @@ class TestSolve:
         assert err == f"error: nodes for model '{model}' must be a positive integer, got {nodes}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("model", ["exponential-rate", "gaussian-variance"])
+    @pytest.mark.parametrize("atom", ["-0.5", "0.0"])
+    @pytest.mark.parametrize("command", [
+        pytest.param(["solve", "--cost", "0.2", "--horizon", "3", "--out"], id="solve"),
+        pytest.param(["verify", "--check", "level-spread", "--out"], id="verify"),
+        pytest.param(["oracle", "--cost", "0.2", "--horizon", "3"], id="oracle"),
+    ])
+    def test_prior_atom_outside_natural_domain(self, tmp_path, capsys, model, atom, command):
+        # the window is sized from the smallest atom, so it must not be refused first
+        prior = tmp_path / "prior.csv"
+        prior.write_text(f"# theta0=1.0\nu,w\n{atom},1.0\n1.5,1.0\n")
+        out = tmp_path / "x"
+        code = run([*command, *([str(out)] if command[-1] == "--out" else []), "--model", model,
+                    "--prior", str(prior)])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: prior atom outside natural domain (0.0, inf) of model '{model}'\n")
+        assert not out.exists()
+
     def test_config_round_trip_reproduces_outputs(self, tmp_path, solved_dir):
         out2 = str(tmp_path / "rerun")
         cfg = os.path.join(solved_dir, "run_config.json")
@@ -308,6 +326,21 @@ class TestSimulate:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec, message", [
+        ("fixed:2.5", "fixed sample size must be a non-negative integer, got '2.5'"),
+        ("fixed:x", "fixed sample size must be a non-negative integer, got 'x'"),
+        ("threshold:0.2,0.8,2.5", "threshold rule cap must be a non-negative integer, got '2.5'"),
+        ("threshold:a,0.8", "LO and HI must be numbers, got 'a' and '0.8'"),
+    ])
+    def test_rule_spec_that_does_not_parse_is_named(self, solved_dir, prior_file, tmp_path, capsys, spec, message):
+        out = tmp_path / "report.json"
+        code = run(["simulate", "--surface", os.path.join(solved_dir, "surface.json"), "--model", "bernoulli",
+                    "--prior", prior_file, "--replicates", "10", "--rule", spec, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: invalid rule spec '{spec}': {message}; "
+                                           "use fixed:K or threshold:LO,HI[,CAP]\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**70)])

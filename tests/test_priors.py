@@ -199,6 +199,16 @@ def _trailing_transition(ctx, n, y):
     return steps
 
 
+def _trailing_predictive(ctx, n, y):
+    """``_predictive``'s masses as they were with the atoms on the trailing axis:
+    the side-wise norm of ``_side_lse_mean``, then ``_lse_last`` per outcome."""
+    z = priors_mod._unnorm_log_weights(ctx, n, y)
+    norm = np.logaddexp(priors_mod._side_lse_mean(ctx, ctx.up, n, y)[0],
+                        priors_mod._side_lse_mean(ctx, ctx.lo, n, y)[0])
+    lw = z - norm[..., None]
+    return [np.exp(priors_mod._lse_last(lw + ctx.ux[k]) + ctx.log_mass[k]) for k in range(ctx.points.size)]
+
+
 SIX_ATOMS = ([-1.5, -0.9, -0.3, 0.3, 0.9, 1.5], [1.0, 2.0, 1.0, 1.0, 0.5, 1.0], 0.0)
 SIX_POSITIVE_ATOMS = ([0.4, 0.7, 1.0, 1.4, 1.9, 2.5], [1.0, 2.0, 1.0, 1.0, 0.5, 1.0], 1.2)
 INVERSION_CASES = [
@@ -285,6 +295,29 @@ class TestLevelCurveInversion:
                 assert close(pred, pred_ref)
                 # next pi keeps the trailing layout, bit for bit
                 assert np.array_equal(next_pi, next_pi_ref)
+
+    @pytest.mark.parametrize("model, spec", INVERSION_CASES, ids=INVERSION_IDS)
+    def test_predictive_masses_match_trailing_reference(self, model, spec):
+        prior = st.make_prior(*spec)
+        ctx = priors_mod._Ctx(prior, st.family_for_prior(model, prior))
+        ns = np.array([0, 30, 120])
+        # every 20th point, ends included, keeps the 128-outcome schemes quick
+        y_layers = priors_mod._y_of_logit(ctx, ns[:, None], logit(INVERSION_PIS))[:, ::20]
+        cases = [(ns[:, None], y_layers)]
+        for n, row in zip(ns, y_layers):
+            cases.append((int(n), row))
+            cases.extend((int(n), float(row[k])) for k in (0, row.size // 2, -1))
+        for n, y in cases:
+            masses = list(priors_mod._predictive(ctx, n, y))
+            masses_ref = _trailing_predictive(ctx, n, y)
+            assert len(masses) == len(masses_ref)
+            for got, want in zip(masses, masses_ref):
+                assert np.shape(got) == np.shape(want)
+                if prior.n_atoms < 8:
+                    # numpy sums fewer than 8 trailing terms in order, as the leading axis does
+                    assert np.array_equal(got, want)
+                else:
+                    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
     @pytest.mark.parametrize("model, spec", INVERSION_CASES, ids=INVERSION_IDS)
     def test_scalar_input_returns_float(self, model, spec):
