@@ -16,12 +16,24 @@ with value 0; the expectation is never evaluated there.
 Each layer's stopping set is an interval complement: the continuation
 region is (b1[n], b2[n]) with b1 <= 1/2 <= b2.  Boundaries are reported as
 grid values (one-cell uncertainty; no sub-grid polishing).
+
+The expectation is computed only where stopping is not certified.  Every
+layer is concave, so on each side of 1/2 the margin
+f(pi) = c + E[V[n+1](next pi)] - pi ^ (1-pi) is concave, and it tends to
+c > 0 at pi = 0 and at pi = 1.  Once f >= delta = 1e-9 at a grid point,
+every point from there to that end of the grid stops.  ``_step`` computes
+one range of points around layer n + 1's continuation interval and widens
+it until f >= delta at both ends; the points outside take the gain, which
+is what the full-grid step gives them, bit for bit.  It computes the whole
+grid instead when the cost is at most delta or when layer n + 1 is not
+concave within delta / 2 (``bellman_step`` accepts any layer).
 """
 
 import csv
 import json
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 from scipy.special import logit
@@ -51,6 +63,13 @@ __all__ = [
 STOP_TOL = 1e-12
 # doubles a surface, or the replay's band table, may hold: 800 MB
 _MAX_VALUES = 10**8
+# delta of the stopping certificate in ``_step``: a point whose margin
+# c + E[V[n+1](next pi)] - gain reaches it stops, and so does every point
+# between it and the nearer end of the grid
+_STOP_MARGIN = 1e-9
+# cells by which ``_step`` pads layer n + 1's continuation interval, and its
+# first widening chunk
+_PAD = 16
 
 
 def gain(pi):
@@ -104,14 +123,18 @@ def make_grid(size: int, kind: str = "uniform", include=()) -> np.ndarray:
     return base
 
 
-def _continuation(ctx: _Ctx, grid: np.ndarray, n: int, next_layer: np.ndarray, steps: int = 1) -> np.ndarray:
-    """E[ interp(next_layer)(pi_{n+steps}) | pi_n = grid interior ], with no stop in between.
+def _continuation(ctx: _Ctx, grid: np.ndarray, a: int, b: int, n: int, next_layer: np.ndarray,
+                  steps: int = 1) -> np.ndarray:
+    """E[ interp(next_layer)(pi_{n+steps}) | pi_n = grid[a:b] ], with no stop in between.
 
     Each observation path carries the product of the predictive masses along
     it to the state it reaches, so only the layer at time n + steps is
-    interpolated, and only there is next pi computed.
+    interpolated, and only there is next pi computed.  Each point's
+    inversion, masses, next pi and interpolation do not depend on the other
+    points in the call, so any split of the grid into ranges gives the same
+    values bit for bit.
     """
-    paths = [(1.0, _y_of_logit(ctx, n, logit(grid[1:-1])))]
+    paths = [(1.0, _y_of_logit(ctx, n, logit(grid[a:b])))]
     for m in range(n, n + steps - 1):
         paths = [
             (mass * pred, y + x)
@@ -125,12 +148,71 @@ def _continuation(ctx: _Ctx, grid: np.ndarray, n: int, next_layer: np.ndarray, s
     return cont
 
 
+def _concavity_defect(grid: np.ndarray, layer: np.ndarray) -> float:
+    """A bound on how far ``layer`` lies above a concave function below it.
+
+    The slopes' running maximum from the right, S_k = max(s_k, s_k+1, ...),
+    never increases, so integrating it back from the right end gives a
+    concave function below the layer.  The two part by at most
+    sum_k (S_k - s_k) h_k over the cells k of width h_k, which is 0 on a
+    concave layer; nan where the layer holds a non-finite value.
+    """
+    h = np.diff(grid)
+    slope = np.diff(layer) / h
+    return float((np.maximum.accumulate(slope[::-1])[::-1] - slope) @ h)
+
+
 def _step(ctx, grid, n, next_layer, cost, steps=1):
+    """Layer n from layer n + 1: min(gain, cost + continuation) inside, 0 at both ends.
+
+    The stopping certificate: the margin f(pi) = c + E[V[n+1](next pi)] -
+    gain(pi) is concave on each side of pi = 1/2 when V[n+1] is concave,
+    because the expectation keeps layers concave and the gain is linear
+    there, and f tends to c + V[n+1](0) at pi = 0 and to c + V[n+1](1) at
+    pi = 1, which are c on every layer ``_backward`` builds.  So once
+    f >= delta = ``_STOP_MARGIN`` at a grid point, f stays positive from
+    there to that end of the grid, and every point there takes the gain,
+    which is what np.minimum returns.  The continuation is therefore
+    computed on one range of interior points only: layer n + 1's
+    continuation interval, or the grid points next to 1/2, padded by
+    ``_PAD`` cells, then widened at each end by chunks of 16, 32, 64, ...
+    cells until f >= delta at that end or the range reaches it.
+
+    The whole grid is computed instead where the certificate does not
+    hold: a limit of f at an end is not above delta, as with a cost at or
+    below delta; or ``_concavity_defect`` puts layer n + 1 more than
+    delta / 2 from concave, as it may for a layer given to
+    ``bellman_step``; or the grid does not run from 0 to 1.  A defect D and
+    the rounding of f (about 1e-13) lower the bound f >= delta on the
+    skipped points by at most D plus twice that rounding, which leaves it
+    positive.
+    """
     g = gain(grid)
-    out = np.empty_like(g)
-    out[1:-1] = np.minimum(g[1:-1], cost + _continuation(ctx, grid, n, next_layer, steps))
-    out[0] = 0.0
-    out[-1] = 0.0
+    out = g.copy()
+    out[0] = out[-1] = 0.0
+    end = grid.size - 1
+    if (grid[0] == 0.0 and grid[-1] == 1.0 and min(next_layer[0], next_layer[-1]) + cost > _STOP_MARGIN
+            and _concavity_defect(grid, next_layer) <= _STOP_MARGIN / 2):
+        going = np.flatnonzero(next_layer[1:-1] < g[1:-1]) + 1
+        lo = int(np.searchsorted(grid, 0.5, side="right")) - 1
+        hi = int(np.searchsorted(grid, 0.5, side="left"))
+        if going.size:
+            lo, hi = min(lo, int(going[0])), max(hi, int(going[-1]))
+        a, b = max(1, lo - _PAD), min(end, hi + 1 + _PAD)
+    else:
+        a, b = 1, end
+    parts = [cost + _continuation(ctx, grid, a, b, n, next_layer, steps)]
+    chunk = _PAD
+    while a > 1 and parts[0][0] - g[a] < _STOP_MARGIN:
+        a, stop = max(1, a - chunk), a
+        parts.insert(0, cost + _continuation(ctx, grid, a, stop, n, next_layer, steps))
+        chunk *= 2
+    chunk = _PAD
+    while b < end and parts[-1][-1] - g[b - 1] < _STOP_MARGIN:
+        start, b = b, min(end, b + chunk)
+        parts.append(cost + _continuation(ctx, grid, start, b, n, next_layer, steps))
+        chunk *= 2
+    out[a:b] = np.minimum(g[a:b], np.concatenate(parts))
     return out
 
 
@@ -143,7 +225,9 @@ def _backward(ctx: _Ctx, grid: np.ndarray, horizon: int, cost: float, steps: int
     surface of more than ``_MAX_VALUES`` values is refused before it is built.
     """
     if (horizon + 1) * grid.size > _MAX_VALUES:
-        raise ValueError(f"a surface of horizon {horizon} on {grid.size} grid points exceeds the budget of "
+        # a horizon such as choose_horizon(1e-300), about 6e299, is quoted in short form
+        quoted = str(horizon) if horizon <= 10**15 else f"{Decimal(horizon):.2e}"
+        raise ValueError(f"a surface of horizon {quoted} on {grid.size} grid points exceeds the budget of "
                          f"{_MAX_VALUES} values; raise the cost or lower the horizon or the grid size")
     values = np.empty((horizon + 1, grid.size))
     values[horizon] = gain(grid)

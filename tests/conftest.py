@@ -43,22 +43,35 @@ def rng():
 
 
 
-@pytest.fixture(scope="session")
-def five_model_surfaces():
-    """Solved surfaces of the five named models, and copies with injected defects.
+FIVE_MODELS = ("bernoulli", "binomial(3)", "gaussian-mean", "exponential-rate", "gaussian-variance")
 
-    Keyed "model" for each surface (c = 0.05, 401 points, a six-atom prior)
-    and "model/defect" for its copies.  "dip" lowers layer 2 by 1e-3 at
-    pi = 0.1, where every layer stops; "equal-maxima" lowers layer 6 there
-    too, so two layers hold the same worst concavity defect and time
-    decrease; "stopped-below-half" sets layer 3 to the gain below 1/2.
-    """
+
+@pytest.fixture(scope="session")
+def five_model_priors():
+    """A six-atom prior and its family for each of the five named models, keyed by model."""
     six = ([-1.5, -0.9, -0.3, 0.3, 0.9, 1.5], [1.0, 2.0, 1.0, 1.0, 0.5, 1.0], 0.0)
     six_positive = ([0.4, 0.7, 1.0, 1.4, 1.9, 2.5], [1.0, 2.0, 1.0, 1.0, 0.5, 1.0], 1.2)
-    surfaces = {}
-    for model in ("bernoulli", "binomial(3)", "gaussian-mean", "exponential-rate", "gaussian-variance"):
+    pairs = {}
+    for model in FIVE_MODELS:
         prior = st.make_prior(*(six_positive if model in ("exponential-rate", "gaussian-variance") else six))
-        surface = st.solve(prior, st.family_for_prior(model, prior), 0.05, st.choose_horizon(0.05), 401)
+        pairs[model] = (prior, st.family_for_prior(model, prior))
+    return pairs
+
+
+@pytest.fixture(scope="session")
+def five_model_surfaces(five_model_priors):
+    """Solved surfaces of the five named models, and copies with injected defects.
+
+    Keyed "model" for each surface (c = 0.05, 401 points, the model's prior
+    in ``five_model_priors``) and "model/defect" for its copies.  "dip"
+    lowers layer 2 by 1e-3 at pi = 0.1, where every layer stops;
+    "equal-maxima" lowers layer 6 there too, so two layers hold the same
+    worst concavity defect and time decrease; "stopped-below-half" sets
+    layer 3 to the gain below 1/2.
+    """
+    surfaces = {}
+    for model, (prior, family) in five_model_priors.items():
+        surface = st.solve(prior, family, 0.05, st.choose_horizon(0.05), 401)
         surfaces[model] = surface
         grid, half = surface.pi_grid, surface.pi_grid.size // 2
         values = surface.values.copy()

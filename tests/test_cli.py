@@ -107,9 +107,10 @@ class TestSolve:
         (["--model", "bernoulli", "--cost", "1e-320", "--horizon", "auto"],
          "cost 1e-320 with slack 0.1 gives no finite horizon: 1/(2c) or slack/c overflows"),
         *((["--model", "bernoulli", "--cost", cost, "--horizon", horizon],
-           f"a surface of horizon {st.choose_horizon(float(cost)) if horizon == 'auto' else horizon} on 2001 grid "
+           f"a surface of horizon {quoted} on 2001 grid "
            "points exceeds the budget of 100000000 values; raise the cost or lower the horizon or the grid size")
-          for cost, horizon in (("1e-12", "auto"), ("0.2", "600000000000"), ("1e-300", "auto"))),
+          for cost, horizon, quoted in (("1e-12", "auto", "600000000000"), ("0.2", "600000000000", "600000000000"),
+                                        ("1e-300", "auto", "6.00e+299"))),
     ])
     def test_refused_with_one_line(self, tmp_path, prior_file, capsys, flags, message):
         out = tmp_path / "x"

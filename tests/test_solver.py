@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 import seqtest as st
+from conftest import FIVE_MODELS
 from seqtest import solver as solver_mod
+from seqtest.checks import PROBE_WINDOWS, sample_random_prior
+from seqtest.priors import _Ctx
 from seqtest.solver import STOP_TOL
 
 # exact tree value of the benchmark instance (two atoms at the natural
@@ -110,13 +113,13 @@ class TestSolve:
         oracle = st.brute_force_value(benchmark_prior, bernoulli_family, 0.05, 4)
         assert abs(v0 - oracle) <= 1e-4
 
-    def test_one_step_consistency_bitwise(self, benchmark_surface, benchmark_prior, bernoulli_family):
-        surf = benchmark_surface
-        n = 2
-        redo = st.bellman_step(
-            surf.values[n + 1], n, surf.pi_grid, benchmark_prior, bernoulli_family, surf.cost
-        )
-        np.testing.assert_array_equal(redo, surf.values[n])
+    @pytest.mark.parametrize("model", FIVE_MODELS)
+    def test_one_step_consistency_bitwise(self, five_model_surfaces, five_model_priors, model):
+        surf = five_model_surfaces[model]
+        prior, family = five_model_priors[model]
+        for n in range(surf.horizon):
+            redo = st.bellman_step(surf.values[n + 1], n, surf.pi_grid, prior, family, surf.cost)
+            np.testing.assert_array_equal(redo, surf.values[n], err_msg=f"layer {n}")
 
     def test_dominance_invariants(self, benchmark_surface):
         g = st.gain(benchmark_surface.pi_grid)
@@ -156,13 +159,131 @@ class TestSolve:
         assert surf.values.shape == (4, 301)
 
 
+def full_grid_step(ctx, grid, n, next_layer, cost, steps=1):
+    """``_step`` without the stopping certificate: the continuation at every interior point."""
+    g = st.gain(grid)
+    out = np.empty_like(g)
+    cont = solver_mod._continuation(ctx, grid, 1, grid.size - 1, n, next_layer, steps)
+    out[1:-1] = np.minimum(g[1:-1], cost + cont)
+    out[0] = 0.0
+    out[-1] = 0.0
+    return out
+
+
+def full_grid_backward(ctx, grid, horizon, cost, steps=1):
+    values = np.empty((horizon + 1, grid.size))
+    values[horizon] = st.gain(grid)
+    for n in range(horizon - 1, -1, -1):
+        values[n] = full_grid_step(ctx, grid, n * steps, values[n + 1], cost, steps)
+    return values
+
+
+def seeded_prior(model, seed, per_side=3):
+    """Atoms uniform in the model's probe window, ``per_side`` either side of their median."""
+    rng = np.random.default_rng(seed)
+    atoms = np.sort(rng.uniform(*PROBE_WINDOWS[model], size=2 * per_side))
+    theta0 = float(0.5 * (atoms[per_side - 1] + atoms[per_side]))
+    return st.make_prior(atoms, rng.uniform(0.5, 2.0, size=atoms.size), theta0)
+
+
+def random_prior(model, seed):
+    return sample_random_prior(np.random.default_rng([seed, 17]), PROBE_WINDOWS[model])
+
+
+# (model, prior, cost, horizon, grid, steps); costs 0.6 stop every layer,
+# 1e-10 lies below the certificate's margin, so every layer falls back
+CERTIFICATE_CASES = [
+    *(pytest.param(m, lambda m=m: seeded_prior(m, 7), 0.05, 12, lambda: st.make_grid(501), 1, id=f"{m}-six")
+      for m in FIVE_MODELS),
+    *(pytest.param(m, lambda m=m: random_prior(m, 3), 0.05, 8, lambda: st.make_grid(501), 1, id=f"{m}-random")
+      for m in FIVE_MODELS),
+    pytest.param("bernoulli", lambda: seeded_prior("bernoulli", 5, 10), 0.05, 8, lambda: st.make_grid(501), 1,
+                 id="bernoulli-20-atoms"),
+    pytest.param("gaussian-mean", lambda: seeded_prior("gaussian-mean", 5, 10), 0.05, 6,
+                 lambda: st.make_grid(501), 1, id="gaussian-mean-20-atoms"),
+    pytest.param("bernoulli", lambda: seeded_prior("bernoulli", 11), 0.01, 60, lambda: st.make_grid(2001), 1,
+                 id="bernoulli-2001-c0.01"),
+    pytest.param("gaussian-mean", lambda: seeded_prior("gaussian-mean", 11), 0.05, 4,
+                 lambda: st.make_grid(2001), 1, id="gaussian-mean-2001"),
+    pytest.param("exponential-rate", lambda: seeded_prior("exponential-rate", 11), 0.01, 10,
+                 lambda: st.make_grid(501), 1, id="exponential-rate-c0.01"),
+    pytest.param("binomial(3)", lambda: seeded_prior("binomial(3)", 13), 0.05, 12, lambda: st.make_grid(400), 1,
+                 id="binomial3-even-grid"),
+    pytest.param("gaussian-variance", lambda: seeded_prior("gaussian-variance", 13), 0.05, 8,
+                 lambda: st.make_grid(301, "cosine", include=(0.123, 0.4567, 0.8)), 1, id="cosine-include"),
+    pytest.param("gaussian-variance", lambda: seeded_prior("gaussian-variance", 17), 0.6, 4,
+                 lambda: st.make_grid(501), 1, id="c0.6-stops-everywhere"),
+    pytest.param("bernoulli", lambda: seeded_prior("bernoulli", 17), 1e-10, 4, lambda: st.make_grid(501), 1,
+                 id="cost-below-margin"),
+    pytest.param("gaussian-mean", lambda: seeded_prior("gaussian-mean", 17), 1e-10, 2, lambda: st.make_grid(301), 1,
+                 id="gaussian-mean-cost-below-margin"),
+    pytest.param("bernoulli", lambda: seeded_prior("bernoulli", 19), 0.05, 4, lambda: st.make_grid(501), 3,
+                 id="bernoulli-steps-3"),
+    pytest.param("binomial(3)", lambda: seeded_prior("binomial(3)", 19), 0.05, 4, lambda: st.make_grid(501), 3,
+                 id="binomial3-steps-3"),
+]
+
+
+class TestStoppingCertificate:
+    """``_step`` computes the continuation on one range of points; the rest stop by concavity."""
+
+    @pytest.mark.parametrize("model, make_prior, cost, horizon, make_grid, steps", CERTIFICATE_CASES)
+    def test_matches_full_grid_step(self, model, make_prior, cost, horizon, make_grid, steps):
+        prior, grid = make_prior(), make_grid()
+        ctx = _Ctx(prior, st.family_for_prior(model, prior))
+        got = solver_mod._backward(ctx, grid, horizon, cost, steps)
+        np.testing.assert_array_equal(got, full_grid_backward(ctx, grid, horizon, cost, steps))
+
+    def test_layer_with_a_dip_falls_back_to_the_whole_grid(self, benchmark_prior, bernoulli_family, monkeypatch):
+        # the layer is 0 on [0.19, 0.23]: from pi = 0.1 a success moves to 0.206, so pi = 0.1 continues,
+        # while every point between it and the dip stops; no concavity certificate covers that
+        grid = st.make_grid(501)
+        layer = st.gain(grid)
+        layer[(grid >= 0.19) & (grid <= 0.23)] = 0.0
+        sizes = count_inverted_points(monkeypatch)
+        got = st.bellman_step(layer, 3, grid, benchmark_prior, bernoulli_family, 0.05)
+        assert sizes == [(3, grid.size - 2)]
+        want = full_grid_step(_Ctx(benchmark_prior, bernoulli_family), grid, 3, layer, 0.05)
+        np.testing.assert_array_equal(got, want)
+        j = int(np.searchsorted(grid, 0.1))
+        assert got[j] < st.gain(grid[j]) and got[j - 20] == st.gain(grid[j - 20])
+
+    def test_cost_at_or_below_margin_falls_back(self, benchmark_prior, bernoulli_family, monkeypatch):
+        sizes = count_inverted_points(monkeypatch)
+        st.solve(benchmark_prior, bernoulli_family, solver_mod._STOP_MARGIN, 4, 501)
+        assert sizes == [(n, 499) for n in (3, 2, 1, 0)]
+
+    def test_continuous_solve_inverts_fewer_points(self, five_model_priors, monkeypatch):
+        prior, family = five_model_priors["gaussian-mean"]
+        sizes = count_inverted_points(monkeypatch)
+        surface = st.solve(prior, family, 0.05, st.choose_horizon(0.05), 501)
+        per_layer = np.bincount([n for n, _ in sizes], weights=[k for _, k in sizes], minlength=surface.horizon)
+        assert per_layer.size == surface.horizon
+        assert np.all(per_layer < surface.pi_grid.size - 2), per_layer
+
+
+def count_inverted_points(monkeypatch):
+    """Record (n, number of points) for every level-curve inversion ``solver`` runs."""
+    sizes = []
+    inner = solver_mod._y_of_logit
+
+    def counted(ctx, n, target):
+        sizes.append((n, np.size(target)))
+        return inner(ctx, n, target)
+
+    monkeypatch.setattr(solver_mod, "_y_of_logit", counted)
+    return sizes
+
+
 class TestSurfaceBudget:
     """A surface over _MAX_VALUES doubles is refused before anything is allocated."""
 
-    @pytest.mark.parametrize("cost, horizon", [(0.1, 600_000_000_000), (1e-12, None), (1e-300, None)])
-    def test_refused_before_allocating(self, benchmark_prior, bernoulli_family, cost, horizon):
+    @pytest.mark.parametrize("cost, horizon, quoted", [(0.1, 600_000_000_000, "600000000000"),
+                                                        (1e-12, None, "600000000000"),
+                                                        (1e-300, None, "6.00e+299")])
+    def test_refused_before_allocating(self, benchmark_prior, bernoulli_family, cost, horizon, quoted):
         horizon = horizon or st.choose_horizon(cost)
-        message = f"^a surface of horizon {horizon} on 2001 grid points exceeds the budget of 100000000 values"
+        message = f"^a surface of horizon {re.escape(quoted)} on 2001 grid points exceeds the budget of 100000000"
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=message):
