@@ -11,7 +11,6 @@ import os
 from scipy.special import logit
 
 import seqtest as st
-from seqtest.solver import _provenance
 
 
 def main():
@@ -29,7 +28,7 @@ def main():
     surface = st.solve(prior, family, args.cost, horizon, grid_size=args.grid_size)
 
     os.makedirs(args.out, exist_ok=True)
-    st.write_surface_json(surface, os.path.join(args.out, "surface.json"), _provenance(prior, family))
+    st.write_surface_json(surface, os.path.join(args.out, "surface.json"))
     st.write_boundaries_csv(surface, os.path.join(args.out, "boundaries.csv"))
     st.write_value_layers_csv(surface, os.path.join(args.out, "value_layers.csv"))
 

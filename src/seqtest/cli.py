@@ -18,8 +18,6 @@ from .simulate import FixedSampleRule, ThresholdRule, brute_force_value, simulat
 from .solver import (
     _boundaries_csv,
     _check_provenance,
-    _load_surface,
-    _provenance,
     choose_horizon,
     read_surface_json,
     solve,
@@ -120,7 +118,7 @@ def _cmd_solve(args):
     )
     out = merged["out"]
     os.makedirs(out, exist_ok=True)
-    write_surface_json(surface, os.path.join(out, "surface.json"), _provenance(prior, family))
+    write_surface_json(surface, os.path.join(out, "surface.json"))
     write_boundaries_csv(surface, os.path.join(out, "boundaries.csv"))
     with open(os.path.join(out, "run_config.json"), "w", encoding="utf-8") as fh:
         json.dump({**merged, "resolved_horizon": horizon, "subcommand": "solve"}, fh, indent=2)
@@ -217,11 +215,12 @@ def _int_or_text(text):
 def _cmd_simulate(args):
     if not 0 <= args.seed < 2**64:
         raise ValueError(f"--seed must be an integer in [0, 2**64), got {args.seed}")
-    surface, recorded = _load_surface(_require_file(args.surface, "surface file"))
+    surface = read_surface_json(_require_file(args.surface, "surface file"))
     prior = load_prior_csv(_require_file(args.prior, "prior file"))
     family = _load_model(args, prior)
-    _check_provenance(recorded, _provenance(prior, family))
     if args.rule:
+        # simulate_policy checks the surface itself; a rule replay still takes its cost and horizon
+        _check_provenance(surface, prior, family)
         rule = _parse_rule(args.rule, surface.horizon)
         report = simulate_alternative(
             rule, prior, family, surface.cost, args.replicates, args.seed, trace_path=args.trace

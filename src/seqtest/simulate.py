@@ -19,7 +19,7 @@ from scipy.special import expit, logit, logsumexp
 
 from .families import NaturalFamily, _count, _positive_finite
 from .priors import LEVEL_EPS, Prior, _Ctx, _log_odds, _side_lse_mean, _unnorm_log_weights, _y_of_logit
-from .solver import _MAX_VALUES, ValueSurface
+from .solver import _MAX_VALUES, ValueSurface, _check_provenance
 
 __all__ = [
     "SimulationReport",
@@ -440,7 +440,12 @@ def simulate_policy(
     seed: int,
     trace_path=None,
 ) -> SimulationReport:
-    """Replay the solved stopping policy; deterministic given the seed."""
+    """Replay the solved stopping policy; deterministic given the seed.
+
+    A surface solved for another model or prior is refused; one without
+    provenance, read from a file that holds none, replays unchecked.
+    """
+    _check_provenance(surface, prior, family)
     b1, b2 = surface.b1, surface.b2
     return _run(lambda n: (b1[n], b2[n]), surface.horizon, prior, family, surface.cost, replicates, seed,
                 trace_path)

@@ -80,7 +80,8 @@ def gain(pi):
 
 @dataclass(frozen=True)
 class ValueSurface:
-    """Solved value grid plus extracted stopping boundaries."""
+    """Solved value grid plus extracted stopping boundaries; ``provenance`` names the model and
+    prior ``solve`` solved it for, and is None for a surface read from a file that holds none."""
 
     cost: float
     horizon: int
@@ -88,6 +89,7 @@ class ValueSurface:
     values: np.ndarray  # shape (horizon + 1, len(pi_grid))
     b1: np.ndarray
     b2: np.ndarray
+    provenance: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -121,6 +123,14 @@ def make_grid(size: int, kind: str = "uniform", include=()) -> np.ndarray:
             raise ValueError("include points must lie strictly inside (0, 1)")
         base = np.union1d(base, extra)
     return base
+
+
+def _check_grid(grid, what: str = "grid") -> np.ndarray:
+    """``grid`` as floats; refused unless a flat array of at least 3 points increasing strictly from 0 to 1."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 3 or grid[0] != 0.0 or grid[-1] != 1.0 or not np.all(np.diff(grid) > 0):
+        raise ValueError(f"{what} must be a flat array of at least 3 points that increase strictly from 0 to 1")
+    return grid
 
 
 def _continuation(ctx: _Ctx, grid: np.ndarray, a: int, b: int, n: int, next_layer: np.ndarray,
@@ -182,16 +192,17 @@ def _step(ctx, grid, n, next_layer, cost, steps=1):
     hold: a limit of f at an end is not above delta, as with a cost at or
     below delta; or ``_concavity_defect`` puts layer n + 1 more than
     delta / 2 from concave, as it may for a layer given to
-    ``bellman_step``; or the grid does not run from 0 to 1.  A defect D and
-    the rounding of f (about 1e-13) lower the bound f >= delta on the
-    skipped points by at most D plus twice that rounding, which leaves it
-    positive.
+    ``bellman_step``.  A defect D and the rounding of f (about 1e-13)
+    lower the bound f >= delta on the skipped points by at most D plus
+    twice that rounding, which leaves it positive.  ``make_grid``, the
+    surface reader and ``bellman_step`` hand this step only grids that
+    increase strictly from 0 to 1 (``_check_grid``).
     """
     g = gain(grid)
     out = g.copy()
     out[0] = out[-1] = 0.0
     end = grid.size - 1
-    if (grid[0] == 0.0 and grid[-1] == 1.0 and min(next_layer[0], next_layer[-1]) + cost > _STOP_MARGIN
+    if (min(next_layer[0], next_layer[-1]) + cost > _STOP_MARGIN
             and _concavity_defect(grid, next_layer) <= _STOP_MARGIN / 2):
         going = np.flatnonzero(next_layer[1:-1] < g[1:-1]) + 1
         lo = int(np.searchsorted(grid, 0.5, side="right")) - 1
@@ -240,7 +251,7 @@ def bellman_step(next_layer, n: int, grid, prior: Prior, family: NaturalFamily, 
     """One backward step: layer at time n from the layer at time n + 1."""
     n = _count(n, "observation count n")
     cost = _positive_finite(cost)
-    grid = np.asarray(grid, dtype=float)
+    grid = _check_grid(grid)
     next_layer = np.asarray(next_layer, dtype=float)
     if next_layer.shape != grid.shape:
         raise ValueError("next_layer must be defined on the same grid")
@@ -262,7 +273,7 @@ def solve(
     grid = make_grid(grid_size, grid_kind, include)
     values = _backward(_Ctx(prior, family), grid, horizon, cost)
     b1, b2 = _boundaries(values, grid)
-    return ValueSurface(cost=cost, horizon=horizon, pi_grid=grid, values=values, b1=b1, b2=b2)
+    return ValueSurface(cost, horizon, grid, values, b1, b2, _provenance(prior, family))
 
 
 def _boundaries(values: np.ndarray, grid: np.ndarray):
@@ -327,9 +338,8 @@ def value_at(surface: ValueSurface, n: int, pi: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def write_surface_json(surface: ValueSurface, path, provenance=None):
-    """Write ``surface`` losslessly; ``provenance``, a JSON-ready dict naming
-    the model and prior the surface was solved for, is stored with it when given."""
+def write_surface_json(surface: ValueSurface, path):
+    """Write ``surface`` losslessly, with its provenance when it has one."""
     def floats(a):
         return np.asarray(a, dtype=float).tolist()
 
@@ -339,8 +349,8 @@ def write_surface_json(surface: ValueSurface, path, provenance=None):
         raise ValueError("surface holds non-finite values; refusing to write it")
     head = {"cost": surface.cost, "horizon": surface.horizon, "pi_grid": floats(surface.pi_grid)}
     tail = {"b1": floats(surface.b1), "b2": floats(surface.b2)}
-    if provenance is not None:
-        tail["provenance"] = provenance
+    if surface.provenance is not None:
+        tail["provenance"] = surface.provenance
     head, tail = (json.dumps(part, allow_nan=False) for part in (head, tail))
     # json.dumps runs the C encoder, about twice as fast as json.dump's Python
     # one, but holds all its output in memory, so the values go out one layer
@@ -363,12 +373,7 @@ def _surface_array(payload, key):
 
 
 def read_surface_json(path) -> ValueSurface:
-    """Load a surface written by ``write_surface_json``, rejecting malformed files."""
-    return _load_surface(path)[0]
-
-
-def _load_surface(path):
-    """``(surface, provenance)`` from a surface file; provenance is None if it holds none."""
+    """Load a surface written by ``write_surface_json``, with its provenance, rejecting malformed files."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
@@ -380,9 +385,7 @@ def _load_surface(path):
     cost = payload["cost"]
     if type(cost) not in (int, float) or not (math.isfinite(cost) and cost > 0):
         raise ValueError("surface file: 'cost' must be a positive finite number")
-    grid = _surface_array(payload, "pi_grid")
-    if grid.size < 3 or grid[0] != 0.0 or grid[-1] != 1.0 or np.any(np.diff(grid) <= 0):
-        raise ValueError("surface file: 'pi_grid' must increase strictly from 0 to 1")
+    grid = _check_grid(_surface_array(payload, "pi_grid"), "surface file: 'pi_grid'")
     values = _surface_array(payload, "values")
     if values.size != (horizon + 1) * grid.size:
         raise ValueError(
@@ -404,11 +407,12 @@ def _load_surface(path):
         values=values.reshape(horizon + 1, grid.size),
         b1=b1,
         b2=b2,
-    ), provenance
+        provenance=provenance,
+    )
 
 
 def _provenance(prior: Prior, family: NaturalFamily) -> dict:
-    """The model and prior a surface is for, as ``write_surface_json`` records them.
+    """The model and prior a surface is for, as ``solve`` records them.
 
     A family read from a scheme file, the only one named "custom", is named
     by its outcomes x and base weights h, so the same scheme under another
@@ -422,11 +426,12 @@ def _provenance(prior: Prior, family: NaturalFamily) -> dict:
     return {**model, "prior": {"atoms": prior.atoms.tolist(), "weights": weights, "theta0": prior.theta0}}
 
 
-def _check_provenance(recorded, current):
-    """Refuse to replay a surface against a model or prior it was not solved for.
+def _check_provenance(surface: ValueSurface, prior: Prior, family: NaturalFamily):
+    """Refuse to replay ``surface`` against a model or prior it was not solved for.
 
-    Surface files written without provenance are accepted as they are.
+    A surface without provenance, read from a file that holds none, is accepted as it is.
     """
+    recorded, current = surface.provenance, _provenance(prior, family)
     if recorded is None:
         return
 

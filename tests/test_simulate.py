@@ -141,6 +141,35 @@ class TestSimulatePolicy:
         assert abs(rep.mean_cost - v0) <= 3 * rep.std_error
 
 
+class TestProvenance:
+    """A surface replays only against the model and prior it was solved for."""
+
+    @pytest.fixture(scope="class")
+    def surface(self, bernoulli_family):
+        prior = st.make_prior([-0.8, 0.8], [1.0, 1.0], 0.0)
+        return st.solve(prior, bernoulli_family, 0.1, 6, grid_size=101)
+
+    @pytest.mark.parametrize("model, atoms, message", [
+        pytest.param("bernoulli", [-2.0, -1.9, 0.8, 2.0], "^surface was solved for another prior "
+                     r"\(its atoms, weights or theta0 differ\)$", id="prior"),
+        pytest.param("binomial(3)", [-0.8, 0.8], "^surface was solved for model 'bernoulli', not model "
+                     r"'binomial\(3\)'$", id="model"),
+    ])
+    def test_other_model_or_prior_is_refused(self, surface, model, atoms, message):
+        prior = st.make_prior(atoms, [1.0] * len(atoms), 0.0)
+        with pytest.raises(ValueError, match=message):
+            st.simulate_policy(surface, prior, st.make_named_family(model), 100, seed=1)
+
+    def test_file_without_provenance_replays_unchecked(self, surface, tmp_path):
+        path = tmp_path / "surface.json"
+        st.write_surface_json(dataclasses.replace(surface, provenance=None), path)
+        back = st.read_surface_json(path)
+        assert back.provenance is None
+        prior = st.make_prior([-2.0, -1.9, 0.8, 2.0], [1.0] * 4, 0.0)
+        report = st.simulate_policy(back, prior, st.make_named_family("binomial(3)"), 100, seed=1)
+        assert report.replicates == 100
+
+
 # a block size for tests that cross block boundaries: the replays stay small
 SMALL_BLOCK = 1000
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import seqtest as st
-from conftest import FIVE_MODELS
+from conftest import BENCH_ATOMS, FIVE_MODELS
 from seqtest import solver as solver_mod
 from seqtest.checks import PROBE_WINDOWS, sample_random_prior
 from seqtest.priors import _Ctx
@@ -60,6 +60,19 @@ class TestBellmanStep:
         grid = st.make_grid(201)
         with pytest.raises(ValueError, match=f"^cost must be positive and finite, got {cost!r}$"):
             st.bellman_step(st.gain(grid), 0, grid, benchmark_prior, bernoulli_family, cost)
+
+    @pytest.mark.parametrize("grid", [
+        # the step treats a grid's ends as pi = 0 and 1, so any other grid would give wrong values silently
+        pytest.param(st.make_grid(11)[::-1], id="falling"),
+        pytest.param(np.linspace(0.2, 0.8, 7), id="not-0-to-1"),
+        pytest.param(np.array([0.0, 1.0]), id="two-points"),
+        pytest.param(np.array([0.0, 0.25, np.nan, 0.75, 1.0]), id="nan"),
+        pytest.param(st.make_grid(11).reshape(1, 11), id="two-dimensional"),
+    ])
+    def test_grid_that_does_not_increase_from_0_to_1_is_refused(self, benchmark_prior, bernoulli_family, grid):
+        message = "^grid must be a flat array of at least 3 points that increase strictly from 0 to 1$"
+        with pytest.raises(ValueError, match=message):
+            st.bellman_step(st.gain(grid), 0, grid, benchmark_prior, bernoulli_family, 0.05)
 
 
 class TestSolve:
@@ -417,13 +430,18 @@ class TestSurfaceIO:
         np.testing.assert_array_equal(back.values, benchmark_surface.values)
         np.testing.assert_array_equal(back.b1, benchmark_surface.b1)
         np.testing.assert_array_equal(back.b2, benchmark_surface.b2)
+        # solve records the model and prior, and the file carries them back
+        assert back.provenance == benchmark_surface.provenance == {
+            "model": "bernoulli",
+            "prior": {"atoms": list(BENCH_ATOMS), "weights": [0.5, 0.5], "theta0": 0.0},
+        }
 
     @pytest.mark.parametrize("provenance", [None, {"model": "bernoulli", "prior": {"atoms": [-0.8, 0.8]}}])
     def test_writer_bytes_match_element_by_element_writer(self, benchmark_surface, tmp_path, provenance):
         # floats whose text form is easy to get wrong: signed zero, subnormals, 17-digit reprs
         values = benchmark_surface.values.copy()
         values[0, 1:7] = [-0.0, 5e-324, 2.2250738585072014e-308, 1.0 / 3.0, 0.1 + 0.2, 1e-17]
-        surface = replace(benchmark_surface, values=values)
+        surface = replace(benchmark_surface, values=values, provenance=provenance)
         reference = {
             "cost": surface.cost,
             "horizon": surface.horizon,
@@ -438,12 +456,12 @@ class TestSurfaceIO:
         with open(old, "w", encoding="utf-8") as fh:
             json.dump(reference, fh)
             fh.write("\n")
-        st.write_surface_json(surface, new, provenance)
+        st.write_surface_json(surface, new)
         assert new.read_bytes() == old.read_bytes()
         back = st.read_surface_json(new)
         for name in ("pi_grid", "values", "b1", "b2"):
             assert getattr(back, name).tobytes() == np.asarray(getattr(surface, name), dtype=float).tobytes()
-        assert (back.cost, back.horizon) == (surface.cost, surface.horizon)
+        assert (back.cost, back.horizon, back.provenance) == (surface.cost, surface.horizon, provenance)
 
     @pytest.mark.parametrize("field, bad", [("values", math.nan), ("values", math.inf), ("b1", math.nan),
                                             ("cost", math.inf)])
@@ -462,7 +480,7 @@ class TestSurfaceIO:
     def test_non_finite_provenance_is_refused_before_writing(self, benchmark_surface, tmp_path):
         path = tmp_path / "surface.json"
         with pytest.raises(ValueError, match="not JSON compliant"):
-            st.write_surface_json(benchmark_surface, path, {"prior": {"weights": [0.0, math.nan]}})
+            st.write_surface_json(replace(benchmark_surface, provenance={"prior": {"weights": [0.0, math.nan]}}), path)
         assert not path.exists()
 
     def test_boundaries_csv_round_trip(self, benchmark_surface, tmp_path):
