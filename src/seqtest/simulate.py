@@ -12,6 +12,7 @@ reports replicate-level aggregates.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -125,9 +126,11 @@ class SimulationReport:
 
     ``mean_cost`` is the average of 1{wrong decision} + c * tau over
     replicates and ``std_error`` its sample standard error.  ``error_rates``
-    are the joint frequencies (accept upper & parameter below threshold,
-    accept lower & parameter above threshold).  ``capped`` counts replicates
-    that were still running when they hit the horizon cap.
+    are the joint frequencies (accept upper & parameter at or below
+    threshold, accept lower & parameter above threshold).  ``capped`` counts
+    replicates that were still running when they hit the horizon cap.  All
+    of them are read from a count of replicates per (decision, side of
+    theta0, tau), so memory does not grow with the replicate count.
     """
 
     replicates: int
@@ -304,7 +307,7 @@ def _level_bands(ctx, n, p):
     return a, b
 
 
-def _advance(run, until, lo, hi, edges, ctx, family, tau, accept):
+def _advance(run, until, lo, hi, edges, ctx, family, theta0, stops):
     """Replay the running rows ``run`` until at most ``until`` of them still run.
 
     ``run`` is (rows, keys, thetas, y, n): each row's replicate index, key,
@@ -324,8 +327,9 @@ def _advance(run, until, lo, hi, edges, ctx, family, tau, accept):
     ``family.sampler``, the model's inverse CDF, applied to the uniforms of
     ``_KeyedUniforms`` at slot n + 1.  Every draw is a function of (seed,
     replicate, step) alone, so a row's path does not depend on the rows
-    beside it.  Stopped rows get their tau and accept entries; returns the
-    rows still running, in the layout of ``run``.
+    beside it.  Each step's stopped rows append (rows, codes) to ``stops``,
+    with the code (2 accept + (theta > theta0)) (cap + 1) + tau of each row;
+    returns the rows still running, in the layout of ``run``.
     """
     rows, keys, thetas, y, n = run
     a_lo, b_lo, a_hi, b_hi, a_half, b_half = edges
@@ -346,8 +350,7 @@ def _advance(run, until, lo, hi, edges, ctx, family, tau, accept):
             if near.any():
                 j = np.flatnonzero(near)
                 up[j] = expit(_log_odds(ctx, ni[j] if per_row else ni, ys[j])) > 0.5
-            tau[rows[i]] = ni
-            accept[rows[i]] = up
+            stops.append((rows[i], (2 * up + (thetas[i] > theta0)) * lo.size + ni))
             go = np.flatnonzero(~stop)
             rows, keys, thetas, y = (v.take(go) for v in (rows, keys, thetas, y))
             if per_row:
@@ -359,8 +362,14 @@ def _advance(run, until, lo, hi, edges, ctx, family, tau, accept):
     return rows, keys, thetas, y, n
 
 
-def _replay(lo, hi, ya, yb, ctx, prior, family, seed, replicates):
-    """Replay replicates 0 .. replicates - 1 of ``seed``; returns each one's (theta, tau, accept).
+def _replay(lo, hi, ya, yb, ctx, prior, family, seed, replicates, traced=False):
+    """Replay replicates 0 .. replicates - 1 of ``seed``; returns (table, trace).
+
+    ``table`` counts the replicates by outcome: its (4, cap + 1) entries are
+    indexed by (2 accept + (theta > theta0), tau), accept being 1 for the
+    upper decision.  ``trace`` is None, or with ``traced`` each replicate's
+    theta and its outcome, the flat table index (2 accept + (theta >
+    theta0)) (cap + 1) + tau.
 
     Replicates run in blocks of ``_BLOCK``.  A block's rows share one layer
     until at most ``_BLOCK // 8`` of them still run; those stragglers join a
@@ -368,28 +377,85 @@ def _replay(lo, hi, ya, yb, ctx, prior, family, seed, replicates):
     whenever it holds ``_BLOCK`` rows and once after the last block.  The
     tails of many blocks so take one run of steps over rows at mixed
     layers, and the replay holds fewer than 2 ``_BLOCK`` rows at any time.
-    ``ya`` and ``yb`` are the band edges of (lo, hi, 1/2) per layer.
+    The stopped rows' codes are folded into the table after each block and
+    each pool replay, so without a trace no array grows with the replicate
+    count.  ``ya`` and ``yb`` are the band edges of (lo, hi, 1/2) per layer.
     """
     cap = lo.size - 1
     edges = tuple(np.ascontiguousarray(e[:, j]) for j in range(3) for e in (ya, yb))
-    thetas = np.empty(replicates)
-    tau = np.full(replicates, cap, dtype=int)
-    accept = np.zeros(replicates, dtype=int)
-    common = (lo, hi, edges, ctx, family, tau, accept)
+    table = np.zeros(4 * (cap + 1), dtype=np.int64)
+    trace = (np.empty(replicates), np.empty(replicates, dtype=np.int64)) if traced else None
+    stops = []
+    common = (lo, hi, edges, ctx, family, prior.theta0, stops)
+
+    def fold():
+        if stops:
+            codes = np.concatenate([c for _, c in stops])
+            # np.add.at costs the codes' count; bincount's would grow with the cap
+            np.add.at(table, codes, 1)
+            if trace is not None:
+                trace[1][np.concatenate([r for r, _ in stops])] = codes
+            stops.clear()
+
     pool, held = [], 0
     for start in range(0, replicates, _BLOCK):
         end = min(start + _BLOCK, replicates)
         rows = np.arange(start, end)
         keys = _row_keys(seed, rows)
-        thetas[start:end] = _draw_thetas(prior, keys)
-        run = _advance((rows, keys, thetas[start:end], np.zeros(rows.size), 0), _BLOCK // 8, *common)
+        thetas = _draw_thetas(prior, keys)
+        if trace is not None:
+            trace[0][start:end] = thetas
+        run = _advance((rows, keys, thetas, np.zeros(rows.size), 0), _BLOCK // 8, *common)
+        fold()
         if run[0].size:
             pool.append(run[:4] + (np.full(run[0].size, run[4]),))
             held += run[0].size
         if pool and (held >= _BLOCK or end == replicates):
             _advance(tuple(np.concatenate(parts) for parts in zip(*pool)), 0, *common)
+            fold()
             pool, held = [], 0
-    return thetas, tau, accept
+    return table.reshape(4, cap + 1), trace
+
+
+def _loss(codes, cap, cost):
+    """1{wrong decision} + cost tau of each outcome code of ``_replay``.
+
+    Codes 1 and 2 are wrong: the lower side accepted with theta above
+    theta0, and the upper side accepted with theta at or below it.
+    """
+    kind, tau = np.divmod(codes, cap + 1)
+    return ((kind == 1) | (kind == 2)).astype(float) + cost * tau
+
+
+def _report(table, cost, replicates, seed):
+    """The ``SimulationReport`` of an outcome table from ``_replay``.
+
+    The counts, the error rates and the mean tau are exact integer sums
+    divided by the replicate count.  Each of the table's cells has one loss,
+    1{wrong} + cost tau, so the mean and the standard error are weighted
+    sums over the occupied cells, which ``math.fsum`` adds without rounding
+    between the terms, so neither the block size nor the order shows.
+    """
+    cap = table.shape[1] - 1
+    kinds = table.sum(axis=1).tolist()
+    taus = table.sum(axis=0)
+    cells = np.flatnonzero(table)
+    loss = _loss(cells, cap, cost)
+    counts = table.ravel()[cells]
+    mean_cost = math.fsum((counts * loss).tolist()) / replicates
+    std_error = 0.0
+    if replicates > 1:
+        dev = loss - mean_cost
+        std_error = math.sqrt(math.fsum((counts * dev * dev).tolist()) / (replicates - 1)) / math.sqrt(replicates)
+    return SimulationReport(
+        replicates=replicates,
+        mean_cost=mean_cost,
+        std_error=std_error,
+        mean_stopping_time=int(taus @ np.arange(cap + 1)) / replicates,
+        error_rates=(kinds[2] / replicates, kinds[1] / replicates),
+        seed=seed,
+        capped=int(taus[cap]),
+    )
 
 
 def _run(band, cap, prior, family, cost, replicates, seed, trace_path=None):
@@ -401,30 +467,21 @@ def _run(band, cap, prior, family, cost, replicates, seed, trace_path=None):
     if (cap + 1) * 3 * _BAND_HALVINGS * prior.n_atoms > _MAX_VALUES:
         raise ValueError(f"a rule cap of {cap} steps needs a band table of more than {_MAX_VALUES} values "
                          f"for {prior.n_atoms} atoms; lower the cap")
+    # a trace holds theta, tau and the decision of every replicate: 3 values each
+    if trace_path is not None and 3 * replicates > _MAX_VALUES:
+        raise ValueError(f"a trace of {replicates} replicates needs more than {_MAX_VALUES} values; "
+                         f"lower the replicates or drop the trace")
     ctx = _Ctx(prior, family)
     # continuation intervals of layers 0 .. cap; the cap layer's is empty
     lo, hi = np.array([band(n) for n in range(cap)] + [(np.inf, np.inf)], dtype=float).T
     ya, yb = _level_bands(ctx, np.arange(cap + 1)[:, None], np.stack([lo, hi, np.full(cap + 1, 0.5)], axis=1))
 
-    thetas, tau, accept = _replay(lo, hi, ya, yb, ctx, prior, family, seed, replicates)
-
-    false_upper = (accept == 1) & (thetas <= prior.theta0)
-    false_lower = (accept == 0) & (thetas > prior.theta0)
-    wrong = false_upper | false_lower
-    loss = wrong.astype(float) + cost * tau
-
-    mean_cost = float(np.mean(loss))
-    std_error = float(np.std(loss, ddof=1) / np.sqrt(replicates)) if replicates > 1 else 0.0
-    report = SimulationReport(
-        replicates=replicates,
-        mean_cost=mean_cost,
-        std_error=std_error,
-        mean_stopping_time=float(np.mean(tau)),
-        error_rates=(float(np.mean(false_upper)), float(np.mean(false_lower))),
-        seed=seed,
-        capped=int(np.sum(tau == cap)),
-    )
-    if trace_path is not None:
+    table, trace = _replay(lo, hi, ya, yb, ctx, prior, family, seed, replicates, trace_path is not None)
+    report = _report(table, cost, replicates, seed)
+    if trace is not None:
+        thetas, codes = trace
+        loss = _loss(codes, cap, cost)
+        tau, accept = codes % (cap + 1), codes // (2 * (cap + 1))
         with open(trace_path, "w", encoding="utf-8", newline="") as fh:
             fh.write("replicate,theta,tau,decision,loss\n")
             for r in range(replicates):

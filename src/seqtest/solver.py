@@ -347,18 +347,39 @@ def write_surface_json(surface: ValueSurface, path):
     values = np.asarray(surface.values, dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("surface holds non-finite values; refusing to write it")
+    g = gain(surface.pi_grid)
+    if values.shape != (surface.horizon + 1, g.size):
+        raise ValueError(f"surface values have shape {values.shape}, not (horizon + 1, grid size) = "
+                         f"{(surface.horizon + 1, g.size)}; refusing to write them")
     head = {"cost": surface.cost, "horizon": surface.horizon, "pi_grid": floats(surface.pi_grid)}
     tail = {"b1": floats(surface.b1), "b2": floats(surface.b2)}
     if surface.provenance is not None:
         tail["provenance"] = surface.provenance
     head, tail = (json.dumps(part, allow_nan=False) for part in (head, tail))
+    # Every stopped cell holds gain(pi_grid) bit for bit, and the stopped
+    # cells sit at both ends of each layer, so the gain's text is formatted
+    # once and each layer's ends are cut from it; only the span between the
+    # first and last cell whose bits differ from the gain's goes through the
+    # encoder.  Bits, not values, are compared, so -0.0 is not taken for 0.0.
     # json.dumps runs the C encoder, about twice as fast as json.dump's Python
     # one, but holds all its output in memory, so the values go out one layer
     # at a time; the bytes are those of json.dump on the whole payload
+    g_bits = g.view(np.int64)
+    parts = [repr(v) for v in g.tolist()]
+    g_text = ", ".join(parts)
+    # g_text[starts[i]:ends[i]] is the text of the gain's cell i
+    ends = np.cumsum([len(t) + 2 for t in parts]) - 2
+    starts = ends - [len(t) for t in parts]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head[:-1] + ', "values": [')
         for n, layer in enumerate(values):
-            fh.write((", " if n else "") + json.dumps(layer.tolist())[1:-1])
+            cells = np.flatnonzero(layer.view(np.int64) != g_bits)
+            if cells.size:
+                a, b = cells[0], cells[-1]
+                text = g_text[:starts[a]] + json.dumps(layer[a:b + 1].tolist())[1:-1] + g_text[ends[b]:]
+            else:
+                text = g_text
+            fh.write((", " if n else "") + text)
         fh.write("], " + tail[1:] + "\n")
 
 
@@ -426,6 +447,21 @@ def _provenance(prior: Prior, family: NaturalFamily) -> dict:
     return {**model, "prior": {"atoms": prior.atoms.tolist(), "weights": weights, "theta0": prior.theta0}}
 
 
+def _same_prior(recorded, current) -> bool:
+    """Whether a recorded prior is ``current``: atoms and theta0 alike, weights within 1e-12.
+
+    Weights are normalized when recorded, so the same prior written with
+    scaled weights (1, 1 or 3, 3) can differ in the last bit.
+    """
+    if not isinstance(recorded, dict) or recorded.keys() != current.keys():
+        return False
+    weights = recorded["weights"]
+    return (recorded["atoms"] == current["atoms"] and recorded["theta0"] == current["theta0"]
+            and isinstance(weights, list) and len(weights) == len(current["weights"])
+            and all(type(w) in (int, float) and math.isclose(w, v, rel_tol=1e-12)
+                    for w, v in zip(weights, current["weights"])))
+
+
 def _check_provenance(surface: ValueSurface, prior: Prior, family: NaturalFamily):
     """Refuse to replay ``surface`` against a model or prior it was not solved for.
 
@@ -440,7 +476,7 @@ def _check_provenance(surface: ValueSurface, prior: Prior, family: NaturalFamily
 
     if (recorded.get("model"), recorded.get("scheme")) != (current.get("model"), current.get("scheme")):
         raise ValueError(f"surface was solved for {model(recorded)}, not {model(current)}")
-    if recorded.get("prior") != current["prior"]:
+    if not _same_prior(recorded.get("prior"), current["prior"]):
         raise ValueError("surface was solved for another prior (its atoms, weights or theta0 differ)")
 
 

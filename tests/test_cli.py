@@ -602,6 +602,22 @@ class TestProvenance:
         assert code == 2
         assert out == "" and err.count("\n") == 1 and message in err
 
+    @pytest.mark.parametrize("weights, code", [("3,3", 0), ("0.1,0.1", 0), ("1,2", 2)])
+    def test_scaled_weights_are_the_same_prior(self, tmp_path, capsys, weights, code):
+        # weights are normalized when recorded: 3,3 reads 0.5000000000000001 each against 1,1's 0.5
+        priors = {}
+        for name, (w1, w2) in (("solved", ("1", "1")), ("replayed", weights.split(","))):
+            priors[name] = tmp_path / f"{name}.csv"
+            priors[name].write_text(f"# theta0=0.0\nu,w\n-0.8,{w1}\n0.8,{w2}\n")
+        surface = self._solve(tmp_path, ["--model", "bernoulli"], str(priors["solved"]))
+        capsys.readouterr()
+        assert self._simulate(surface, ["--model", "bernoulli"], str(priors["replayed"])) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == "error: surface was solved for another prior (its atoms, weights or theta0 differ)\n"
+        else:
+            assert "error" not in err
+
     def test_scheme_surface(self, tmp_path, prior_file, scheme_file, capsys):
         surface = self._solve(tmp_path, ["--scheme", scheme_file], prior_file)
         assert self._simulate(surface, ["--scheme", scheme_file], prior_file) == 0

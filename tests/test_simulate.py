@@ -129,6 +129,28 @@ class TestSimulatePolicy:
         assert int(first[0]) == 0
         assert float(first[4]) >= 0.0
 
+    @pytest.mark.parametrize("rule", ["policy", "threshold:0.2,0.8"])
+    def test_report_matches_its_trace(self, solved, tmp_path, rule):
+        prior, family, surface = solved["gaussian-mean"]
+        path = tmp_path / "trace.csv"
+        if rule == "policy":
+            rep = st.simulate_policy(surface, prior, family, 5000, 4, path)
+        else:
+            rep = st.simulate_alternative(st.ThresholdRule(0.2, 0.8, 12), prior, family, 0.02, 5000, 4, path)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        theta = np.array([float(row[1]) for row in rows])
+        tau = np.array([int(row[2]) for row in rows])
+        decision = np.array([int(row[3]) for row in rows])
+        loss = [float(row[4]) for row in rows]
+        # the report sums over outcomes, the replicate-level reference over rows
+        assert math.isclose(math.fsum(loss) / len(rows), rep.mean_cost, rel_tol=1e-15, abs_tol=0.0)
+        assert math.isclose(np.std(loss, ddof=1) / math.sqrt(5000), rep.std_error, rel_tol=1e-12, abs_tol=0.0)
+        assert rep.error_rates == (np.sum((decision == 1) & (theta <= prior.theta0)) / 5000,
+                                   np.sum((decision == 0) & (theta > prior.theta0)) / 5000)
+        assert rep.mean_stopping_time == tau.sum() / 5000
+        assert rep.capped == np.sum(tau == (surface.horizon if rule == "policy" else 12))
+        assert 0 < rep.capped < 5000 and 0 < rep.error_rates[0] and 0 < rep.error_rates[1]
+
     def test_replicates_validated(self, benchmark_surface, benchmark_prior, bernoulli_family):
         with pytest.raises(ValueError, match="replicates"):
             st.simulate_policy(benchmark_surface, benchmark_prior, bernoulli_family, 0, seed=1)
@@ -159,6 +181,18 @@ class TestProvenance:
         prior = st.make_prior(atoms, [1.0] * len(atoms), 0.0)
         with pytest.raises(ValueError, match=message):
             st.simulate_policy(surface, prior, st.make_named_family(model), 100, seed=1)
+
+    @pytest.mark.parametrize("weights", [[3.0, 3.0], [0.1, 0.1]])
+    def test_scaled_weights_are_the_same_prior(self, surface, bernoulli_family, weights):
+        # the surface records 0.5, 0.5; these normalize to 0.5000000000000001 or 0.49999999999999994 each
+        report = st.simulate_policy(surface, st.make_prior([-0.8, 0.8], weights, 0.0), bernoulli_family, 100, seed=1)
+        assert report == st.simulate_policy(surface, st.make_prior([-0.8, 0.8], [1.0, 1.0], 0.0), bernoulli_family,
+                                            100, seed=1)
+
+    def test_other_weights_are_refused(self, surface, bernoulli_family):
+        with pytest.raises(ValueError, match=r"^surface was solved for another prior \(its atoms, weights or theta0 "
+                                             r"differ\)$"):
+            st.simulate_policy(surface, st.make_prior([-0.8, 0.8], [1.0, 2.0], 0.0), bernoulli_family, 100, seed=1)
 
     def test_file_without_provenance_replays_unchecked(self, surface, tmp_path):
         path = tmp_path / "surface.json"
@@ -223,6 +257,42 @@ class TestBoundedMemory:
             tracemalloc.stop()
         # a replicates x horizon observation matrix alone would be 96 MB
         assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+    def test_peak_does_not_grow_with_replicates(self):
+        prior = st.make_prior([-1.5, -0.9, -0.3, 0.3, 0.9, 1.5], [1.0] * 6, 0.0)
+        family = st.make_named_family("bernoulli")
+        surface = st.solve(prior, family, 0.005, 120, grid_size=501)
+        tracemalloc.start()
+        try:
+            st.simulate_policy(surface, prior, family, 1_000_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # per-replicate (theta, tau, decision) arrays and their losses alone would take over 30 MB here
+        assert peak < 12 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+    def test_trace_over_budget_refused_before_allocating(self, benchmark_surface, benchmark_prior, bernoulli_family,
+                                                         tmp_path, monkeypatch):
+        path = tmp_path / "trace.csv"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^a trace of 40000000 replicates needs more than 100000000 values; "
+                                                 "lower the replicates or drop the trace$"):
+                st.simulate_policy(benchmark_surface, benchmark_prior, bernoulli_family, 40_000_000, 0, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"traced peak {peak / 2**20:.1f} MB"
+        assert not path.exists()
+        # 3 values per replicate: theta, tau and the decision; the budget
+        # just holds the band table, 2 atoms x 3 thresholds x the halvings per layer
+        budget = (benchmark_surface.horizon + 1) * 3 * simulate_mod._BAND_HALVINGS * 2
+        monkeypatch.setattr(simulate_mod, "_MAX_VALUES", budget)
+        st.simulate_policy(benchmark_surface, benchmark_prior, bernoulli_family, budget // 3, 0, path)
+        with pytest.raises(ValueError, match=f"^a trace of {budget // 3 + 1} replicates"):
+            st.simulate_policy(benchmark_surface, benchmark_prior, bernoulli_family, budget // 3 + 1, 0, path)
+        # without a trace nothing grows with the replicate count
+        st.simulate_policy(benchmark_surface, benchmark_prior, bernoulli_family, budget // 3 + 1, 0)
 
     @pytest.mark.parametrize("rule", [st.FixedSampleRule(10**12), st.ThresholdRule(0.2, 0.8, 10**12)],
                              ids=["fixed", "threshold"])
@@ -305,10 +375,13 @@ def replay_by_pi(stop_fn, cap):
     handed: every running row computes pi = expit(log-odds) at every step
     and ``stop_fn(n, pi)`` decides.  It makes the same keyed draws: the
     parameter at slot 0, and at step n one observation for each row still
-    running, through ``family.sampler`` at slot n + 1.
+    running, through ``family.sampler`` at slot n + 1.  It returns what
+    ``_replay`` returns: the replicates counted per (2 accept + (theta >
+    theta0), tau), and when ``traced`` each one's theta and flat index into
+    that table.
     """
 
-    def replay(lo, hi, ya, yb, ctx, prior, family, seed, replicates):
+    def replay(lo, hi, ya, yb, ctx, prior, family, seed, replicates, traced=False):
         keys = simulate_mod._row_keys(seed, np.arange(replicates))
         thetas = simulate_mod._draw_thetas(prior, keys)
         y = np.zeros(keys.size)
@@ -325,7 +398,9 @@ def replay_by_pi(stop_fn, cap):
             if not rows.size:
                 break
             y[rows] += family.sampler(thetas[rows], simulate_mod._KeyedUniforms(keys[rows], n + 1), rows.size)
-        return thetas, tau, accept
+        codes = (2 * accept + (thetas > prior.theta0)) * (cap + 1) + tau
+        table = np.bincount(codes, minlength=4 * (cap + 1)).reshape(4, cap + 1)
+        return table, (thetas, codes) if traced else None
 
     return replay
 

@@ -463,6 +463,38 @@ class TestSurfaceIO:
             assert getattr(back, name).tobytes() == np.asarray(getattr(surface, name), dtype=float).tobytes()
         assert (back.cost, back.horizon, back.provenance) == (surface.cost, surface.horizon, provenance)
 
+    @pytest.mark.parametrize("case", ["gain-layer", "negative-zero-ends", "cosine-grid"])
+    def test_writer_bytes_where_layers_meet_the_gain(self, benchmark_prior, bernoulli_family, tmp_path, case):
+        # the writer cuts each layer's ends from the gain's text; the bytes stay those of json.dump
+        kind = "cosine" if case == "cosine-grid" else "uniform"
+        surface = st.solve(benchmark_prior, bernoulli_family, 0.05, 8, grid_size=301, grid_kind=kind)
+        values = surface.values.copy()
+        if case == "gain-layer":
+            values[3] = st.gain(surface.pi_grid)
+        elif case == "negative-zero-ends":
+            values[2, 0] = values[5, -1] = -0.0
+            values[4, 0] = values[4, -1] = -0.0
+        surface = replace(surface, values=values)
+        # -0.0 equals the gain's 0.0 but is not its text; layers 2 and 5 keep the gain's 0.0 at their other end,
+        # which is cut from the gain's text
+        assert values[2, -1].tobytes() == values[5, 0].tobytes() == st.gain(0.0).tobytes()
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        with open(old, "w", encoding="utf-8") as fh:
+            json.dump({"cost": surface.cost, "horizon": surface.horizon, "pi_grid": surface.pi_grid.tolist(),
+                       "values": values.ravel().tolist(), "b1": surface.b1.tolist(), "b2": surface.b2.tolist(),
+                       "provenance": surface.provenance}, fh)
+            fh.write("\n")
+        st.write_surface_json(surface, new)
+        assert new.read_bytes() == old.read_bytes()
+        if case == "negative-zero-ends":
+            assert new.read_text().count("-0.0") == 4
+
+    def test_values_of_another_shape_are_refused_before_writing(self, benchmark_surface, tmp_path):
+        path = tmp_path / "surface.json"
+        with pytest.raises(ValueError, match=r"^surface values have shape \(1, 2001\), not"):
+            st.write_surface_json(replace(benchmark_surface, values=benchmark_surface.values[:1]), path)
+        assert not path.exists()
+
     @pytest.mark.parametrize("field, bad", [("values", math.nan), ("values", math.inf), ("b1", math.nan),
                                             ("cost", math.inf)])
     def test_non_finite_number_is_refused_before_writing(self, benchmark_surface, tmp_path, field, bad):
