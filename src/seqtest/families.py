@@ -19,6 +19,7 @@ parameter u and the sufficient statistic x it observes:
                          small s is a large u; B(u) = -log(u)/2
 """
 
+import functools
 import math
 import operator
 import re
@@ -192,10 +193,26 @@ def _finite_family(name, scheme: ObservationScheme, log_partition_fn):
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_rule(kind: str, nodes: int):
+    """The Gauss-Hermite ("hermite") or Gauss-Legendre ("legendre") rule of
+    ``nodes`` points as read-only arrays, kept across family builds.
+
+    numpy takes about 16 ms to build a 128-point rule, nearly the whole
+    cost of a continuous ``family_for_prior``, and the probe builds one
+    family per random prior.
+    """
+    build = np.polynomial.hermite.hermgauss if kind == "hermite" else np.polynomial.legendre.leggauss
+    rule = build(nodes)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 def _graded_legendre(nodes: int, T: float, a: float):
     """Nodes x = -a t^2 at the Gauss-Legendre points t of (0, T), in increasing x,
     and their weights 2a t dt."""
-    g, gw = np.polynomial.legendre.leggauss(nodes)
+    g, gw = _gauss_rule("legendre", nodes)
     t = 0.5 * T * (g + 1.0)
     tw = 0.5 * T * gw
     x = -a * t * t
@@ -208,7 +225,7 @@ def _gaussian_mean(nodes: int, center: float = 0.0) -> NaturalFamily:
     # Gauss-Hermite nodes recentred at `center`; at 128 nodes the transition
     # law's mass and mean hold to ~1e-13 for parameters within roughly +-10
     # of the center, kinked value layers only to ~1e-3.
-    s, w = np.polynomial.hermite.hermgauss(nodes)
+    s, w = _gauss_rule("hermite", nodes)
     x = center + math.sqrt(2.0) * s
     base = np.exp(np.log(w) + s * s + 0.5 * math.log(2.0))
     return _quadrature_family("gaussian-mean", x, base,

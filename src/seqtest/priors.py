@@ -39,6 +39,9 @@ __all__ = [
 
 # pi values outside (LEVEL_EPS, 1 - LEVEL_EPS) cannot be inverted reliably
 LEVEL_EPS = 1e-12
+# doubles a chunk of outcomes may take in one temporary of ``_predictive`` or
+# ``_transition``: 2**13 doubles, 64 KB
+_CHUNK_VALUES = 2**13
 
 
 @dataclass(frozen=True)
@@ -160,11 +163,12 @@ def validate_prior_for_family(prior: Prior, family: NaturalFamily):
 def _lse_last(z):
     """Log-sum-exp over the trailing axis, the atom axis of ``_unnorm_log_weights``.
 
-    Its one caller is next pi in the per-outcome loop of ``_transition``,
-    which keeps this layout so that the surfaces stay bit for bit; the
-    log-odds and side-wise means come from ``_side_lse_mean`` and the
-    predictive masses from ``_predictive``, both with the atoms on the
-    leading axis.
+    Its one caller is next pi in ``_transition``, which keeps this layout so
+    that the surfaces stay bit for bit: each point's atoms are summed over
+    the trailing axis as they were one outcome at a time, however many
+    outcomes share the call.  The log-odds and side-wise means come from
+    ``_side_lse_mean`` and the predictive masses from ``_predictive``, both
+    with the atoms on the leading axis.
     """
     m = np.max(z, axis=-1)
     e = np.exp(z - m[..., None])
@@ -208,7 +212,7 @@ def _side_lse_mean(ctx: _Ctx, side: slice, n, y):
     (1999, 3) array, and 4 and 5 us over the first axis of a (3, 1999) one.
     The mean of u under the weights exp(z) is the row-wise sum of u_i e_i
     over the atoms, not a matrix-vector product.  Both sums add the atoms in
-    order (``_sum_atoms``), so each point's arithmetic does not depend on how
+    order (``_sum_rows``), so each point's arithmetic does not depend on how
     many points share the call: a batched inversion equals the
     layer-by-layer one bit for bit.  An array ``n`` pairs with ``y`` entry
     by entry.
@@ -219,16 +223,18 @@ def _side_lse_mean(ctx: _Ctx, side: slice, n, y):
     m = e.max(axis=0)
     e -= m
     np.exp(e, out=e)
-    s = _sum_atoms(e)
+    s = _sum_rows(e)
     e *= u
-    return m + np.log(s), _sum_atoms(e) / s
+    return m + np.log(s), _sum_rows(e) / s
 
 
-def _sum_atoms(e):
+def _sum_rows(e):
     """Sum over the leading axis into a new array, adding the rows in order.
 
-    numpy does so for every point when there are several, but sums a single
-    point's terms pairwise once there are 8 or more of them.
+    numpy does so for every point of a row-major array when there are
+    several, but sums a single point's terms pairwise once there are 8 or
+    more of them, and so it does along any axis that lies contiguous in
+    memory, such as the leading axis of a transposed array.
     """
     if e.size == e.shape[0] >= 8:
         return functools.reduce(np.add, e)
@@ -313,39 +319,53 @@ def _y_of_logit(ctx: _Ctx, n: int, target):
     return y.reshape(t.shape)
 
 
-def _predictive(ctx: _Ctx, n: int, y):
-    """Yield the predictive mass of each scheme outcome from (n, y).
+def _predictive(ctx: _Ctx, n, y):
+    """Yield (outcomes, predictive masses) from (n, y), one chunk of outcomes at a time.
 
     Outcome x_k has mass sum_i w_i(n, y) exp{u_i x_k - B(u_i)} times the
-    scheme's point mass.  ``y`` may be a scalar or an array of states.  The
-    normalised log weights are laid out once per call as (A, ...), with the
-    atoms on the leading axis; each outcome adds its column of ``ctx.ux`` and
-    reduces max and sum over axis 0, adding the atoms in order
-    (``_sum_atoms``).  With fewer than 8 atoms that is the order in which
-    numpy sums a trailing atom axis, so the masses equal the trailing-axis
-    ones bit for bit; from 8 atoms on numpy sums a trailing axis pairwise.
-    The layer's transition as one (K, P) table waits for ROADMAP item 2.
+    scheme's point mass.  ``y`` may be a scalar or an array of states, and
+    an array ``n`` pairs with ``y`` entry by entry.  Each chunk is a 1-d
+    array of consecutive outcomes and their (k, ...) masses, k outcomes by
+    the states' shape; a chunk holds max(1, ``_CHUNK_VALUES`` // (A P))
+    outcomes for A atoms and P states, so each of its temporaries stays
+    within ``_CHUNK_VALUES`` doubles unless one outcome alone exceeds them.
+
+    The normalised log weights are laid out once per call as (A, 1, ...),
+    with the atoms on the leading axis; each chunk adds its columns of
+    ``ctx.ux`` and reduces max and sum over axis 0, adding the atoms in order
+    (``_sum_rows``).  So each mass is the same whatever the chunk size, and
+    with fewer than 8 atoms that is the order in which numpy sums a trailing
+    atom axis, so the masses equal the trailing-axis ones bit for bit; from
+    8 atoms on numpy sums a trailing axis pairwise.
     """
     col = (-1,) + (1,) * max(np.ndim(n), np.ndim(y))
     norm = np.logaddexp(_side_lse_mean(ctx, ctx.up, n, y)[0], _side_lse_mean(ctx, ctx.lo, n, y)[0])
     lw = ctx.lw0.reshape(col) + ctx.atoms.reshape(col) * y - ctx.B_atoms.reshape(col) * n - norm
-    z = np.empty_like(lw)
-    for k in range(ctx.points.size):
-        np.add(lw, ctx.ux[k].reshape(col), out=z)
+    lw = lw[:, None]
+    size = max(1, _CHUNK_VALUES // lw.size)
+    for k in range(0, ctx.points.size, size):
+        ks = slice(k, k + size)
+        ux = ctx.ux[ks].T.reshape((ctx.atoms.size,) + col)
+        # row-major, so that the sums over axis 0 add the atoms in order
+        z = np.add(lw, ux, out=np.empty(np.broadcast_shapes(lw.shape, ux.shape)))
         m = z.max(axis=0)
         z -= m
         np.exp(z, out=z)
-        yield np.exp(m + np.log(_sum_atoms(z)) + ctx.log_mass[k])
+        yield ctx.points[ks], np.exp(m + np.log(_sum_rows(z)) + ctx.log_mass[ks].reshape(col))
 
 
-def _transition(ctx: _Ctx, n: int, y):
-    """Yield (predictive mass, next pi) for each scheme outcome from (n, y).
+def _transition(ctx: _Ctx, n, y):
+    """Yield (predictive masses, next pi) from (n, y), one chunk of outcomes at a time.
 
     For outcome x_k the chain moves to q(n+1, y + x_k) with the mass
-    ``_predictive`` gives it.
+    ``_predictive`` gives it; both arrays are (k, ...), k outcomes of
+    ``_predictive``'s chunk by the states' shape.  Next pi takes each side's
+    log-sum-exp over the trailing atom axis (``_lse_last``), so its bits do
+    not depend on the chunk size.
     """
-    for x, pred in zip(ctx.points, _predictive(ctx, n, y)):
-        z_next = _unnorm_log_weights(ctx, n + 1, y + x)
+    col = (-1,) + (1,) * max(np.ndim(n), np.ndim(y))
+    for x, pred in _predictive(ctx, n, y):
+        z_next = _unnorm_log_weights(ctx, n + 1, y + x.reshape(col))
         yield pred, expit(_lse_last(z_next[..., ctx.up]) - _lse_last(z_next[..., ctx.lo]))
 
 
@@ -409,5 +429,5 @@ def transition_distribution(prior: Prior, family: NaturalFamily, n: int, pi: flo
     n = _count(n, "observation count n")
     ctx = _Ctx(prior, family)
     y = float(_y_of_logit(ctx, n, _level_logit(pi)))
-    weights, next_pi = (np.array(v) for v in zip(*_transition(ctx, n, y)))
+    weights, next_pi = (np.concatenate(v) for v in zip(*_transition(ctx, n, y)))
     return next_pi, weights

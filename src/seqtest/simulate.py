@@ -480,12 +480,17 @@ def _run(band, cap, prior, family, cost, replicates, seed, trace_path=None):
     report = _report(table, cost, replicates, seed)
     if trace is not None:
         thetas, codes = trace
-        loss = _loss(codes, cap, cost)
-        tau, accept = codes % (cap + 1), codes // (2 * (cap + 1))
         with open(trace_path, "w", encoding="utf-8", newline="") as fh:
             fh.write("replicate,theta,tau,decision,loss\n")
-            for r in range(replicates):
-                fh.write(f"{r},{float(thetas[r])!r},{int(tau[r])},{int(accept[r])},{float(loss[r])!r}\n")
+            # a block of rows at a time, formatted from Python numbers, so the
+            # columns beside the trace take one block's memory; the text
+            # "tau,decision,loss" of each outcome code in the block is formatted once
+            for start in range(0, replicates, _BLOCK):
+                outcomes, which = np.unique(codes[start:start + _BLOCK], return_inverse=True)
+                columns = (outcomes % (cap + 1), outcomes // (2 * (cap + 1)), _loss(outcomes, cap, cost))
+                tails = [f"{tau},{accept},{loss!r}\n" for tau, accept, loss in zip(*(c.tolist() for c in columns))]
+                rows = zip(range(start, start + which.size), thetas[start:start + _BLOCK].tolist(), which.tolist())
+                fh.writelines(f"{r},{theta!r},{tails[i]}" for r, theta, i in rows)
     return report
 
 

@@ -39,7 +39,7 @@ import numpy as np
 from scipy.special import logit
 
 from .families import NaturalFamily, _count, _positive_finite
-from .priors import Prior, _Ctx, _predictive, _transition, _y_of_logit
+from .priors import Prior, _Ctx, _predictive, _sum_rows, _transition, _y_of_logit
 
 __all__ = [
     "ValueSurface",
@@ -139,7 +139,10 @@ def _continuation(ctx: _Ctx, grid: np.ndarray, a: int, b: int, n: int, next_laye
 
     Each observation path carries the product of the predictive masses along
     it to the state it reaches, so only the layer at time n + steps is
-    interpolated, and only there is next pi computed.  Each point's
+    interpolated, and only there is next pi computed.  The outcomes come in
+    ``_transition``'s chunks: each chunk is interpolated by one ``np.interp``
+    and its terms join the running sum in outcome order (``_sum_rows``), so
+    the sum is the one-outcome-at-a-time sum bit for bit.  Each point's
     inversion, masses, next pi and interpolation do not depend on the other
     points in the call, so any split of the grid into ranges gives the same
     values bit for bit.
@@ -149,12 +152,15 @@ def _continuation(ctx: _Ctx, grid: np.ndarray, a: int, b: int, n: int, next_laye
         paths = [
             (mass * pred, y + x)
             for mass, y in paths
-            for x, pred in zip(ctx.points, _predictive(ctx, m, y))
+            for xs, preds in _predictive(ctx, m, y)
+            for x, pred in zip(xs, preds)
         ]
     cont = 0.0
     for mass, y in paths:
         for pred, next_pi in _transition(ctx, n + steps - 1, y):
-            cont = cont + mass * pred * np.interp(next_pi, grid, next_layer)
+            terms = mass * pred * np.interp(next_pi, grid, next_layer)
+            terms[0] += cont
+            cont = _sum_rows(terms)
     return cont
 
 

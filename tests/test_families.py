@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 import seqtest as st
+from seqtest import families as families_mod
 from seqtest.families import ObservationScheme
 
 ALL_MODELS = ["gaussian-mean", "bernoulli", "binomial(3)", "exponential-rate", "gaussian-variance"]
@@ -71,6 +72,32 @@ class TestNamedFamilies:
             st.make_named_family(name, params)
         with pytest.raises(ValueError, match=message):
             st.family_for_prior(name, np.array([0.5, 1.5]), params)
+
+
+class TestGaussRuleCache:
+    @pytest.mark.parametrize("model, atoms, theta0", [("gaussian-mean", [-1.0, 0.4, 1.5], 0.0),
+                                                      ("exponential-rate", [0.6, 1.1, 2.5], 1.0),
+                                                      ("gaussian-variance", [0.6, 1.1, 2.5], 1.0)])
+    def test_builds_with_and_without_the_cache_agree(self, model, atoms, theta0):
+        prior = st.make_prior(atoms, [1.0, 2.0, 1.0], theta0)
+        families_mod._gauss_rule.cache_clear()
+        fresh = st.family_for_prior(model, prior)
+        cached = st.family_for_prior(model, prior)
+        assert families_mod._gauss_rule.cache_info().hits >= 1
+        for a, b in ((fresh.scheme.points, cached.scheme.points),
+                     (fresh.scheme.base_weights, cached.scheme.base_weights),
+                     (fresh.scheme.log_mass, cached.scheme.log_mass)):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("kind, build", [("hermite", np.polynomial.hermite.hermgauss),
+                                             ("legendre", np.polynomial.legendre.leggauss)])
+    def test_cached_rule_is_numpys_and_read_only(self, kind, build):
+        rule = families_mod._gauss_rule(kind, 128)
+        for got, want in zip(rule, build(128)):
+            assert got.tobytes() == want.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 0.0
+        assert families_mod._gauss_rule(kind, 128) is rule
 
 
 class TestSampler:

@@ -209,6 +209,11 @@ def _trailing_predictive(ctx, n, y):
     return [np.exp(priors_mod._lse_last(lw + ctx.ux[k]) + ctx.log_mass[k]) for k in range(ctx.points.size)]
 
 
+def _joined(chunks):
+    """The chunks of ``_transition`` or ``_predictive`` joined along the outcome axis."""
+    return tuple(np.concatenate(v) for v in zip(*chunks))
+
+
 SIX_ATOMS = ([-1.5, -0.9, -0.3, 0.3, 0.9, 1.5], [1.0, 2.0, 1.0, 1.0, 0.5, 1.0], 0.0)
 SIX_POSITIVE_ATOMS = ([0.4, 0.7, 1.0, 1.4, 1.9, 2.5], [1.0, 2.0, 1.0, 1.0, 0.5, 1.0], 1.2)
 INVERSION_CASES = [
@@ -226,6 +231,9 @@ INVERSION_CASES = [
 ]
 INVERSION_IDS = ["bernoulli", "binomial3", "gaussian-mean", "exponential-rate", "gaussian-variance",
                  "gaussian-mean-narrow", "bernoulli-faint-tails", "bernoulli-twenty-atoms"]
+TWENTY_ATOMS = INVERSION_CASES[-1][1]
+CHUNK_CASES = [("gaussian-mean", SIX_ATOMS), ("gaussian-mean", TWENTY_ATOMS), ("bernoulli", TWENTY_ATOMS)]
+CHUNK_IDS = ["gaussian-mean", "gaussian-mean-twenty-atoms", "bernoulli-twenty-atoms"]
 # the solver's 2001-point grid interior (0.5 included) plus both ends of the
 # invertible range
 INVERSION_PIS = np.concatenate([[1.01e-12], np.linspace(0.0, 1.0, 2001)[1:-1], [1.0 - 1.01e-12]])
@@ -288,13 +296,11 @@ class TestLevelCurveInversion:
             assert close(r, r_ref) and close(s, s_ref)
             # every 20th point, ends included, keeps the 128-outcome schemes quick
             y = y[..., ::20] if np.ndim(y) else y
-            steps_ref = _trailing_transition(ctx, n, y)
-            steps = list(priors_mod._transition(ctx, n, y))
-            assert len(steps) == len(steps_ref)
-            for (pred, next_pi), (pred_ref, next_pi_ref) in zip(steps, steps_ref):
-                assert close(pred, pred_ref)
-                # next pi keeps the trailing layout, bit for bit
-                assert np.array_equal(next_pi, next_pi_ref)
+            pred_ref, next_pi_ref = (np.stack(v) for v in zip(*_trailing_transition(ctx, n, y)))
+            pred, next_pi = _joined(priors_mod._transition(ctx, n, y))
+            assert close(pred, pred_ref)
+            # next pi keeps the trailing layout, bit for bit
+            assert np.array_equal(next_pi, next_pi_ref)
 
     @pytest.mark.parametrize("model, spec", INVERSION_CASES, ids=INVERSION_IDS)
     def test_predictive_masses_match_trailing_reference(self, model, spec):
@@ -308,16 +314,58 @@ class TestLevelCurveInversion:
             cases.append((int(n), row))
             cases.extend((int(n), float(row[k])) for k in (0, row.size // 2, -1))
         for n, y in cases:
-            masses = list(priors_mod._predictive(ctx, n, y))
-            masses_ref = _trailing_predictive(ctx, n, y)
-            assert len(masses) == len(masses_ref)
-            for got, want in zip(masses, masses_ref):
-                assert np.shape(got) == np.shape(want)
-                if prior.n_atoms < 8:
-                    # numpy sums fewer than 8 trailing terms in order, as the leading axis does
-                    assert np.array_equal(got, want)
-                else:
-                    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+            x, masses = _joined(priors_mod._predictive(ctx, n, y))
+            assert np.array_equal(x, ctx.points)
+            masses_ref = np.stack(_trailing_predictive(ctx, n, y))
+            assert masses.shape == masses_ref.shape
+            if prior.n_atoms < 8:
+                # numpy sums fewer than 8 trailing terms in order, as the leading axis does
+                assert np.array_equal(masses, masses_ref)
+            else:
+                assert np.all(np.abs(masses - masses_ref) <= 1e-13 * np.maximum(1.0, np.abs(masses_ref)))
+
+    @pytest.mark.parametrize("model, spec", CHUNK_CASES, ids=CHUNK_IDS)
+    @pytest.mark.parametrize("outcomes", [1, 5, None], ids=["one-outcome", "five-outcomes", "all-outcomes"])
+    def test_chunk_edges_keep_every_bit(self, model, spec, outcomes, monkeypatch):
+        """Chunks of one outcome, of a size that does not divide the outcome count, and of all
+        outcomes give the default chunks' masses and next pi bit for bit, and the trailing
+        references' next pi, and masses below 8 atoms."""
+        prior = st.make_prior(*spec)
+        ctx = priors_mod._Ctx(prior, st.family_for_prior(model, prior))
+        ns = np.array([0, 30, 120])
+        y_layers = priors_mod._y_of_logit(ctx, ns[:, None], logit(INVERSION_PIS))[:, ::40]
+        cases = [(ns[:, None], y_layers), (30, y_layers[1]), (30, float(y_layers[1, 7]))]
+        for n, y in cases:
+            pred_ref = np.stack(_trailing_predictive(ctx, n, y))
+            next_pi_ref = np.stack([next_pi for _, next_pi in _trailing_transition(ctx, n, y)])
+            default = _joined(priors_mod._transition(ctx, n, y))
+            # a budget of that many outcomes' atoms at every state gives chunks of exactly that many outcomes
+            per_outcome = prior.n_atoms * np.broadcast(n, y).size
+            monkeypatch.setattr(priors_mod, "_CHUNK_VALUES", (outcomes or ctx.points.size) * per_outcome)
+            sizes = [x.size for x, _ in priors_mod._predictive(ctx, n, y)]
+            want = outcomes or ctx.points.size
+            assert sizes[:-1] == [want] * (len(sizes) - 1) and 0 < sizes[-1] <= want
+            pred, next_pi = _joined(priors_mod._transition(ctx, n, y))
+            monkeypatch.undo()
+            assert np.array_equal(pred, default[0]) and np.array_equal(next_pi, default[1])
+            assert np.array_equal(next_pi, next_pi_ref)
+            if prior.n_atoms < 8:
+                assert np.array_equal(pred, pred_ref)
+            else:
+                assert np.all(np.abs(pred - pred_ref) <= 1e-13 * np.maximum(1.0, np.abs(pred_ref)))
+
+    def test_chunks_stay_within_the_budget(self, five_model_priors):
+        prior, family = five_model_priors["gaussian-mean"]
+        ctx = priors_mod._Ctx(prior, family)
+        for size in (1, 6, 499, 1999):
+            y = np.linspace(-1.0, 1.0, size)
+            sizes = [x.size for x, _ in priors_mod._predictive(ctx, 3, y)]
+            assert sum(sizes) == ctx.points.size
+            per_chunk = max(1, priors_mod._CHUNK_VALUES // (prior.n_atoms * size))
+            assert sizes == [per_chunk] * (len(sizes) - 1) + [sizes[-1]]
+            assert per_chunk == 1 or per_chunk * prior.n_atoms * size <= priors_mod._CHUNK_VALUES
+        # a single state takes every outcome in one chunk
+        assert [x.size for x, _ in priors_mod._predictive(ctx, 3, 0.2)] == [ctx.points.size]
 
     @pytest.mark.parametrize("model, spec", INVERSION_CASES, ids=INVERSION_IDS)
     def test_scalar_input_returns_float(self, model, spec):

@@ -9,6 +9,7 @@ import pytest
 
 import seqtest as st
 from conftest import BENCH_ATOMS, FIVE_MODELS
+from seqtest import priors as priors_mod
 from seqtest import solver as solver_mod
 from seqtest.checks import PROBE_WINDOWS, sample_random_prior
 from seqtest.priors import _Ctx
@@ -246,6 +247,27 @@ class TestStoppingCertificate:
         ctx = _Ctx(prior, st.family_for_prior(model, prior))
         got = solver_mod._backward(ctx, grid, horizon, cost, steps)
         np.testing.assert_array_equal(got, full_grid_backward(ctx, grid, horizon, cost, steps))
+
+    # steps = 3 on a 128-node model follows 128**2 paths per point: 4-5 s for one layer of 5 points
+    @pytest.mark.parametrize("model, grid_size, horizon, steps", [
+        pytest.param("gaussian-mean", 501, 6, 1, id="gaussian-mean-steps-1"),
+        pytest.param("gaussian-variance", 301, 4, 1, id="gaussian-variance-steps-1"),
+        pytest.param("bernoulli", 501, 4, 3, id="bernoulli-steps-3"),
+        pytest.param("binomial(3)", 301, 4, 3, id="binomial3-steps-3"),
+    ])
+    # chunks of one outcome; of three at 499 points of six atoms and more on shorter ranges,
+    # so most do not divide 128; of all outcomes
+    @pytest.mark.parametrize("budget", [1, 3 * 6 * 499, 2**40], ids=["one-outcome", "mixed", "all-outcomes"])
+    def test_chunk_budget_keeps_every_bit(self, model, grid_size, horizon, steps, budget, monkeypatch):
+        """The outcomes' chunk size moves no bit: the certificate's ranges and the whole grid
+        under another budget give the default budget's surface."""
+        prior = seeded_prior(model, 7)
+        ctx = _Ctx(prior, st.family_for_prior(model, prior))
+        grid = st.make_grid(grid_size)
+        want = solver_mod._backward(ctx, grid, horizon, 0.05, steps)
+        monkeypatch.setattr(priors_mod, "_CHUNK_VALUES", budget)
+        np.testing.assert_array_equal(solver_mod._backward(ctx, grid, horizon, 0.05, steps), want)
+        np.testing.assert_array_equal(full_grid_backward(ctx, grid, horizon, 0.05, steps), want)
 
     def test_layer_with_a_dip_falls_back_to_the_whole_grid(self, benchmark_prior, bernoulli_family, monkeypatch):
         # the layer is 0 on [0.19, 0.23]: from pi = 0.1 a success moves to 0.206, so pi = 0.1 continues,
