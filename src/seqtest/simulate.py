@@ -13,6 +13,7 @@ reports replicate-level aggregates.
 
 import json
 import math
+import types
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -47,6 +48,9 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 # the bits of the double 1.0
 _ONE_BITS = np.uint64(0x3FF0000000000000)
+# draws per entry and step of the threshold search (``_thresholds``)
+_PROBE_BITS = 4
+_PROBES = 2**_PROBE_BITS
 
 
 def _mix(z):
@@ -86,28 +90,38 @@ def _row_keys(seed, rows):
     return _mix(seed_key ^ rows.astype(np.uint64))
 
 
+def _keyed_word(keys, slot):
+    """Output slot + 1 of the SplitMix64 generator seeded with each row key.
+
+    ``slot`` is an int shared by the keys or an array of one slot per key;
+    the offset (slot + 1) GOLDEN wraps around uint64 in array arithmetic,
+    which emits no warnings.
+    """
+    offset = (np.atleast_1d(slot).astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN)
+    return _mix(keys + offset)
+
+
 class _KeyedUniforms:
     """Uniform source of a set of replicates at one slot of their streams.
 
-    ``random()`` returns U(seed, r, slot) for each row key: output slot + 1
-    of the SplitMix64 generator seeded with the key.  Slot 0 draws the
-    parameter and slot n + 1 the observation taken at layer n.  ``slot`` is
-    an int shared by the keys or an array of one slot per key; the offset
-    (slot + 1) GOLDEN wraps around uint64 in array arithmetic, which emits
-    no warnings.  It stands in for a Generator in ``family.sampler``, which
-    reads only ``random``, and always returns one uniform per key.
+    ``random()`` returns U(seed, r, slot), ``_unit`` of each row key's
+    ``_keyed_word``.  Slot 0 draws the parameter and slot n + 1 the
+    observation taken at layer n.  It stands in for a Generator in
+    ``family.sampler``, which reads only ``random``, and always returns one
+    uniform per key.
     """
 
     def __init__(self, keys, slot):
         self.keys = keys
-        self.offset = (np.atleast_1d(slot).astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN)
+        self.slot = slot
 
     def random(self, size=None):
-        return _unit(_mix(self.keys + self.offset))
+        return _unit(_keyed_word(self.keys, self.slot))
 
 
 def _draw_thetas(prior, keys):
-    """Each replicate's parameter: the prior's weight CDF inverted at its slot-0 uniform.
+    """Each replicate's parameter, as an index into ``prior.atoms``: the
+    prior's weight CDF inverted at its slot-0 uniform.
 
     The atom index counts the first A - 1 CDF values at or below U, which is
     min(searchsorted(cdf, U, "right"), A - 1).
@@ -117,7 +131,47 @@ def _draw_thetas(prior, keys):
     idx = np.zeros(keys.size, dtype=np.intp)
     for c in cdf[:-1]:
         idx += u >= c
-    return prior.atoms[idx]
+    return idx
+
+
+def _thresholds(family, atoms):
+    """(K - 1, A) table T of a finite model's inverse CDF on the words' top 52 bits.
+
+    T[j, i] is the least k in [0, 2^52] at which ``family.sampler`` at
+    atoms[i], handed the uniform U(k) = (k + 1/2) 2^-52 that ``_unit`` makes
+    of a word whose top 52 bits are k, draws above points[j]; 2^52 where no
+    k does.  The sampler counts the partial sums of the outcome masses below
+    U times their total, which cannot decrease in U, so it draws
+    points[#{j : k >= T[j, i]}] at k, and a search through the sampler
+    itself finds every entry: each step draws at ``_PROBES`` points evenly
+    spaced over each entry's bracket [lo, hi] and keeps the gap below the
+    first draw above points[j], so about 14 steps reach the least k.  The
+    outcomes go through in chunks that keep each step's draws within
+    ``_BLOCK``, the temporaries of a replay step.
+    """
+    inner = family.scheme.points[:-1]
+    table = np.empty((inner.size, atoms.size), dtype=np.uint64)
+    m = np.arange(_PROBES, dtype=np.uint64)[:, None, None]
+    size = max(1, _BLOCK // (_PROBES * atoms.size))
+    for j in range(0, inner.size, size):
+        below = inner[j:j + size, None]
+        u = np.broadcast_to(atoms, (_PROBES, below.size, atoms.size))
+        lo = np.zeros(u.shape[1:], dtype=np.uint64)
+        hi = np.full(u.shape[1:], 2**52, dtype=np.uint64)
+        active = lo < hi
+        while active.any():
+            # probes lo + (hi - lo) m / _PROBES lie in [lo, hi) where lo < hi; a finished
+            # entry's probes sit at lo = hi, and at 2^52 they wrap to k = 0, unused
+            k = lo + ((hi - lo) * m >> np.uint64(_PROBE_BITS))
+            U = _unit(k << np.uint64(12))
+            above = family.sampler(u, types.SimpleNamespace(random=lambda size=None: U)) > below
+            first = np.count_nonzero(~above, axis=0)[None]
+            hi = np.where(first < _PROBES, np.take_along_axis(k, np.minimum(first, _PROBES - 1), 0), hi)[0]
+            lo = np.where(active & (first > 0), np.take_along_axis(k, np.maximum(first - 1, 0), 0) + np.uint64(1),
+                          lo)[0]
+            active = lo < hi
+        table[j:j + size] = lo
+    return table
 
 
 @dataclass(frozen=True)
@@ -307,59 +361,94 @@ def _level_bands(ctx, n, p):
     return a, b
 
 
-def _advance(run, until, lo, hi, edges, ctx, family, theta0, stops):
+def _advance(run, until, lo, hi, edges, ctx, draw, stops):
     """Replay the running rows ``run`` until at most ``until`` of them still run.
 
-    ``run`` is (rows, keys, thetas, y, n): each row's replicate index, key,
-    parameter, observation sum and layer, with n an int shared by the rows
-    or an array of one layer per row.  A row at layer n continues while
-    lo[n] < pi < hi[n] and, once stopped, accepts the upper side if pi > 1/2;
-    the last layer has lo = hi = inf, so every row still running stops there.
-    Since pi is increasing in the observation sum y, each test is made on y
-    against the uncertain bands [a, b] of the thresholds lo[n], hi[n] and
-    1/2 from ``_level_bands``; ``edges`` holds their ends per layer as
-    (a_lo, b_lo, a_hi, b_hi, a_half, b_half).  Rows inside a band of lo[n] or
-    hi[n], and stopping rows inside the band of 1/2, compute pi from their
-    log-odds; every other row is decided by a band edge alone, which the
+    ``run`` is (keys, idx, y, n, rows): each row's key, its parameter's
+    index into the prior's atoms, its observation sum and layer, with n an
+    int shared by the rows or an array of one layer per row, and the rows'
+    replicate indices, or None where no trace asks for them.  A row at layer
+    n continues while lo[n] < pi < hi[n] and, once stopped, accepts the
+    upper side if pi > 1/2; the last layer has lo = hi = inf, so every row
+    still running stops there.  Since pi is increasing in the observation
+    sum y, each test is made on y against the uncertain bands [a, b] of the
+    thresholds lo[n], hi[n] and 1/2 from ``_level_bands``; ``edges`` holds
+    their ends per layer as (a_lo, b_lo, a_hi, b_hi, a_half, b_half).  Rows
+    inside (b_lo[n], a_hi[n]) certainly continue; only the others are
+    sorted into stopping rows and rows inside a band of lo[n] or hi[n],
+    which compute pi from their log-odds, as do stopping rows inside the
+    band of 1/2.  Every other row is decided by a band edge alone, which the
     bands make exact, so every decision is the one a test on pi makes.
 
     Only rows still running draw, one observation per step each:
-    ``family.sampler``, the model's inverse CDF, applied to the uniforms of
-    ``_KeyedUniforms`` at slot n + 1.  Every draw is a function of (seed,
-    replicate, step) alone, so a row's path does not depend on the rows
-    beside it.  Each step's stopped rows append (rows, codes) to ``stops``,
-    with the code (2 accept + (theta > theta0)) (cap + 1) + tau of each row;
-    returns the rows still running, in the layout of ``run``.
+    ``draw(idx, keys, n)``, a function of (seed, replicate, step) alone, so
+    a row's path does not depend on the rows beside it.  Each step's
+    stopped rows append (rows, codes) to ``stops``, with the code (2 accept
+    + (theta > theta0)) (cap + 1) + tau of each row; returns the rows still
+    running, in the layout of ``run``.
     """
-    rows, keys, thetas, y, n = run
+    keys, idx, y, n, rows = run
     a_lo, b_lo, a_hi, b_hi, a_half, b_half = edges
     per_row = isinstance(n, np.ndarray)
-    while rows.size > until:
-        stop = (y < a_lo[n]) | (y > b_hi[n])
-        near = ~(stop | ((y > b_lo[n]) & (y < a_hi[n])))
-        if near.any():
-            i = np.flatnonzero(near)
-            ni = n[i] if per_row else n
-            pi = expit(_log_odds(ctx, ni, y[i]))
-            stop[i] = (pi <= lo[ni]) | (pi >= hi[ni])
-        if stop.any():
-            i = np.flatnonzero(stop)
+    while keys.size > until:
+        out = (y <= b_lo[n]) | (y >= a_hi[n])
+        i = np.flatnonzero(out)
+        if i.size:
             ys, ni = y[i], n[i] if per_row else n
-            up = ys > b_half[ni]
-            near = (ys >= a_half[ni]) & (ys <= b_half[ni])
-            if near.any():
-                j = np.flatnonzero(near)
-                up[j] = expit(_log_odds(ctx, ni[j] if per_row else ni, ys[j])) > 0.5
-            stops.append((rows[i], (2 * up + (thetas[i] > theta0)) * lo.size + ni))
-            go = np.flatnonzero(~stop)
-            rows, keys, thetas, y = (v.take(go) for v in (rows, keys, thetas, y))
-            if per_row:
-                n = n.take(go)
-            if not rows.size:
-                break
-        y += family.sampler(thetas, _KeyedUniforms(keys, n + 1), rows.size)
+            stop = (ys < a_lo[ni]) | (ys > b_hi[ni])
+            if not stop.all():
+                j = np.flatnonzero(~stop)
+                nj = ni[j] if per_row else ni
+                pi = expit(_log_odds(ctx, nj, ys[j]))
+                stop[j] = (pi <= lo[nj]) | (pi >= hi[nj])
+            if stop.any():
+                out[i[~stop]] = False
+                i, ys = i[stop], ys[stop]
+                if per_row:
+                    ni = ni[stop]
+                up = ys > b_half[ni]
+                near = (ys >= a_half[ni]) & (ys <= b_half[ni])
+                if near.any():
+                    j = np.flatnonzero(near)
+                    up[j] = expit(_log_odds(ctx, ni[j] if per_row else ni, ys[j])) > 0.5
+                stops.append((None if rows is None else rows[i], (2 * up + (idx[i] >= ctx.split)) * lo.size + ni))
+                go = np.flatnonzero(~out)
+                keys, idx, y = (v.take(go) for v in (keys, idx, y))
+                if per_row:
+                    n = n.take(go)
+                if rows is not None:
+                    rows = rows.take(go)
+                if not keys.size:
+                    break
+        y += draw(idx, keys, n)
         n = n + 1
-    return rows, keys, thetas, y, n
+    return keys, idx, y, n, rows
+
+
+def _outcomes(points, table, idx, words):
+    """The finite model's draw at each word: points[#{j : k >= table[j, idx]}]
+    for the word's top 52 bits k, ``_unit``'s bits; shifts ``words`` in place."""
+    words >>= np.uint64(12)
+    count = np.zeros(words.size, dtype=np.intp)
+    for t in table:
+        count += words >= t.take(idx)
+    return points.take(count)
+
+
+def _drawer(prior, family):
+    """``draw(idx, keys, n)``: each running row's observation at layer n.
+
+    It equals ``family.sampler(prior.atoms[idx], _KeyedUniforms(keys, n +
+    1), idx.size)`` bit for bit.  A finite model draws it from the
+    ``_thresholds`` table of the prior's atoms by ``_outcomes``, so no
+    uniform, outcome mass or CDF is formed per row; a quadrature model
+    calls the sampler.
+    """
+    atoms = prior.atoms
+    if family.scheme.kind != "finite":
+        return lambda idx, keys, n: family.sampler(atoms.take(idx), _KeyedUniforms(keys, n + 1), idx.size)
+    points, table = family.scheme.points, _thresholds(family, atoms)
+    return lambda idx, keys, n: _outcomes(points, table, idx, _keyed_word(keys, n + 1))
 
 
 def _replay(lo, hi, ya, yb, ctx, prior, family, seed, replicates, traced=False):
@@ -379,14 +468,15 @@ def _replay(lo, hi, ya, yb, ctx, prior, family, seed, replicates, traced=False):
     layers, and the replay holds fewer than 2 ``_BLOCK`` rows at any time.
     The stopped rows' codes are folded into the table after each block and
     each pool replay, so without a trace no array grows with the replicate
-    count.  ``ya`` and ``yb`` are the band edges of (lo, hi, 1/2) per layer.
+    count, and the rows' replicate indices are carried only for a trace.
+    ``ya`` and ``yb`` are the band edges of (lo, hi, 1/2) per layer.
     """
     cap = lo.size - 1
     edges = tuple(np.ascontiguousarray(e[:, j]) for j in range(3) for e in (ya, yb))
     table = np.zeros(4 * (cap + 1), dtype=np.int64)
     trace = (np.empty(replicates), np.empty(replicates, dtype=np.int64)) if traced else None
     stops = []
-    common = (lo, hi, edges, ctx, family, prior.theta0, stops)
+    common = (lo, hi, edges, ctx, _drawer(prior, family), stops)
 
     def fold():
         if stops:
@@ -402,16 +492,17 @@ def _replay(lo, hi, ya, yb, ctx, prior, family, seed, replicates, traced=False):
         end = min(start + _BLOCK, replicates)
         rows = np.arange(start, end)
         keys = _row_keys(seed, rows)
-        thetas = _draw_thetas(prior, keys)
+        idx = _draw_thetas(prior, keys)
         if trace is not None:
-            trace[0][start:end] = thetas
-        run = _advance((rows, keys, thetas, np.zeros(rows.size), 0), _BLOCK // 8, *common)
+            trace[0][start:end] = prior.atoms.take(idx)
+        run = _advance((keys, idx, np.zeros(keys.size), 0, rows if traced else None), _BLOCK // 8, *common)
         fold()
-        if run[0].size:
-            pool.append(run[:4] + (np.full(run[0].size, run[4]),))
-            held += run[0].size
+        keys, idx, y, n, rows = run
+        if keys.size:
+            pool.append((keys, idx, y, np.full(keys.size, n), rows))
+            held += keys.size
         if pool and (held >= _BLOCK or end == replicates):
-            _advance(tuple(np.concatenate(parts) for parts in zip(*pool)), 0, *common)
+            _advance(tuple(None if parts[-1] is None else np.concatenate(parts) for parts in zip(*pool)), 0, *common)
             fold()
             pool, held = [], 0
     return table.reshape(4, cap + 1), trace

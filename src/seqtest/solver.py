@@ -139,7 +139,12 @@ def _continuation(ctx: _Ctx, grid: np.ndarray, a: int, b: int, n: int, next_laye
 
     Each observation path carries the product of the predictive masses along
     it to the state it reaches, so only the layer at time n + steps is
-    interpolated, and only there is next pi computed.  The outcomes come in
+    interpolated, and only there is next pi computed.  Paths whose outcomes
+    add up to the same sum s reach the same state, so after each
+    intermediate step they merge into one, keyed by s: their masses are
+    added in the order the paths are enumerated, and the first path's y is
+    kept.  With K lattice outcomes at most (steps - 1)(K - 1) + 1 states so
+    remain, not K^(steps - 1) paths.  The outcomes come in
     ``_transition``'s chunks: each chunk is interpolated by one ``np.interp``
     and its terms join the running sum in outcome order (``_sum_rows``), so
     the sum is the one-outcome-at-a-time sum bit for bit.  Each point's
@@ -147,16 +152,21 @@ def _continuation(ctx: _Ctx, grid: np.ndarray, a: int, b: int, n: int, next_laye
     points in the call, so any split of the grid into ranges gives the same
     values bit for bit.
     """
-    paths = [(1.0, _y_of_logit(ctx, n, logit(grid[a:b])))]
+    paths = {0.0: (1.0, _y_of_logit(ctx, n, logit(grid[a:b])))}
     for m in range(n, n + steps - 1):
-        paths = [
-            (mass * pred, y + x)
-            for mass, y in paths
-            for xs, preds in _predictive(ctx, m, y)
-            for x, pred in zip(xs, preds)
-        ]
+        merged = {}
+        for s, (mass, y) in paths.items():
+            for xs, preds in _predictive(ctx, m, y):
+                for x, pred in zip(xs, preds):
+                    key = s + float(x)
+                    if key in merged:
+                        total, first = merged[key]
+                        merged[key] = (total + mass * pred, first)
+                    else:
+                        merged[key] = (mass * pred, y + x)
+        paths = merged
     cont = 0.0
-    for mass, y in paths:
+    for mass, y in paths.values():
         for pred, next_pi in _transition(ctx, n + steps - 1, y):
             terms = mass * pred * np.interp(next_pi, grid, next_layer)
             terms[0] += cont

@@ -9,6 +9,7 @@ from scipy.special import expit, logit
 
 import seqtest as st
 from seqtest import checks as checks_mod
+from seqtest import solver as solver_mod
 from seqtest.checks import PROBE_WINDOWS, sample_random_prior
 from seqtest.priors import _Ctx, _log_odds, _lse_last, _unnorm_log_weights, _y_of_logit
 from seqtest.solver import _backward
@@ -320,6 +321,24 @@ class TestBatchedBackwardLoop:
         got = _backward(ctx, grid, 12, 0.05, steps=batch)
         want = batched_layers_by_paths(prior, grid, 12, batch, 0.05)
         assert np.max(np.abs(got - want)) <= 1e-13
+
+    @pytest.mark.parametrize("model, steps", [("bernoulli", 6), ("bernoulli", 14), ("binomial(3)", 4)])
+    def test_paths_with_one_outcome_sum_merge(self, model, steps, monkeypatch):
+        # the states after m of a batch's steps are the m (K - 1) + 1 outcome
+        # sums, not the K^m paths; the last step takes (steps - 1)(K - 1) + 1
+        family = st.make_named_family(model)
+        k = family.scheme.n_points
+        calls = []
+        for name in ("_predictive", "_transition"):
+            def counted(ctx, n, y, kernel=getattr(solver_mod, name), name=name):
+                calls.append((name, n))
+                return kernel(ctx, n, y)
+            monkeypatch.setattr(solver_mod, name, counted)
+        grid = st.make_grid(201)
+        ctx = _Ctx(CRITERION_07_PRIORS[1], family)
+        solver_mod._continuation(ctx, grid, 1, 200, 5, st.gain(grid), steps)
+        want = [("_predictive", 5 + m) for m in range(steps - 1) for _ in range(m * (k - 1) + 1)]
+        assert calls == want + [("_transition", 5 + steps - 1)] * ((steps - 1) * (k - 1) + 1)
 
     @pytest.mark.parametrize("model", ["bernoulli", "binomial(3)"])
     @pytest.mark.parametrize("prior", CRITERION_07_PRIORS, ids=["two-atom", "three-atom", "four-atom"])

@@ -383,7 +383,7 @@ def replay_by_pi(stop_fn, cap):
 
     def replay(lo, hi, ya, yb, ctx, prior, family, seed, replicates, traced=False):
         keys = simulate_mod._row_keys(seed, np.arange(replicates))
-        thetas = simulate_mod._draw_thetas(prior, keys)
+        thetas = prior.atoms[simulate_mod._draw_thetas(prior, keys)]
         y = np.zeros(keys.size)
         tau = np.full(keys.size, cap, dtype=int)
         accept = np.zeros(keys.size, dtype=int)
@@ -486,16 +486,18 @@ class TestKeyedDraws:
         pooled, held, flushes = [0], [], []
 
         def logged(run, until, *args):
+            # a run's rows counted by their keys, which every run carries
+            keys = run[0]
             if until:
                 # a block: its own rows beside the stragglers waiting in the pool
-                held.append(run[0].size + pooled[0])
+                held.append(keys.size + pooled[0])
                 rest = advance(run, until, *args)
                 pooled[0] += rest[0].size
                 return rest
             # the pool, replayed whole
-            assert run[0].size == pooled[0]
-            held.append(run[0].size)
-            flushes.append(run[0].size)
+            assert keys.size == pooled[0]
+            held.append(keys.size)
+            flushes.append(keys.size)
             pooled[0] = 0
             return advance(run, until, *args)
 
@@ -503,6 +505,23 @@ class TestKeyedDraws:
         st.simulate_alternative(st.ThresholdRule(0.1, 0.9, 30), prior, family, 0.02, 30_000, 3)
         assert pooled[0] == 0 and len(flushes) >= 3
         assert max(held) <= 2 * block
+
+    def test_replicate_indices_carried_only_for_a_trace(self, solved, tmp_path, monkeypatch):
+        prior, family, surface = solved["bernoulli"]
+        advance = simulate_mod._advance
+        carried = []
+
+        def logged(run, until, *args):
+            carried.append(run[4] is not None)
+            return advance(run, until, *args)
+
+        monkeypatch.setattr(simulate_mod, "_BLOCK", SMALL_BLOCK)
+        monkeypatch.setattr(simulate_mod, "_advance", logged)
+        st.simulate_policy(surface, prior, family, 2500, 1)
+        assert carried and not any(carried)
+        carried.clear()
+        st.simulate_policy(surface, prior, family, 2500, 1, tmp_path / "trace.csv")
+        assert carried and all(carried)
 
     @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
     def test_per_row_slots_match_scalar_slots(self, dtype):
@@ -543,7 +562,7 @@ class TestKeyedDraws:
 
         monkeypatch.setattr(simulate_mod, "_KeyedUniforms", FixedUniforms)
         got = simulate_mod._draw_thetas(prior, np.zeros(u.size, dtype=np.uint64))
-        want = prior.atoms[np.minimum(np.searchsorted(cdf, u, side="right"), prior.n_atoms - 1)]
+        want = np.minimum(np.searchsorted(cdf, u, side="right"), prior.n_atoms - 1)
         np.testing.assert_array_equal(got, want)
 
     def test_uniforms_lie_strictly_inside_the_unit_interval(self):
@@ -559,10 +578,10 @@ class TestKeyedDraws:
 
     def test_parameter_frequencies_match_prior_weights(self):
         prior = st.make_prior(*SIX)
-        thetas = simulate_mod._draw_thetas(prior, simulate_mod._row_keys(3, np.arange(200_000)))
-        counts = np.array([np.count_nonzero(thetas == atom) for atom in prior.atoms])
-        assert counts.sum() == thetas.size
-        expected = thetas.size * np.exp(prior.log_weights)
+        idx = simulate_mod._draw_thetas(prior, simulate_mod._row_keys(3, np.arange(200_000)))
+        counts = np.bincount(idx, minlength=prior.n_atoms)
+        assert counts.size == prior.n_atoms and counts.sum() == idx.size
+        expected = idx.size * np.exp(prior.log_weights)
         chi2 = np.sum((counts - expected) ** 2 / expected)
         assert chi2 < stats.chi2.ppf(0.999, prior.n_atoms - 1)
 
@@ -581,6 +600,84 @@ class TestKeyedDraws:
             st.simulate_policy(benchmark_surface, benchmark_prior, bernoulli_family, 10, seed)
         with pytest.raises(ValueError, match=message):
             st.simulate_alternative(st.FixedSampleRule(1), benchmark_prior, bernoulli_family, 0.05, 10, seed)
+
+
+# a five-outcome model with non-integer outcomes, as a ``--scheme`` file states it
+FIVE_OUTCOMES = ([-1.5, -0.25, 0.5, 1.75, 3.0], [0.2, 1.0, 2.0, 1.0, 0.1])
+# atoms at -40 and 40 put every threshold at 2^52 and at 0
+WIDE_ATOMS = [-40.0, -1.5, -0.3, 0.0, 0.9, 2.2, 40.0]
+
+
+class TestThresholdDraws:
+    """A finite model's draws from its threshold table equal ``family.sampler``'s bit for bit."""
+
+    @pytest.fixture(scope="class", params=["bernoulli", "binomial(3)", "binomial(12)", "custom"])
+    def family(self, request, tmp_path_factory):
+        if request.param != "custom":
+            return st.make_named_family(request.param)
+        path = tmp_path_factory.mktemp("scheme") / "scheme.csv"
+        path.write_text("x,h\n" + "".join(f"{x},{h}\n" for x, h in zip(*FIVE_OUTCOMES)))
+        return st.family_from_scheme_csv(path)
+
+    @staticmethod
+    def sampled(family, atoms, words):
+        """``family.sampler`` at the uniforms ``_unit`` makes of ``words``."""
+        u = simulate_mod._unit(words.copy())
+
+        class Given:
+            def random(self, size=None):
+                return u
+
+        return family.sampler(atoms, Given(), u.size)
+
+    def test_draws_either_side_of_each_threshold(self, family):
+        atoms = np.array(WIDE_ATOMS)
+        points = family.scheme.points
+        table = simulate_mod._thresholds(family, atoms)
+        assert table.shape == (points.size - 1, atoms.size) and table.dtype == np.uint64
+        assert np.all(table[:, 0] == 2**52) and np.all(table[:, -1] == 0)
+        assert np.all(np.diff(table.astype(float), axis=0) >= 0)
+        rng = np.random.default_rng(0)
+        for j, i in np.ndindex(table.shape):
+            t = int(table[j, i])
+            ks = np.array([k for k in (t - 1, t, 0, 2**52 - 1) if 0 <= k < 2**52], dtype=np.uint64)
+            # the low 12 bits, which _unit drops, are random
+            words = (ks << np.uint64(12)) | rng.integers(0, 2**12, ks.size, dtype=np.uint64)
+            want = self.sampled(family, np.full(ks.size, atoms[i]), words)
+            got = simulate_mod._outcomes(points, table, np.full(ks.size, i), words.copy())
+            np.testing.assert_array_equal(got, want)
+            # T is the least k at which the draw passes points[j]
+            assert [bool(w > points[j]) for w in want] == [k >= t for k in ks.tolist()]
+
+    @pytest.mark.parametrize("rows", [1, 7, 8, 9, 17, 5000])
+    def test_keyed_draws_match_the_sampler(self, family, rows):
+        prior = st.make_prior(WIDE_ATOMS, [1.0] * len(WIDE_ATOMS), 0.5)
+        rng = np.random.default_rng(rows)
+        keys = rng.integers(0, 2**64, rows, dtype=np.uint64)
+        idx = rng.integers(0, prior.n_atoms, rows)
+        draw = simulate_mod._drawer(prior, family)
+        # a slot shared by the rows, and one slot per row as in the straggler pool
+        for n in (0, 1, 118, rng.integers(0, 200, rows)):
+            want = family.sampler(prior.atoms[idx], simulate_mod._KeyedUniforms(keys, n + 1), rows)
+            np.testing.assert_array_equal(draw(idx, keys, n), want)
+
+    def test_finite_replay_samples_only_for_the_table(self, family):
+        prior = st.make_prior(*SIX)
+        calls = []
+
+        def counted(u, rng, size=None):
+            out = family.sampler(u, rng, size)
+            calls.append(out.shape)
+            return out
+
+        rule = st.ThresholdRule(0.2, 0.8, 20)
+        want = st.simulate_alternative(rule, prior, family, 0.02, 3000, 1)
+        got = st.simulate_alternative(rule, prior, dataclasses.replace(family, sampler=counted), 0.02, 3000, 1)
+        assert got == want
+        # one search over every (outcome, atom) pair, each step 16-fold
+        # narrower: 52 bits take at most 13 steps
+        assert 0 < len(calls) <= -(-52 // simulate_mod._PROBE_BITS) == 13
+        assert set(calls) == {(simulate_mod._PROBES, family.scheme.n_points - 1, prior.n_atoms)}
 
 
 class TestLevelCurveReplay:
