@@ -167,21 +167,32 @@ def _quadrature_family(name, x, w, log_h, B, quantile, window) -> NaturalFamily:
     return NaturalFamily(name, B, _QUADRATURE[name][1], scheme, _inverse_cdf(quantile), window)
 
 
+def _outcome_cdf(scheme: ObservationScheme, u):
+    """Partial sums of a finite scheme's outcome masses at each parameter in ``u``.
+
+    The masses are taken up to a common factor per parameter, with the
+    outcomes on the leading axis and summed in place down it, so ``cdf[-1]``
+    is the total.  Each column is computed from its own parameter alone, so
+    it does not depend on the shape ``u`` is broadcast to; the replay's
+    threshold table (``simulate._thresholds``) relies on that.
+    """
+    log_mass = scheme.log_mass
+    z = np.multiply.outer(scheme.points, u)
+    z += log_mass.reshape(log_mass.shape + (1,) * np.ndim(u))
+    z -= z.max(axis=0)
+    cdf = np.exp(z, out=z)
+    for k in range(1, log_mass.size):
+        cdf[k] += cdf[k - 1]
+    return cdf
+
+
 def _finite_family(name, scheme: ObservationScheme, log_partition_fn):
     """Finite-outcome family on the whole real line, sampled by its outcome CDF."""
     points = scheme.points
-    log_mass = scheme.log_mass
 
     def quantile(u, U):
-        # outcome masses up to a common factor, outcomes on the leading axis,
-        # summed in place into the partial sums of the CDF; the index counts
-        # the partial sums below U times the total
-        z = np.multiply.outer(points, u)
-        z += log_mass.reshape(log_mass.shape + (1,) * u.ndim)
-        z -= z.max(axis=0)
-        cdf = np.exp(z, out=z)
-        for k in range(1, points.size):
-            cdf[k] += cdf[k - 1]
+        # the index counts the partial sums below U times the total
+        cdf = _outcome_cdf(scheme, u)
         return points[np.sum(U * cdf[-1] > cdf[:-1], axis=0)]
 
     return NaturalFamily(

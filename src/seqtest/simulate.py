@@ -13,13 +13,12 @@ reports replicate-level aggregates.
 
 import json
 import math
-import types
 from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import expit, logit, logsumexp
 
-from .families import NaturalFamily, _count, _positive_finite
+from .families import NaturalFamily, _count, _outcome_cdf, _positive_finite
 from .priors import LEVEL_EPS, Prior, _Ctx, _log_odds, _side_lse_mean, _unnorm_log_weights, _y_of_logit
 from .solver import _MAX_VALUES, ValueSurface, _check_provenance
 
@@ -48,9 +47,6 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 # the bits of the double 1.0
 _ONE_BITS = np.uint64(0x3FF0000000000000)
-# draws per entry and step of the threshold search (``_thresholds``)
-_PROBE_BITS = 4
-_PROBES = 2**_PROBE_BITS
 
 
 def _mix(z):
@@ -134,44 +130,29 @@ def _draw_thetas(prior, keys):
     return idx
 
 
-def _thresholds(family, atoms):
-    """(K - 1, A) table T of a finite model's inverse CDF on the words' top 52 bits.
+def _thresholds(scheme, atoms):
+    """(K - 1, A) table T of a finite scheme's inverse CDF on the words' top 52 bits.
 
-    T[j, i] is the least k in [0, 2^52] at which ``family.sampler`` at
+    T[j, i] is the least k in [0, 2^52] at which the finite sampler at
     atoms[i], handed the uniform U(k) = (k + 1/2) 2^-52 that ``_unit`` makes
     of a word whose top 52 bits are k, draws above points[j]; 2^52 where no
-    k does.  The sampler counts the partial sums of the outcome masses below
-    U times their total, which cannot decrease in U, so it draws
-    points[#{j : k >= T[j, i]}] at k, and a search through the sampler
-    itself finds every entry: each step draws at ``_PROBES`` points evenly
-    spaced over each entry's bracket [lo, hi] and keeps the gap below the
-    first draw above points[j], so about 14 steps reach the least k.  The
-    outcomes go through in chunks that keep each step's draws within
-    ``_BLOCK``, the temporaries of a replay step.
+    k does.  With c the partial sum c_j and tot the total of ``_outcome_cdf``
+    at atoms[i], the sampler draws above points[j] where U tot > c, which
+    stays true as k grows, so it draws points[#{j : k >= T[j, i]}] at k.
+    In exact arithmetic T is the least k above c/tot 2^52 - 1/2.  The
+    rounding of U tot moves it by at most 1, because c/tot <= 1, and the
+    rounding of c/tot 2^52 - 1/2 by at most 1 more, so T lies within 3 of
+    floor(c/tot 2^52 - 1/2).  The table starts 4 below that floor and adds
+    the number of the next 8 k at which the sampler's own comparison still
+    fails.
     """
-    inner = family.scheme.points[:-1]
-    table = np.empty((inner.size, atoms.size), dtype=np.uint64)
-    m = np.arange(_PROBES, dtype=np.uint64)[:, None, None]
-    size = max(1, _BLOCK // (_PROBES * atoms.size))
-    for j in range(0, inner.size, size):
-        below = inner[j:j + size, None]
-        u = np.broadcast_to(atoms, (_PROBES, below.size, atoms.size))
-        lo = np.zeros(u.shape[1:], dtype=np.uint64)
-        hi = np.full(u.shape[1:], 2**52, dtype=np.uint64)
-        active = lo < hi
-        while active.any():
-            # probes lo + (hi - lo) m / _PROBES lie in [lo, hi) where lo < hi; a finished
-            # entry's probes sit at lo = hi, and at 2^52 they wrap to k = 0, unused
-            k = lo + ((hi - lo) * m >> np.uint64(_PROBE_BITS))
-            U = _unit(k << np.uint64(12))
-            above = family.sampler(u, types.SimpleNamespace(random=lambda size=None: U)) > below
-            first = np.count_nonzero(~above, axis=0)[None]
-            hi = np.where(first < _PROBES, np.take_along_axis(k, np.minimum(first, _PROBES - 1), 0), hi)[0]
-            lo = np.where(active & (first > 0), np.take_along_axis(k, np.maximum(first - 1, 0), 0) + np.uint64(1),
-                          lo)[0]
-            active = lo < hi
-        table[j:j + size] = lo
-    return table
+    cdf = _outcome_cdf(scheme, atoms)
+    c, tot = cdf[:-1], cdf[-1]
+    k0 = np.clip(np.floor(c / tot * 2.0**52 - 0.5) - 4, 0, 2**52).astype(np.uint64)
+    k = k0 + np.arange(8, dtype=np.uint64)[:, None, None]
+    # a k of 2^52 wraps to 0 in the shift; it never counts
+    below = (k < np.uint64(2**52)) & ~(_unit(k << np.uint64(12)) * tot > c)
+    return k0 + np.count_nonzero(below, axis=0).astype(np.uint64)
 
 
 @dataclass(frozen=True)
@@ -447,7 +428,7 @@ def _drawer(prior, family):
     atoms = prior.atoms
     if family.scheme.kind != "finite":
         return lambda idx, keys, n: family.sampler(atoms.take(idx), _KeyedUniforms(keys, n + 1), idx.size)
-    points, table = family.scheme.points, _thresholds(family, atoms)
+    points, table = family.scheme.points, _thresholds(family.scheme, atoms)
     return lambda idx, keys, n: _outcomes(points, table, idx, _keyed_word(keys, n + 1))
 
 

@@ -119,7 +119,8 @@ def make_grid(size: int, kind: str = "uniform", include=()) -> np.ndarray:
         raise ValueError(f"unknown grid kind '{kind}'")
     extra = np.asarray(list(include), dtype=float)
     if extra.size:
-        if np.any(extra <= 0.0) or np.any(extra >= 1.0):
+        # written so that nan fails it too
+        if not np.all((extra > 0.0) & (extra < 1.0)):
             raise ValueError("include points must lie strictly inside (0, 1)")
         base = np.union1d(base, extra)
     return base
@@ -318,6 +319,7 @@ def policy_decide(surface: ValueSurface, n: int, pi: float) -> PolicyDecision:
     """
     if _count(n, "time index n") > surface.horizon:
         raise ValueError("time index outside the surface horizon")
+    pi = _probability(pi)
     if n < surface.horizon and surface.b1[n] < pi < surface.b2[n]:
         return PolicyDecision(action="continue")
     return PolicyDecision(action="stop", accept=int(pi > 0.5))
@@ -346,7 +348,15 @@ def value_at(surface: ValueSurface, n: int, pi: float) -> float:
     """Piecewise-linear read of the surface at (n, pi)."""
     if _count(n, "time index n") > surface.horizon:
         raise ValueError("time index outside the surface horizon")
-    return float(np.interp(pi, surface.pi_grid, surface.values[n]))
+    return float(np.interp(_probability(pi), surface.pi_grid, surface.values[n]))
+
+
+def _probability(pi) -> float:
+    """``pi`` as a float, refused unless it lies in [0, 1] (nan does not)."""
+    pi = float(pi)
+    if not 0.0 <= pi <= 1.0:
+        raise ValueError(f"probability pi must lie in [0, 1], got {pi!r}")
+    return pi
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,29 @@ class TestSampler:
         chi2 = np.sum((counts - expected) ** 2 / expected)
         assert chi2 < stats.chi2.ppf(0.999, probs.size - 1)
 
+    @pytest.mark.parametrize("scheme", [
+        build("bernoulli").scheme,
+        build("binomial(12)").scheme,
+        ObservationScheme("finite", [-1.5, -0.25, 0.5, 1.75, 3.0], np.exp([300.0, -300.0, 5.0, -80.0, 250.0])),
+    ], ids=["bernoulli", "binomial(12)", "weights-e^300"])
+    def test_outcome_cdf_columns_do_not_depend_on_the_shape(self, scheme):
+        # the replay's threshold table builds the CDF at the prior's atoms and
+        # the sampler at each row's atom: each column must come out the same
+        atoms = np.array([-40.0, -1.5, -0.3, 0.0, 1e-3, 2e-3, 0.9, 2.2, 40.0])
+        want = families_mod._outcome_cdf(scheme, atoms)
+        assert want.shape == (scheme.n_points, atoms.size)
+        rng = np.random.default_rng(16)
+        for shape in [(1,), (7,), (8, 9), (3, 17, 5), (5000,)]:
+            idx = rng.integers(0, atoms.size, shape)
+            got = families_mod._outcome_cdf(scheme, atoms[idx])
+            np.testing.assert_array_equal(got, want[:, idx])
+            # one atom broadcast with stride 0
+            i = idx.flat[0]
+            np.testing.assert_array_equal(families_mod._outcome_cdf(scheme, np.broadcast_to(atoms[i], shape)),
+                                          want[:, np.full(shape, i)])
+        for i, atom in enumerate(atoms):
+            np.testing.assert_array_equal(families_mod._outcome_cdf(scheme, atom), want[:, i])
+
     def test_deterministic_given_rng_state(self):
         fam = build("gaussian-variance")
         a = st.sample_observation(fam, 1.0, np.random.default_rng(5), size=10)

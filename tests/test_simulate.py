@@ -633,7 +633,7 @@ class TestThresholdDraws:
     def test_draws_either_side_of_each_threshold(self, family):
         atoms = np.array(WIDE_ATOMS)
         points = family.scheme.points
-        table = simulate_mod._thresholds(family, atoms)
+        table = simulate_mod._thresholds(family.scheme, atoms)
         assert table.shape == (points.size - 1, atoms.size) and table.dtype == np.uint64
         assert np.all(table[:, 0] == 2**52) and np.all(table[:, -1] == 0)
         assert np.all(np.diff(table.astype(float), axis=0) >= 0)
@@ -661,23 +661,72 @@ class TestThresholdDraws:
             want = family.sampler(prior.atoms[idx], simulate_mod._KeyedUniforms(keys, n + 1), rows)
             np.testing.assert_array_equal(draw(idx, keys, n), want)
 
-    def test_finite_replay_samples_only_for_the_table(self, family):
+    def test_finite_replay_makes_no_sampler_calls(self, family):
         prior = st.make_prior(*SIX)
         calls = []
 
         def counted(u, rng, size=None):
-            out = family.sampler(u, rng, size)
-            calls.append(out.shape)
-            return out
+            calls.append(np.shape(u))
+            return family.sampler(u, rng, size)
 
         rule = st.ThresholdRule(0.2, 0.8, 20)
         want = st.simulate_alternative(rule, prior, family, 0.02, 3000, 1)
         got = st.simulate_alternative(rule, prior, dataclasses.replace(family, sampler=counted), 0.02, 3000, 1)
         assert got == want
-        # one search over every (outcome, atom) pair, each step 16-fold
-        # narrower: 52 bits take at most 13 steps
-        assert 0 < len(calls) <= -(-52 // simulate_mod._PROBE_BITS) == 13
-        assert set(calls) == {(simulate_mod._PROBES, family.scheme.n_points - 1, prior.n_atoms)}
+        assert calls == []
+
+
+def bisected_thresholds(family, atoms):
+    """Reference table for ``_thresholds``: for every (outcome j, atom i), a plain
+    integer bisection for the least k in [0, 2^52] at which ``family.sampler``,
+    handed ``_unit`` of a word whose top 52 bits are k, draws above points[j]."""
+    inner = family.scheme.points[:-1, None]
+    u = np.broadcast_to(atoms, (inner.size, atoms.size))
+    lo = np.zeros(u.shape, dtype=np.uint64)
+    hi = np.full(u.shape, 2**52, dtype=np.uint64)
+    while np.any(lo < hi):
+        mid = lo + (hi - lo) // np.uint64(2)
+        above = TestThresholdDraws.sampled(family, u, mid << np.uint64(12)) > inner
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, np.minimum(mid + np.uint64(1), hi))
+    return lo
+
+
+class TestThresholdTable:
+    """``_thresholds`` reads each entry off the outcome CDF as a bisection through the sampler finds it."""
+
+    @staticmethod
+    def scheme_family(tmp_path, xs, hs):
+        path = tmp_path / "scheme.csv"
+        path.write_text("x,h\n" + "".join(f"{x!r},{h!r}\n" for x, h in zip(xs, hs)))
+        return st.family_from_scheme_csv(path)
+
+    @pytest.mark.parametrize("name", ["bernoulli", "binomial(3)", "binomial(12)", "binomial(60)"])
+    @pytest.mark.parametrize("atoms", [WIDE_ATOMS, [-5.0, 5.0], [0.4 + 1e-3 * i for i in range(6)]],
+                             ids=["wide", "pm5", "1e-3-apart"])
+    def test_named_models(self, name, atoms):
+        family = st.make_named_family(name)
+        atoms = np.array(atoms)
+        np.testing.assert_array_equal(simulate_mod._thresholds(family.scheme, atoms),
+                                      bisected_thresholds(family, atoms))
+
+    @pytest.mark.parametrize("atoms", [WIDE_ATOMS, [-5.0, 5.0], [-0.7 + 1e-3 * i for i in range(6)]],
+                             ids=["wide", "pm5", "1e-3-apart"])
+    def test_base_weights_spanning_e300(self, tmp_path, atoms):
+        logs = [300.0, -300.0, 12.5, -150.0, 0.0, 299.0, -7.0]
+        family = self.scheme_family(tmp_path, [-3.0, -2.0, -0.5, 0.25, 1.0, 4.0, 9.5], [math.exp(v) for v in logs])
+        atoms = np.array(atoms)
+        np.testing.assert_array_equal(simulate_mod._thresholds(family.scheme, atoms),
+                                      bisected_thresholds(family, atoms))
+
+    def test_one_outcome_gives_an_empty_table(self, tmp_path):
+        family = self.scheme_family(tmp_path, [2.5], [3.0])
+        table = simulate_mod._thresholds(family.scheme, np.array(WIDE_ATOMS))
+        assert table.shape == (0, len(WIDE_ATOMS)) and table.dtype == np.uint64
+        prior = st.make_prior(*SIX)
+        draw = simulate_mod._drawer(prior, family)
+        keys = np.arange(5, dtype=np.uint64)
+        np.testing.assert_array_equal(draw(np.arange(5), keys, 0), np.full(5, 2.5))
 
 
 class TestLevelCurveReplay:

@@ -411,6 +411,22 @@ class TestPolicyDecide:
             st.policy_decide(benchmark_surface, benchmark_surface.horizon + 1, 0.5)
 
 
+class TestProbabilityArgument:
+    """``policy_decide`` and ``value_at`` refuse a pi outside [0, 1] and take its endpoints."""
+
+    @pytest.mark.parametrize("read", [st.policy_decide, st.value_at], ids=["policy_decide", "value_at"])
+    @pytest.mark.parametrize("pi", [-0.1, 1.7, math.nan, math.inf, -math.inf])
+    def test_refused(self, benchmark_surface, read, pi):
+        with pytest.raises(ValueError, match=r"^probability pi must lie in \[0, 1\], got "):
+            read(benchmark_surface, 0, pi)
+
+    @pytest.mark.parametrize("pi", [0.0, 1.0])
+    def test_endpoints_are_legal(self, benchmark_surface, pi):
+        d = st.policy_decide(benchmark_surface, 0, pi)
+        assert d.action == "stop" and d.accept == int(pi)
+        assert st.value_at(benchmark_surface, 0, pi) == benchmark_surface.values[0][-1 if pi else 0]
+
+
 class TestChooseHorizon:
     def test_arithmetic(self):
         assert st.choose_horizon(0.25, 0.25) == 3
@@ -573,3 +589,10 @@ class TestGrid:
     def test_include_must_be_interior(self):
         with pytest.raises(ValueError, match="strictly inside"):
             st.make_grid(11, include=(0.0,))
+
+    @pytest.mark.parametrize("point", [math.nan, math.inf, -math.inf])
+    def test_include_refuses_non_finite_points(self, point, benchmark_prior, bernoulli_family):
+        with pytest.raises(ValueError, match="strictly inside"):
+            st.make_grid(11, include=(0.3, point))
+        with pytest.raises(ValueError, match="strictly inside"):
+            st.solve(benchmark_prior, bernoulli_family, 0.1, 3, 5, include=[point])
