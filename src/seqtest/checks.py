@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 from scipy.special import logsumexp
 
-from .families import NaturalFamily, _count, family_for_prior, make_named_family
+from .families import _MAX_VALUES, NaturalFamily, _count, family_for_prior, make_named_family
 from .priors import (
     Prior,
     _Ctx,
@@ -38,7 +38,7 @@ from .priors import (
     make_prior,
     transition_distribution,
 )
-from .solver import ValueSurface, _backward, choose_horizon, make_grid, solve
+from .solver import ValueSurface, _backward, choose_horizon, solve
 
 __all__ = [
     "CheckReport",
@@ -94,16 +94,16 @@ def _worst(a):
     return float(a[idx]), tuple(int(i) for i in idx)
 
 
-def check_concavity(surface: ValueSurface, tol: float = 1e-8, curvature_allowance: float = 1.0) -> CheckReport:
+def check_concavity(surface: ValueSurface, tol: float = 1e-8) -> CheckReport:
     """Worst convexity defect over all layers and interior grid triples.
 
     A layer is concave when every interior point sits on or above the chord
-    of its neighbours; the tolerance gets an O(grid spacing^2) allowance for
-    interpolation error.
+    of its neighbours; the tolerance gets an allowance of h^2, h the widest
+    grid spacing, for interpolation error.
     """
     grid = surface.pi_grid
     h = float(np.max(np.diff(grid)))
-    eff_tol = tol + curvature_allowance * h * h
+    eff_tol = tol + h * h
     values = surface.values
     lam = (grid[2:] - grid[1:-1]) / (grid[2:] - grid[:-2])
     worst, (n, j) = _worst(lam * values[:, :-2] + (1.0 - lam) * values[:, 2:] - values[:, 1:-1])
@@ -120,8 +120,15 @@ def _level_curves(prior: Prior, family: NaturalFamily, pis, n_max: int):
     """The context and y(n, pi) for n = 0 .. n_max (rows) and each pi (columns).
 
     One batched inversion, which equals the layer-by-layer ``y_of_pi`` bit
-    for bit, under ``y_of_pi``'s range check.
+    for bit, under ``y_of_pi``'s range check.  With the concentration
+    check's weights, the working set is at most 16 + 9 A doubles per (n, pi)
+    entry for A atoms: traced at 2 to 200 atoms, the concentration check
+    peaked at 8.2 A + 2 and the spread check at 3.1 A + 20.  A table over
+    ``_MAX_VALUES`` by that count is refused before anything is allocated.
     """
+    if (n_max + 1) * len(pis) * (16 + 9 * prior.n_atoms) > _MAX_VALUES:
+        raise ValueError(f"n_max {n_max} needs a level-curve table over the budget of {_MAX_VALUES} values "
+                         f"for {len(pis)} level(s) and {prior.n_atoms} atoms; lower n_max")
     ctx = _Ctx(prior, family)
     return ctx, _y_of_logit(ctx, np.arange(n_max + 1)[:, None], _level_logit(pis))
 
@@ -264,7 +271,6 @@ def check_binomial_reduction(
     cost: float,
     grid_size: int = 2001,
     tol: float = 1e-6,
-    horizon: int | None = None,
 ) -> CheckReport:
     """Batch equivalence of the binomial model with a batched Bernoulli model.
 
@@ -275,16 +281,16 @@ def check_binomial_reduction(
     loop and transition step; they differ only in the law of a batch: (a)
     weights the N-trial outcome sum by the binomial predictive, (b) chains N
     one-step Bernoulli predictives through every intermediate posterior state,
-    so only batch-end layers are interpolated.
+    so only batch-end layers are interpolated.  Both run to
+    ``choose_horizon(cost)`` batches, on the grid ``solve`` builds.
     """
     n_trials = _count(n_trials, "binomial reduction N", 1)
-    if horizon is None:
-        horizon = choose_horizon(cost)
+    horizon = choose_horizon(cost)
     binom = make_named_family(f"binomial({n_trials})")
     bern = make_named_family("bernoulli")
-    grid = make_grid(grid_size)
     surface = solve(prior, binom, float(cost), horizon, grid_size)
-    v_bern = _backward(_Ctx(prior, bern), grid, surface.horizon, float(cost), steps=n_trials)
+    grid = surface.pi_grid
+    v_bern = _backward(_Ctx(prior, bern), grid, horizon, float(cost), steps=n_trials)
     worst, (n, j) = _worst(np.abs(surface.values - v_bern))
     return _report(
         "binomial-reduction",
@@ -330,14 +336,14 @@ def conjecture_probe(
     trials: int = 100,
     seed: int = 0,
     grid_size: int = 501,
-    tol: float = 1e-6,
 ) -> list:
     """Hunt for time-monotonicity violations over random priors.
 
     Per-trial randomness derives from (seed, trial index), so results are
     deterministic and independent of execution order; trials can be
-    partitioned across workers.  Priors come from ``PROBE_WINDOWS`` and
-    each surface runs to ``choose_horizon(cost)``.  A violation is a
+    partitioned across workers.  Priors come from ``PROBE_WINDOWS``, each
+    surface runs to ``choose_horizon(cost)``, and each report is
+    ``check_time_monotonicity`` at its default tolerance.  A violation is a
     FINDING carrying full reproduction data, never an assertion failure: it
     may falsify the conjectured monotonicity or expose numerical error, and
     needs human adjudication either way.
@@ -360,7 +366,7 @@ def conjecture_probe(
         family = family_for_prior(model, prior)
         surface = solve(prior, family, cost, horizon, grid_size)
         reports.append(replace(
-            check_time_monotonicity(surface, tol),
+            check_time_monotonicity(surface),
             check="conjecture-probe",
             instance={
                 "trial": trial,

@@ -39,6 +39,14 @@ __all__ = [
     "family_from_scheme_csv",
 ]
 
+# doubles a surface, a level-curve table, a quadrature rule's companion
+# matrix or the replay's band table may hold: 800 MB
+_MAX_VALUES = 10**8
+# numpy's Gauss-Hermite rule keeps every weight positive and finite up to
+# this many nodes; at 371 a weight underflows to 0, and from 372 on the rule
+# holds nans
+_HERMITE_MAX_NODES = 370
+
 
 @dataclass(frozen=True)
 class ObservationScheme:
@@ -236,6 +244,9 @@ def _gaussian_mean(nodes: int, center: float = 0.0) -> NaturalFamily:
     # Gauss-Hermite nodes recentred at `center`; at 128 nodes the transition
     # law's mass and mean hold to ~1e-13 for parameters within roughly +-10
     # of the center, kinked value layers only to ~1e-3.
+    if nodes > _HERMITE_MAX_NODES:
+        raise ValueError(f"nodes for model 'gaussian-mean' must be at most {_HERMITE_MAX_NODES}, got {nodes}: "
+                         "the Gauss-Hermite weights underflow beyond it")
     s, w = _gauss_rule("hermite", nodes)
     x = center + math.sqrt(2.0) * s
     base = np.exp(np.log(w) + s * s + 0.5 * math.log(2.0))
@@ -246,8 +257,14 @@ def _gaussian_mean(nodes: int, center: float = 0.0) -> NaturalFamily:
 
 
 def _binomial(n: int, name: str | None = None) -> NaturalFamily:
-    """Counts 0..N out of ``n`` trials; ``n = 1`` under the name "bernoulli" is that model."""
+    """Counts 0..N out of ``n`` trials; ``n = 1`` under the name "bernoulli" is that model.
+
+    N is at most 1029: C(1030, 515) exceeds the largest double.
+    """
     n = _count(n, "binomial trial count N", 1)
+    if n > 1029:
+        raise ValueError(f"binomial trial count N must be at most 1029, got {n}: "
+                         "C(N, N/2) overflows a double beyond it")
     pts = np.arange(n + 1, dtype=float)
     weights = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
     scheme = ObservationScheme(kind="finite", points=pts, base_weights=weights)
@@ -299,6 +316,8 @@ def make_named_family(name: str, params: dict | None = None) -> NaturalFamily:
     bernoulli and binomial(N) take no params.  The quadrature models take
     ``nodes`` (default 128) and their window: gaussian-mean ``center``,
     exponential-rate ``min_rate``, gaussian-variance ``min_precision``.
+    Sizes that cannot be built are refused before anything is: N above
+    1029, gaussian-mean above 370 nodes and any model above 10^4 nodes.
     Priors and thresholds are natural parameters; for gaussian-variance
     u = s^-2, so "s <= s0" is the upper side u > s0^-2.
     """
@@ -310,6 +329,10 @@ def make_named_family(name: str, params: dict | None = None) -> NaturalFamily:
         if unknown:
             raise ValueError(f"model '{base}' takes only {window} and nodes, got {', '.join(unknown)}")
         nodes = _count(params.get("nodes", 128), f"nodes for model '{base}'", 1)
+        # numpy builds a rule from a nodes x nodes companion matrix
+        if nodes * nodes > _MAX_VALUES:
+            raise ValueError(f"nodes for model '{base}' must be at most {math.isqrt(_MAX_VALUES)}, got {nodes}: "
+                             f"a rule is built from a nodes x nodes matrix, over the budget of {_MAX_VALUES} values")
         return build(**{**params, "nodes": nodes})
     m = _BINOMIAL_RE.match(base)
     if not (m or base in ("bernoulli", "binomial")):

@@ -18,9 +18,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.special import expit, logit, logsumexp
 
-from .families import NaturalFamily, _count, _outcome_cdf, _positive_finite
+from .families import _MAX_VALUES, NaturalFamily, _count, _outcome_cdf, _positive_finite
 from .priors import LEVEL_EPS, Prior, _Ctx, _log_odds, _side_lse_mean, _unnorm_log_weights, _y_of_logit
-from .solver import _MAX_VALUES, ValueSurface, _check_provenance
+from .solver import ValueSurface, _check_provenance
 
 __all__ = [
     "SimulationReport",
@@ -236,17 +236,17 @@ def brute_force_value(prior: Prior, family: NaturalFamily, cost: float, horizon:
     return float(value[0])
 
 
-def enumerate_reachable_pis(prior: Prior, family: NaturalFamily, horizon: int, eps: float = 1e-9):
+def enumerate_reachable_pis(prior: Prior, family: NaturalFamily, horizon: int):
     """All posterior probabilities reachable on the exact outcome lattice.
 
     Useful for splicing into a solver grid so the oracle comparison is free
-    of interpolation error.  Values within ``eps`` of 0 or 1 are dropped
-    (they carry negligible value mass and cannot be inverted reliably).
+    of interpolation error.  Values within 1e-9 of 0 or 1 are dropped (they
+    carry negligible value mass and cannot be inverted reliably).
     """
     layers, _ = _lattice(family, horizon)
     ctx = _Ctx(prior, family)
     pis = np.concatenate([expit(_log_odds(ctx, n, ys)) for n, ys in enumerate(layers)])
-    return np.unique(pis[(pis > eps) & (pis < 1.0 - eps)])
+    return np.unique(pis[(pis > 1e-9) & (pis < 1.0 - 1e-9)])
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from decimal import Decimal
 import numpy as np
 from scipy.special import logit
 
-from .families import NaturalFamily, _count, _positive_finite
+from .families import _MAX_VALUES, NaturalFamily, _count, _positive_finite
 from .priors import Prior, _Ctx, _predictive, _sum_rows, _transition, _y_of_logit
 
 __all__ = [
@@ -61,8 +61,6 @@ __all__ = [
 
 # points with V >= gain - STOP_TOL are classified as stopped
 STOP_TOL = 1e-12
-# doubles a surface, or the replay's band table, may hold: 800 MB
-_MAX_VALUES = 10**8
 # delta of the stopping certificate in ``_step``: a point whose margin
 # c + E[V[n+1](next pi)] - gain reaches it stops, and so does every point
 # between it and the nearer end of the grid
@@ -249,14 +247,8 @@ def _backward(ctx: _Ctx, grid: np.ndarray, horizon: int, cost: float, steps: int
 
     Layer n belongs to time n * steps: stop there, or pay ``cost`` once for
     the next ``steps`` observations, with no stop in between.  ``solve`` takes
-    one observation per layer; the binomial-reduction check takes N.  A
-    surface of more than ``_MAX_VALUES`` values is refused before it is built.
+    one observation per layer; the binomial-reduction check takes N.
     """
-    if (horizon + 1) * grid.size > _MAX_VALUES:
-        # a horizon such as choose_horizon(1e-300), about 6e299, is quoted in short form
-        quoted = str(horizon) if horizon <= 10**15 else f"{Decimal(horizon):.2e}"
-        raise ValueError(f"a surface of horizon {quoted} on {grid.size} grid points exceeds the budget of "
-                         f"{_MAX_VALUES} values; raise the cost or lower the horizon or the grid size")
     values = np.empty((horizon + 1, grid.size))
     values[horizon] = gain(grid)
     for n in range(horizon - 1, -1, -1):
@@ -284,9 +276,19 @@ def solve(
     grid_kind: str = "uniform",
     include=(),
 ) -> ValueSurface:
-    """Solve the truncated problem and extract per-layer stopping boundaries."""
+    """Solve the truncated problem and extract per-layer stopping boundaries.
+
+    A surface of more than ``_MAX_VALUES`` values is refused before its grid is built.
+    """
     cost = _positive_finite(cost)
     horizon = _count(horizon, "horizon", 1)
+    include = list(include)
+    points = _count(grid_size, "grid size", 3) + len(include)
+    if (horizon + 1) * points > _MAX_VALUES:
+        # a horizon such as choose_horizon(1e-300), about 6e299, is quoted in short form
+        quoted = str(horizon) if horizon <= 10**15 else f"{Decimal(horizon):.2e}"
+        raise ValueError(f"a surface of horizon {quoted} on {points} grid points exceeds the budget of "
+                         f"{_MAX_VALUES} values; raise the cost or lower the horizon or the grid size")
     grid = make_grid(grid_size, grid_kind, include)
     values = _backward(_Ctx(prior, family), grid, horizon, cost)
     b1, b2 = _boundaries(values, grid)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,16 @@ import seqtest as st
 # two atoms at the natural logits of 0.3 and 0.7, equal weights, threshold 0:
 # the standing benchmark instance used across the suite
 BENCH_ATOMS = (float(logit(0.3)), float(logit(0.7)))
+
+
+def traced_peak(call):
+    """Bytes tracemalloc reads at its peak while ``call`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -232,7 +232,7 @@ def test_criterion_09_trivial_regime():
 def test_criterion_10_conjecture_probe():
     t0 = time.perf_counter()
     reports = st.conjecture_probe(
-        list(st.PROBE_WINDOWS), cost=0.05, trials=200, seed=SEED, grid_size=501, tol=1e-6
+        list(st.PROBE_WINDOWS), cost=0.05, trials=200, seed=SEED, grid_size=501
     )
     elapsed = time.perf_counter() - t0
     findings = [r for r in reports if not r.passed]

@@ -8,6 +8,7 @@ import pytest
 from scipy.special import expit, logit
 
 import seqtest as st
+from conftest import BENCH_ATOMS, traced_peak
 from seqtest import checks as checks_mod
 from seqtest import solver as solver_mod
 from seqtest.checks import PROBE_WINDOWS, sample_random_prior
@@ -33,7 +34,7 @@ class TestConcavity:
         assert rep.location["pi"] == pytest.approx(benchmark_surface.pi_grid[j], abs=1e-12)
 
     def test_solved_surface_passes_tight(self, benchmark_surface):
-        rep = st.check_concavity(benchmark_surface, tol=1e-8, curvature_allowance=0.0)
+        rep = st.check_concavity(benchmark_surface, tol=1e-8)
         assert rep.passed
         assert rep.worst_violation < 1e-12
 
@@ -164,6 +165,42 @@ class TestBatchedLevelCurveChecks:
             st.check_level_spread(three_atom_prior, gaussian_mean_family, 0.3, 0.7, -1)
         with pytest.raises(ValueError, match="^n_max must be a non-negative integer, got -1$"):
             st.check_concentration(three_atom_prior, gaussian_mean_family, 0.5, -0.5, 0.5, -1)
+
+
+def level_curve_check(check, prior, n_max):
+    """The level-spread or concentration check on bernoulli, cutting at the prior's outermost atoms."""
+    family = st.make_named_family("bernoulli")
+    if check == "level-spread":
+        return st.check_level_spread(prior, family, 0.3, 0.7, n_max)
+    return st.check_concentration(prior, family, 0.5, prior.atoms[0], prior.atoms[-1] - 1e-9, n_max)
+
+
+class TestLevelCurveBudget:
+    """A level-curve table that would take over _MAX_VALUES doubles is refused before it is allocated."""
+
+    BUDGET = 10**6
+
+    @pytest.mark.parametrize("check, levels", [("level-spread", 2), ("concentration", 1)])
+    @pytest.mark.parametrize("atoms, theta0", [
+        pytest.param(BENCH_ATOMS, 0.0, id="2-atoms"),
+        pytest.param(SIX[0], 0.0, id="6-atoms"),
+        pytest.param(list(np.linspace(-1.6, 1.6, 40)), -1.5, id="40-atoms-2-below"),
+    ])
+    def test_largest_admitted_table_stays_in_budget(self, monkeypatch, check, levels, atoms, theta0):
+        monkeypatch.setattr(checks_mod, "_MAX_VALUES", self.BUDGET)
+        prior = st.make_prior(atoms, np.ones(len(atoms)), theta0)
+        n_max = self.BUDGET // (levels * (16 + 9 * prior.n_atoms)) - 1
+        peak = traced_peak(lambda: level_curve_check(check, prior, n_max))
+        assert peak <= 8 * self.BUDGET, f"traced peak {peak / 2**20:.1f} MB at n_max {n_max}"
+        message = (f"^n_max {n_max + 1} needs a level-curve table over the budget of {self.BUDGET} values "
+                   f"for {levels} level\\(s\\) and {prior.n_atoms} atoms; lower n_max$")
+
+        def refused():
+            with pytest.raises(ValueError, match=message):
+                level_curve_check(check, prior, n_max + 1)
+
+        peak = traced_peak(refused)
+        assert peak < 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 class TestConvexOrder:
@@ -349,7 +386,7 @@ class TestBatchedBackwardLoop:
         assert np.array_equal(values, st.solve(prior, family, 0.05, 12, 2001).values)
 
 
-def concavity_by_layers(surface, tol=1e-8, curvature_allowance=1.0):
+def concavity_by_layers(surface, tol=1e-8):
     """``check_concavity`` as a scan layer by layer: a later layer is kept only if strictly worse."""
     grid = surface.pi_grid
     h = float(np.max(np.diff(grid)))
@@ -364,7 +401,7 @@ def concavity_by_layers(surface, tol=1e-8, curvature_allowance=1.0):
             worst = float(defect[j])
             loc = {"n": n, "pi": float(grid[j + 1])}
     instance = {"horizon": surface.horizon, "grid_size": int(grid.size), "cost": surface.cost}
-    return checks_mod._report("concavity", instance, worst, tol + curvature_allowance * h * h, loc)
+    return checks_mod._report("concavity", instance, worst, tol + h * h, loc)
 
 
 def time_monotonicity_by_layers(surface, tol=1e-6, burn=None):
@@ -418,7 +455,7 @@ class TestWholeSurfaceScan:
 
     @pytest.mark.parametrize("tol", [None, 0.0])
     def test_concavity(self, five_model_surfaces, tol):
-        kw = {} if tol is None else {"tol": tol, "curvature_allowance": 0.0}
+        kw = {} if tol is None else {"tol": tol}
         for surface in five_model_surfaces.values():
             assert st.check_concavity(surface, **kw).to_json() == concavity_by_layers(surface, **kw).to_json()
 

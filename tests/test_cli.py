@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import logit
 
 import seqtest as st
+from conftest import traced_peak
 from seqtest.cli import run
 
 
@@ -253,6 +255,48 @@ class TestVerify:
     def test_unknown_check(self, solved_dir, capsys):
         code = run(["verify", "--check", "sorcery", "--surface", os.path.join(solved_dir, "surface.json")])
         assert code == 2
+
+
+class TestSizeRefusals:
+    """A size that cannot be built is refused in one stderr line, with no warning, before 1 MB is allocated."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--model", "bernoulli", "--horizon", "1", "--grid-size", "2000000000"],
+         "a surface of horizon 1 on 2000000000 grid points exceeds the budget of 100000000 values; "
+         "raise the cost or lower the horizon or the grid size"),
+        (["verify", "--check", "level-spread", "--model", "bernoulli", "--n-max", "1000000000"],
+         "n_max 1000000000 needs a level-curve table over the budget of 100000000 values for 2 level(s) "
+         "and 2 atoms; lower n_max"),
+        (["solve", "--model", "binomial(1030)", "--horizon", "3"],
+         "binomial trial count N must be at most 1029, got 1030: C(N, N/2) overflows a double beyond it"),
+        (["verify", "--check", "binomial-reduction", "--N", "1030", "--cost", "0.1"],
+         "binomial trial count N must be at most 1029, got 1030: C(N, N/2) overflows a double beyond it"),
+        (["solve", "--model", "gaussian-mean", "--nodes", "500", "--horizon", "3"],
+         "nodes for model 'gaussian-mean' must be at most 370, got 500: the Gauss-Hermite weights underflow "
+         "beyond it"),
+        (["solve", "--model", "exponential-rate", "--nodes", "20000", "--horizon", "3"],
+         "nodes for model 'exponential-rate' must be at most 10000, got 20000: a rule is built from a nodes x "
+         "nodes matrix, over the budget of 100000000 values"),
+    ])
+    def test_refused_with_one_line(self, tmp_path, capsys, argv, message):
+        # atoms above 0, which every model admits
+        prior = tmp_path / "prior.csv"
+        prior.write_text("# theta0=1.0\nu,w\n0.5,1.0\n1.5,1.0\n")
+        out = tmp_path / "x"
+        if argv[0] == "solve":
+            argv = [*argv, "--cost", "0.1", "--out", str(out)]
+        codes = []
+
+        def refused():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                codes.append(run([*argv, "--prior", str(prior)]))
+
+        peak = traced_peak(refused)
+        assert codes == [2]
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert peak < 2**20, f"traced peak {peak / 2**20:.1f} MB"
+        assert not out.exists()
 
 
 class TestSimulate:

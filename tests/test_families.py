@@ -1,12 +1,14 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import seqtest as st
+from conftest import traced_peak
 from seqtest import families as families_mod
 from seqtest.families import ObservationScheme
 
@@ -72,6 +74,42 @@ class TestNamedFamilies:
             st.make_named_family(name, params)
         with pytest.raises(ValueError, match=message):
             st.family_for_prior(name, np.array([0.5, 1.5]), params)
+
+
+class TestModelSizeLimits:
+    """A model size that cannot be built is refused in one line before anything is allocated."""
+
+    # a budget of 100^2 values stands in for 10^8 in the node-count cases
+    @pytest.mark.parametrize("name, params, budget, message", [
+        ("binomial(1030)", None, 10**8, "binomial trial count N must be at most 1029, got 1030: "
+         "C(N, N/2) overflows a double beyond it"),
+        ("binomial(1000000000000)", None, 10**8, "binomial trial count N must be at most 1029, got 1000000000000: "
+         "C(N, N/2) overflows a double beyond it"),
+        *(("gaussian-mean", {"nodes": nodes}, 10**8, f"nodes for model 'gaussian-mean' must be at most 370, "
+           f"got {nodes}: the Gauss-Hermite weights underflow beyond it") for nodes in (371, 500)),
+        *((model, {"nodes": 101}, 100**2, f"nodes for model '{model}' must be at most 100, got 101: "
+           "a rule is built from a nodes x nodes matrix, over the budget of 10000 values")
+          for model in ("gaussian-mean", "exponential-rate", "gaussian-variance")),
+    ])
+    def test_refused_before_allocating(self, monkeypatch, name, params, budget, message):
+        monkeypatch.setattr(families_mod, "_MAX_VALUES", budget)
+
+        def refused():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                    st.make_named_family(name, params)
+
+        peak = traced_peak(refused)
+        assert peak < 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+    def test_largest_sizes_build_without_warnings(self, monkeypatch):
+        monkeypatch.setattr(families_mod, "_MAX_VALUES", 370**2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert build("binomial(1029)").scheme.n_points == 1030
+            for model in ("gaussian-mean", "exponential-rate", "gaussian-variance"):
+                assert st.make_named_family(model, {"nodes": 370}).scheme.n_points == 370
 
 
 class TestGaussRuleCache:
@@ -342,8 +380,6 @@ _COUNT_SITES = [
      lambda v, p, f, s: st.check_time_monotonicity(s, burn=v)),
     ("check_binomial_reduction-N", "binomial reduction N", "a positive integer",
      lambda v, p, f, s: st.check_binomial_reduction(v, p, 0.1, 101)),
-    ("check_binomial_reduction-horizon", "horizon", "a positive integer",
-     lambda v, p, f, s: st.check_binomial_reduction(2, p, 0.1, 101, horizon=v)),
     ("conjecture_probe-trials", "probe trials", "a positive integer",
      lambda v, p, f, s: st.conjecture_probe(["bernoulli"], trials=v, grid_size=101)),
     ("conjecture_probe-seed", "probe seed", "a non-negative integer",

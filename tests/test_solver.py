@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import seqtest as st
-from conftest import BENCH_ATOMS, FIVE_MODELS
+from conftest import BENCH_ATOMS, FIVE_MODELS, traced_peak
 from seqtest import priors as priors_mod
 from seqtest import solver as solver_mod
 from seqtest.checks import PROBE_WINDOWS, sample_random_prior
@@ -313,21 +313,35 @@ def count_inverted_points(monkeypatch):
 class TestSurfaceBudget:
     """A surface over _MAX_VALUES doubles is refused before anything is allocated."""
 
-    @pytest.mark.parametrize("cost, horizon, quoted", [(0.1, 600_000_000_000, "600000000000"),
-                                                        (1e-12, None, "600000000000"),
-                                                        (1e-300, None, "6.00e+299")])
-    def test_refused_before_allocating(self, benchmark_prior, bernoulli_family, cost, horizon, quoted):
-        horizon = horizon or st.choose_horizon(cost)
+    @pytest.mark.parametrize("cost, explicit, quoted", [(0.1, 600_000_000_000, "600000000000"),
+                                                         (1e-12, None, "600000000000"),
+                                                         (1e-300, None, "6.00e+299")])
+    def test_refused_before_allocating(self, benchmark_prior, bernoulli_family, cost, explicit, quoted):
+        horizon = explicit or st.choose_horizon(cost)
         message = f"^a surface of horizon {re.escape(quoted)} on 2001 grid points exceeds the budget of 100000000"
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=message):
                 st.solve(benchmark_prior, bernoulli_family, cost, horizon)
-            with pytest.raises(ValueError, match=message):
-                st.check_binomial_reduction(2, benchmark_prior, cost, horizon=horizon)
+            if explicit is None:
+                with pytest.raises(ValueError, match=message):
+                    st.check_binomial_reduction(2, benchmark_prior, cost)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+    @pytest.mark.parametrize("include, points", [((), 400_000), ([0.123, 0.456], 400_002)])
+    def test_refused_before_the_grid_is_built(self, benchmark_prior, bernoulli_family, monkeypatch, include, points):
+        # the grid alone would take 3.2 MB
+        monkeypatch.setattr(solver_mod, "_MAX_VALUES", 10**4)
+        message = f"^a surface of horizon 1 on {points} grid points exceeds the budget of 10000 values"
+
+        def refused():
+            with pytest.raises(ValueError, match=message):
+                st.solve(benchmark_prior, bernoulli_family, 0.1, 1, 400_000, include=include)
+
+        peak = traced_peak(refused)
         assert peak < 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
     def test_budget_counts_every_layer(self, benchmark_prior, bernoulli_family, monkeypatch):
