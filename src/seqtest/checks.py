@@ -282,12 +282,20 @@ def check_binomial_reduction(
     weights the N-trial outcome sum by the binomial predictive, (b) chains N
     one-step Bernoulli predictives through every intermediate posterior state,
     so only batch-end layers are interpolated.  Both run to
-    ``choose_horizon(cost)`` batches, on the grid ``solve`` builds.
+    ``choose_horizon(cost)`` batches, on the grid ``solve`` builds.  A batch
+    step stacks its up to N states at every grid point, A N G doubles for A
+    atoms and G grid points; more than ``_MAX_VALUES`` is refused before
+    anything is solved.
     """
     n_trials = _count(n_trials, "binomial reduction N", 1)
     horizon = choose_horizon(cost)
     binom = make_named_family(f"binomial({n_trials})")
     bern = make_named_family("bernoulli")
+    grid_size = _count(grid_size, "grid size", 3)
+    if prior.n_atoms * n_trials * grid_size > _MAX_VALUES:
+        raise ValueError(f"binomial reduction N = {n_trials} on {grid_size} grid points needs stacked batch "
+                         f"states over the budget of {_MAX_VALUES} values for {prior.n_atoms} atoms; lower N "
+                         "or the grid size")
     surface = solve(prior, binom, float(cost), horizon, grid_size)
     grid = surface.pi_grid
     v_bern = _backward(_Ctx(prior, bern), grid, horizon, float(cost), steps=n_trials)

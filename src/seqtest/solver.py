@@ -65,8 +65,8 @@ STOP_TOL = 1e-12
 # c + E[V[n+1](next pi)] - gain reaches it stops, and so does every point
 # between it and the nearer end of the grid
 _STOP_MARGIN = 1e-9
-# cells by which ``_step`` pads layer n + 1's continuation interval, and its
-# first widening chunk
+# cells by which ``_step`` pads layer n + 1's continuation interval, on top
+# of the boundary's last move, and its first widening chunk
 _PAD = 16
 
 
@@ -143,33 +143,48 @@ def _continuation(ctx: _Ctx, grid: np.ndarray, a: int, b: int, n: int, next_laye
     intermediate step they merge into one, keyed by s: their masses are
     added in the order the paths are enumerated, and the first path's y is
     kept.  With K lattice outcomes at most (steps - 1)(K - 1) + 1 states so
-    remain, not K^(steps - 1) paths.  The outcomes come in
-    ``_transition``'s chunks: each chunk is interpolated by one ``np.interp``
-    and its terms join the running sum in outcome order (``_sum_rows``), so
-    the sum is the one-outcome-at-a-time sum bit for bit.  Each point's
-    inversion, masses, next pi and interpolation do not depend on the other
-    points in the call, so any split of the grid into ranges gives the same
-    values bit for bit.
+    remain, not K^(steps - 1) paths.  Each intermediate step stacks its S
+    states into one (S, P) array for one ``_predictive`` call, and the last
+    step its states into one ``_transition`` call, P the points in the
+    range.  The masses then merge and the terms add state by state in the
+    states' order, and within a state outcome by outcome, as one call per
+    state would add them, so every mass and sum is the per-state one bit for
+    bit.  The outcomes come in ``_transition``'s chunks, each interpolated
+    by one ``np.interp``; the terms join the running sum in outcome order
+    (``_sum_rows``), which is the one-outcome-at-a-time sum bit for bit.
+    With one observation per step there is one state, and each chunk joins
+    the sum as it comes; with more, a state's outcomes span the chunks, so
+    the (K, S, P) terms are stacked first.  Each point's inversion, masses,
+    next pi and interpolation do not depend on the other points or states in
+    the call, so any split of the grid into ranges gives the same values bit
+    for bit.
     """
-    paths = {0.0: (1.0, _y_of_logit(ctx, n, logit(grid[a:b])))}
-    for m in range(n, n + steps - 1):
-        merged = {}
-        for s, (mass, y) in paths.items():
-            for xs, preds in _predictive(ctx, m, y):
-                for x, pred in zip(xs, preds):
+    y = _y_of_logit(ctx, n, logit(grid[a:b]))
+    if steps == 1:
+        terms = (pred * np.interp(next_pi, grid, next_layer) for pred, next_pi in _transition(ctx, n, y))
+    else:
+        sums, masses, ys = [0.0], np.ones((1, y.size)), y[None]
+        for m in range(n, n + steps - 1):
+            preds = np.concatenate([pred for _, pred in _predictive(ctx, m, ys)])
+            merged = {}
+            for i, s in enumerate(sums):
+                for j, x in enumerate(ctx.points):
                     key = s + float(x)
                     if key in merged:
                         total, first = merged[key]
-                        merged[key] = (total + mass * pred, first)
+                        merged[key] = (total + masses[i] * preds[j, i], first)
                     else:
-                        merged[key] = (mass * pred, y + x)
-        paths = merged
+                        merged[key] = (masses[i] * preds[j, i], ys[i] + x)
+            sums = list(merged)
+            masses, ys = (np.stack(v) for v in zip(*merged.values()))
+        stacked = np.concatenate([masses * pred * np.interp(next_pi, grid, next_layer)
+                                  for pred, next_pi in _transition(ctx, n + steps - 1, ys)])
+        # (K, P) for each state in turn: every outcome of a state before the next state's
+        terms = (stacked[:, i] for i in range(len(sums)))
     cont = 0.0
-    for mass, y in paths.values():
-        for pred, next_pi in _transition(ctx, n + steps - 1, y):
-            terms = mass * pred * np.interp(next_pi, grid, next_layer)
-            terms[0] += cont
-            cont = _sum_rows(terms)
+    for part in terms:
+        part[0] += cont
+        cont = _sum_rows(part)
     return cont
 
 
@@ -187,7 +202,18 @@ def _concavity_defect(grid: np.ndarray, layer: np.ndarray) -> float:
     return float((np.maximum.accumulate(slope[::-1])[::-1] - slope) @ h)
 
 
-def _step(ctx, grid, n, next_layer, cost, steps=1):
+def _interval(grid, g, layer):
+    """Grid indices of the first and last interior points where ``layer`` lies below the gain ``g``,
+    widened to take in the grid points next to 1/2."""
+    going = np.flatnonzero(layer[1:-1] < g[1:-1]) + 1
+    lo = int(np.searchsorted(grid, 0.5, side="right")) - 1
+    hi = int(np.searchsorted(grid, 0.5, side="left"))
+    if going.size:
+        lo, hi = min(lo, int(going[0])), max(hi, int(going[-1]))
+    return lo, hi
+
+
+def _step(ctx, grid, n, next_layer, cost, steps=1, later=None):
     """Layer n from layer n + 1: min(gain, cost + continuation) inside, 0 at both ends.
 
     The stopping certificate: the margin f(pi) = c + E[V[n+1](next pi)] -
@@ -201,7 +227,13 @@ def _step(ctx, grid, n, next_layer, cost, steps=1):
     computed on one range of interior points only: layer n + 1's
     continuation interval, or the grid points next to 1/2, padded by
     ``_PAD`` cells, then widened at each end by chunks of 16, 32, 64, ...
-    cells until f >= delta at that end or the range reaches it.
+    cells until f >= delta at that end or the range reaches it.  Given
+    layer n + 2 as ``later``, as ``_backward`` gives it, each end is padded
+    by as many cells again as it moved out from layer n + 2's interval to
+    layer n + 1's, since the boundaries widen backward in time; an end that
+    moved in gets ``_PAD`` alone.  The prediction only saves widening calls:
+    the widening still runs, so the certificate covers every skipped point
+    whether or not the boundaries are monotone.
 
     The whole grid is computed instead where the certificate does not
     hold: a limit of f at an end is not above delta, as with a cost at or
@@ -219,12 +251,11 @@ def _step(ctx, grid, n, next_layer, cost, steps=1):
     end = grid.size - 1
     if (min(next_layer[0], next_layer[-1]) + cost > _STOP_MARGIN
             and _concavity_defect(grid, next_layer) <= _STOP_MARGIN / 2):
-        going = np.flatnonzero(next_layer[1:-1] < g[1:-1]) + 1
-        lo = int(np.searchsorted(grid, 0.5, side="right")) - 1
-        hi = int(np.searchsorted(grid, 0.5, side="left"))
-        if going.size:
-            lo, hi = min(lo, int(going[0])), max(hi, int(going[-1]))
-        a, b = max(1, lo - _PAD), min(end, hi + 1 + _PAD)
+        lo, hi = _interval(grid, g, next_layer)
+        # each end moves on by as many cells as it moved from layer n + 2
+        lo_then, hi_then = (lo, hi) if later is None else _interval(grid, g, later)
+        a = max(1, lo - _PAD - max(0, lo_then - lo))
+        b = min(end, hi + 1 + _PAD + max(0, hi - hi_then))
     else:
         a, b = 1, end
     parts = [cost + _continuation(ctx, grid, a, b, n, next_layer, steps)]
@@ -252,7 +283,8 @@ def _backward(ctx: _Ctx, grid: np.ndarray, horizon: int, cost: float, steps: int
     values = np.empty((horizon + 1, grid.size))
     values[horizon] = gain(grid)
     for n in range(horizon - 1, -1, -1):
-        values[n] = _step(ctx, grid, n * steps, values[n + 1], cost, steps)
+        later = values[n + 2] if n + 2 <= horizon else None
+        values[n] = _step(ctx, grid, n * steps, values[n + 1], cost, steps, later)
     return values
 
 

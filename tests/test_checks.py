@@ -12,7 +12,8 @@ from conftest import BENCH_ATOMS, traced_peak
 from seqtest import checks as checks_mod
 from seqtest import solver as solver_mod
 from seqtest.checks import PROBE_WINDOWS, sample_random_prior
-from seqtest.priors import _Ctx, _log_odds, _lse_last, _unnorm_log_weights, _y_of_logit
+from seqtest.priors import (_Ctx, _log_odds, _lse_last, _predictive, _sum_rows, _transition, _unnorm_log_weights,
+                            _y_of_logit)
 from seqtest.solver import _backward
 
 
@@ -203,6 +204,23 @@ class TestLevelCurveBudget:
         assert peak < 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
+class TestBinomialReductionBudget:
+    """A batch whose stacked states would take over _MAX_VALUES doubles is refused before anything is solved."""
+
+    def test_refused_one_point_over_the_budget(self, benchmark_prior, monkeypatch):
+        # 2 atoms x N = 4 states x 201 points; the surface, 7 x 201 values at c = 0.1, fits too
+        monkeypatch.setattr(checks_mod, "_MAX_VALUES", 2 * 4 * 201)
+        assert st.check_binomial_reduction(4, benchmark_prior, 0.1, grid_size=201).passed
+        message = ("^binomial reduction N = 4 on 202 grid points needs stacked batch states over the budget of "
+                   "1608 values for 2 atoms; lower N or the grid size$")
+
+        def refused():
+            with pytest.raises(ValueError, match=message):
+                st.check_binomial_reduction(4, benchmark_prior, 0.1, grid_size=202)
+
+        assert traced_peak(refused) < 2**16
+
+
 class TestConvexOrder:
     def test_same_time_is_exact_equality(self, benchmark_prior, bernoulli_family):
         rep = st.check_convex_order(benchmark_prior, bernoulli_family, 0.4, 3, 3)
@@ -339,12 +357,43 @@ def batched_layers_by_paths(prior, grid, horizon, batch, cost):
     return values
 
 
+def continuation_by_states(ctx, grid, a, b, n, next_layer, steps):
+    """``solver._continuation`` with one ``_predictive`` or ``_transition`` call per state.
+
+    The reference for the stacked states: paths with one outcome sum merge
+    into one state, their masses added in the order the paths are
+    enumerated, and each state's outcomes join the running sum in turn.
+    """
+    paths = {0.0: (1.0, _y_of_logit(ctx, n, logit(grid[a:b])))}
+    for m in range(n, n + steps - 1):
+        merged = {}
+        for s, (mass, y) in paths.items():
+            for xs, preds in _predictive(ctx, m, y):
+                for x, pred in zip(xs, preds):
+                    key = s + float(x)
+                    if key in merged:
+                        total, first = merged[key]
+                        merged[key] = (total + mass * pred, first)
+                    else:
+                        merged[key] = (mass * pred, y + x)
+        paths = merged
+    cont = 0.0
+    for mass, y in paths.values():
+        for pred, next_pi in _transition(ctx, n + steps - 1, y):
+            terms = mass * pred * np.interp(next_pi, grid, next_layer)
+            terms[0] += cont
+            cont = _sum_rows(terms)
+    return cont
+
+
 # the priors of acceptance criterion 07
 CRITERION_07_PRIORS = [
     st.make_prior([float(logit(0.3)), float(logit(0.7))], [1.0, 1.0], 0.0),
     st.make_prior([-1.0, -0.1, 1.0], [1.0, 2.0, 1.0], 0.0),
     st.make_prior([-1.5, -0.4, 0.3, 1.1], [1.0, 1.0, 2.0, 1.0], 0.0),
 ]
+# ten atoms a side: numpy sums 8 or more terms of a single point pairwise
+TWENTY_ATOMS = st.make_prior(np.linspace(-2.0, 2.0, 20), [1.0, 2.0, 0.5, 1.0] * 5, 0.0)
 
 
 class TestBatchedBackwardLoop:
@@ -362,20 +411,36 @@ class TestBatchedBackwardLoop:
     @pytest.mark.parametrize("model, steps", [("bernoulli", 6), ("bernoulli", 14), ("binomial(3)", 4)])
     def test_paths_with_one_outcome_sum_merge(self, model, steps, monkeypatch):
         # the states after m of a batch's steps are the m (K - 1) + 1 outcome
-        # sums, not the K^m paths; the last step takes (steps - 1)(K - 1) + 1
+        # sums, not the K^m paths; each step takes all of them in one call
         family = st.make_named_family(model)
         k = family.scheme.n_points
         calls = []
         for name in ("_predictive", "_transition"):
             def counted(ctx, n, y, kernel=getattr(solver_mod, name), name=name):
-                calls.append((name, n))
+                calls.append((name, n, np.shape(y)))
                 return kernel(ctx, n, y)
             monkeypatch.setattr(solver_mod, name, counted)
         grid = st.make_grid(201)
         ctx = _Ctx(CRITERION_07_PRIORS[1], family)
-        solver_mod._continuation(ctx, grid, 1, 200, 5, st.gain(grid), steps)
-        want = [("_predictive", 5 + m) for m in range(steps - 1) for _ in range(m * (k - 1) + 1)]
-        assert calls == want + [("_transition", 5 + steps - 1)] * ((steps - 1) * (k - 1) + 1)
+        got = solver_mod._continuation(ctx, grid, 1, 200, 5, st.gain(grid), steps)
+        want = [("_predictive", 5 + m, (m * (k - 1) + 1, 199)) for m in range(steps - 1)]
+        assert calls == want + [("_transition", 5 + steps - 1, ((steps - 1) * (k - 1) + 1, 199))]
+        monkeypatch.undo()
+        assert np.array_equal(got, continuation_by_states(ctx, grid, 1, 200, 5, st.gain(grid), steps))
+
+    @pytest.mark.parametrize("model, steps", [("bernoulli", 2), ("bernoulli", 9), ("binomial(3)", 3),
+                                              ("binomial(3)", 5)])
+    @pytest.mark.parametrize("prior", CRITERION_07_PRIORS + [TWENTY_ATOMS],
+                             ids=["two-atom", "three-atom", "four-atom", "twenty-atom"])
+    @pytest.mark.parametrize("a, b", [(1, 200), (57, 58), (3, 11)], ids=["all", "one-point", "eight-points"])
+    def test_stacked_states_match_one_call_per_state(self, prior, model, steps, a, b):
+        """Every mass and sum adds in the per-state order, so the states stacked in one call give
+        its values bit for bit, for one point and for a side of 8 or more atoms too."""
+        ctx = _Ctx(prior, st.make_named_family(model))
+        grid = st.make_grid(201)
+        layer = st.solve(prior, st.make_named_family(model), 0.05, 2, 201).values[0]
+        got = solver_mod._continuation(ctx, grid, a, b, 4, layer, steps)
+        assert np.array_equal(got, continuation_by_states(ctx, grid, a, b, 4, layer, steps))
 
     @pytest.mark.parametrize("model", ["bernoulli", "binomial(3)"])
     @pytest.mark.parametrize("prior", CRITERION_07_PRIORS, ids=["two-atom", "three-atom", "four-atom"])

@@ -271,6 +271,9 @@ class TestSizeRefusals:
          "binomial trial count N must be at most 1029, got 1030: C(N, N/2) overflows a double beyond it"),
         (["verify", "--check", "binomial-reduction", "--N", "1030", "--cost", "0.1"],
          "binomial trial count N must be at most 1029, got 1030: C(N, N/2) overflows a double beyond it"),
+        (["verify", "--check", "binomial-reduction", "--N", "1029", "--cost", "0.1", "--grid-size", "100000"],
+         "binomial reduction N = 1029 on 100000 grid points needs stacked batch states over the budget of "
+         "100000000 values for 2 atoms; lower N or the grid size"),
         (["solve", "--model", "gaussian-mean", "--nodes", "500", "--horizon", "3"],
          "nodes for model 'gaussian-mean' must be at most 370, got 500: the Gauss-Hermite weights underflow "
          "beyond it"),

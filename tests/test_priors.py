@@ -256,13 +256,46 @@ class TestLevelCurveInversion:
         monkeypatch.setattr(priors_mod, "_log_odds", counted)
         y = priors_mod._y_of_logit(ctx, n, t)
         monkeypatch.undo()
-        # one pass at y = 0, then one per Newton step; no point may hit the cap
+        # one log-odds pass at y = 0 for the bracket, then one per Newton step; no point may hit the cap
         assert len(passes) - 1 < priors_mod._NEWTON_CAP
         y_ref = _bisection_reference(ctx, n, t)
         assert np.all(np.abs(y - y_ref) <= 1e-11 * np.maximum(1.0, np.abs(y_ref)))
         resid = np.abs(priors_mod._log_odds(ctx, n, y) - t)
         assert np.all(resid <= 2e-13 * np.maximum(1.0, np.abs(t)))
         assert np.all(np.diff(y) > 0)
+
+    # mean slope evaluations per point over n = 30, 60, 120, measured 2.76, 1.55, 1.34, 2.55 and 3.14;
+    # 5.40, 4.44, 1.85, 4.99 and 5.33 from the tangent at y = 0 with a confirming evaluation
+    @pytest.mark.parametrize("model, spec, bound", [
+        (*case, bound) for case, bound in zip(INVERSION_CASES[:5], (3.0, 1.7, 1.5, 2.8, 3.4))
+    ], ids=INVERSION_IDS[:5])
+    def test_six_atom_inversions_take_few_evaluations(self, model, spec, bound, monkeypatch):
+        prior = st.make_prior(*spec)
+        ctx = priors_mod._Ctx(prior, st.family_for_prior(model, prior))
+        t = logit(INVERSION_PIS)
+        points = count_slope_points(monkeypatch)
+        for n in (30, 60, 120):
+            priors_mod._y_of_logit(ctx, n, t)
+        assert sum(points) / (3 * t.size) < bound
+
+    @pytest.mark.parametrize("model, spec", [
+        ("bernoulli", ([-0.8, 0.8], [1.0, 1.0], 0.0)),
+        ("gaussian-mean", ([-1.0, 0.3], [1.0, 3.0], 0.0)),
+        ("exponential-rate", ([0.5, 2.0], [2.0, 1.0], 1.0)),
+    ], ids=["bernoulli", "gaussian-mean", "exponential-rate"])
+    def test_two_atom_prior_inverts_in_one_evaluation(self, model, spec, monkeypatch):
+        """The start is the two atoms' level curve, the root itself, and a side of one atom gives
+        Newton's step an error bound of 0, so each point takes one slope evaluation."""
+        prior = st.make_prior(*spec)
+        ctx = priors_mod._Ctx(prior, st.family_for_prior(model, prior))
+        t = logit(INVERSION_PIS)
+        for n in (0, 1, 30, 120, np.array([[0], [7], [60]])):
+            points = count_slope_points(monkeypatch)
+            y = priors_mod._y_of_logit(ctx, n, t)
+            monkeypatch.undo()
+            assert points == [np.broadcast(n, t).size]
+            resid = np.abs(priors_mod._log_odds(ctx, n, y) - t)
+            assert np.all(resid <= 2e-13 * np.maximum(1.0, np.abs(t)))
 
     @pytest.mark.parametrize("model, spec", INVERSION_CASES, ids=INVERSION_IDS)
     def test_array_of_layers_matches_layer_by_layer(self, model, spec):
@@ -383,6 +416,20 @@ class TestLevelCurveInversion:
         h = 1e-6
         fd = (priors_mod._log_odds(ctx, 7, y + h) - priors_mod._log_odds(ctx, 7, y - h)) / (2 * h)
         np.testing.assert_allclose(slope, fd, rtol=1e-8)
+
+
+def count_slope_points(monkeypatch):
+    """Record the number of points of every log-odds evaluation that also takes the slope."""
+    points = []
+    log_odds = priors_mod._log_odds
+
+    def counted(ctx, n, y, slope=False):
+        if slope:
+            points.append(np.size(y))
+        return log_odds(ctx, n, y, slope)
+
+    monkeypatch.setattr(priors_mod, "_log_odds", counted)
+    return points
 
 
 class TestPriorFamilyGate:

@@ -204,6 +204,14 @@ def random_prior(model, seed):
     return sample_random_prior(np.random.default_rng([seed, 17]), PROBE_WINDOWS[model])
 
 
+# boundaries that move out by 0.3 in pi over 12 layers, from 1/2 at the horizon
+FAST_MOVING_CASES = [
+    pytest.param(model, lambda model=model: seeded_prior(model, 7), 0.05, 12, lambda: st.make_grid(2001), steps,
+                 id=f"{name}-fast-moving")
+    for model, steps, name in (("binomial(3)", 1, "binomial3"), ("bernoulli", 3, "bernoulli-steps-3"))
+]
+
+
 # (model, prior, cost, horizon, grid, steps); costs 0.6 stop every layer,
 # 1e-10 lies below the certificate's margin, so every layer falls back
 CERTIFICATE_CASES = [
@@ -235,6 +243,7 @@ CERTIFICATE_CASES = [
                  id="bernoulli-steps-3"),
     pytest.param("binomial(3)", lambda: seeded_prior("binomial(3)", 19), 0.05, 4, lambda: st.make_grid(501), 3,
                  id="binomial3-steps-3"),
+    *FAST_MOVING_CASES,
 ]
 
 
@@ -268,6 +277,18 @@ class TestStoppingCertificate:
         monkeypatch.setattr(priors_mod, "_CHUNK_VALUES", budget)
         np.testing.assert_array_equal(solver_mod._backward(ctx, grid, horizon, 0.05, steps), want)
         np.testing.assert_array_equal(full_grid_backward(ctx, grid, horizon, 0.05, steps), want)
+
+    @pytest.mark.parametrize("model, make_prior, cost, horizon, make_grid, steps", FAST_MOVING_CASES)
+    def test_range_follows_the_last_boundary_move(self, model, make_prior, cost, horizon, make_grid, steps,
+                                                  monkeypatch):
+        """Each range starts as wide as the boundary's last move predicts, so few layers widen it:
+        26 and 29 expectation calls over the 12 layers, 46 each when the range was padded by 16
+        cells alone."""
+        prior, grid = make_prior(), make_grid()
+        ctx = _Ctx(prior, st.family_for_prior(model, prior))
+        sizes = count_inverted_points(monkeypatch)
+        solver_mod._backward(ctx, grid, horizon, cost, steps)
+        assert len(sizes) <= 32, sizes
 
     def test_layer_with_a_dip_falls_back_to_the_whole_grid(self, benchmark_prior, bernoulli_family, monkeypatch):
         # the layer is 0 on [0.19, 0.23]: from pi = 0.1 a success moves to 0.206, so pi = 0.1 continues,
