@@ -34,7 +34,9 @@ from .solver import (
     PolicyDecision,
     ValueSurface,
     bellman_step,
+    brute_force_value,
     choose_horizon,
+    enumerate_reachable_pis,
     extract_boundaries,
     gain,
     make_grid,
@@ -64,8 +66,6 @@ from .simulate import (
     FixedSampleRule,
     SimulationReport,
     ThresholdRule,
-    brute_force_value,
-    enumerate_reachable_pis,
     simulate_alternative,
     simulate_policy,
 )

@@ -71,7 +71,11 @@ class CheckReport:
         return json.dumps(asdict(self))
 
 
-def _report(check, instance, worst, tol, location=None, asserted=True) -> CheckReport:
+def _report(check, instance, worst, tol, location=None, asserted=True, allowance=0.0) -> CheckReport:
+    # nan and infinity are not JSON, and an infinite or negative tolerance would pass or fail every check
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    tol += allowance
     worst = float(worst)
     return CheckReport(
         check=check,
@@ -88,8 +92,10 @@ def _worst(a):
     """Largest entry of ``a`` and its first row-major index, as a float and a tuple of ints.
 
     The first index is the one a scan layer by layer, keeping a new worst
-    only when it is strictly larger, would report.
+    only when it is strictly larger, would report; an empty ``a`` gives 0.0.
     """
+    if not np.size(a):
+        return 0.0, (0,) * np.ndim(a)
     idx = np.unravel_index(int(np.argmax(a)), np.shape(a))
     return float(a[idx]), tuple(int(i) for i in idx)
 
@@ -103,7 +109,6 @@ def check_concavity(surface: ValueSurface, tol: float = 1e-8) -> CheckReport:
     """
     grid = surface.pi_grid
     h = float(np.max(np.diff(grid)))
-    eff_tol = tol + h * h
     values = surface.values
     lam = (grid[2:] - grid[1:-1]) / (grid[2:] - grid[:-2])
     worst, (n, j) = _worst(lam * values[:, :-2] + (1.0 - lam) * values[:, 2:] - values[:, 1:-1])
@@ -111,8 +116,9 @@ def check_concavity(surface: ValueSurface, tol: float = 1e-8) -> CheckReport:
         "concavity",
         {"horizon": surface.horizon, "grid_size": int(grid.size), "cost": surface.cost},
         worst,
-        eff_tol,
+        tol,
         {"n": n, "pi": float(grid[j + 1])},
+        allowance=h * h,
     )
 
 
@@ -177,8 +183,7 @@ def check_level_spread(
         raise ValueError("level spread check requires 0 < pi1 <= pi2 < 1")
     n_max = _count(n_max, "n_max")
     y = _level_curves(prior, family, [pi1, pi2], n_max)[1]
-    dec = -np.diff(y[:, 1] - y[:, 0])
-    worst, (j,) = _worst(dec) if dec.size else (0.0, (0,))
+    worst, (j,) = _worst(-np.diff(y[:, 1] - y[:, 0]))
     return _report(
         "level-spread",
         {"model": family.name, "pi1": pi1, "pi2": pi2, "n_max": n_max},
@@ -285,7 +290,10 @@ def check_binomial_reduction(
     ``choose_horizon(cost)`` batches, on the grid ``solve`` builds.  A batch
     step stacks its up to N states at every grid point, A N G doubles for A
     atoms and G grid points; more than ``_MAX_VALUES`` is refused before
-    anything is solved.
+    anything is solved.  Step j of a batch updates up to j + 1 states, so (b)
+    costs O(N^2 A G) per layer (0.11, 0.30 and 1.17 s at N = 32, 64 and 128
+    on atoms +-0.8, c = 0.1, G = 201).  That is by design: a closed form for
+    the batch law would be (a) itself, compared with itself.
     """
     n_trials = _count(n_trials, "binomial reduction N", 1)
     horizon = choose_horizon(cost)

@@ -14,10 +14,11 @@ import sys
 from . import checks as checks_mod
 from .families import _positive_finite, family_for_prior, family_from_scheme_csv
 from .priors import load_prior_csv
-from .simulate import FixedSampleRule, ThresholdRule, brute_force_value, simulate_alternative, simulate_policy
+from .simulate import FixedSampleRule, ThresholdRule, simulate_alternative, simulate_policy
 from .solver import (
     _boundaries_csv,
     _check_provenance,
+    brute_force_value,
     choose_horizon,
     read_surface_json,
     solve,

@@ -1,14 +1,7 @@
-"""Monte Carlo policy evaluation and an exact lattice oracle.
-
-The oracle enumerates the reachable (n, y) lattice of a finite-outcome
-model, whose size grows with the distinct observation sums rather than the
-number of paths, so it reaches the horizons the solver uses, and
-backward-inducts the recursion with no grid and no interpolation, which
-makes it an independent reference for the grid solver.  The simulator draws
-the parameter from the prior's atoms (so the estimated quantity is exactly
-the Bayes risk: misclassification probability plus cost times expected
-stopping time), replays the optimal or an alternative stopping rule, and
-reports replicate-level aggregates.
+"""Monte Carlo policy evaluation: draws the parameter from the prior's atoms
+(so the estimate is exactly the Bayes risk: misclassification probability
+plus cost times expected stopping time), replays the optimal or an
+alternative stopping rule, and reports replicate-level aggregates.
 """
 
 import json
@@ -16,24 +9,20 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import expit, logit, logsumexp
+from scipy.special import expit, logit
 
 from .families import _MAX_VALUES, NaturalFamily, _count, _outcome_cdf, _positive_finite
-from .priors import LEVEL_EPS, Prior, _Ctx, _log_odds, _side_lse_mean, _unnorm_log_weights, _y_of_logit
+from .priors import LEVEL_EPS, Prior, _Ctx, _log_odds, _side_lse_mean, _y_of_logit
 from .solver import ValueSurface, _check_provenance
 
 __all__ = [
     "SimulationReport",
-    "brute_force_value",
-    "enumerate_reachable_pis",
     "FixedSampleRule",
     "ThresholdRule",
     "simulate_policy",
     "simulate_alternative",
 ]
 
-# distinct (n, y) nodes the oracle lattice may hold
-_MAX_NODES = 10**6
 # replicates per simulation block: with its straggler pool (``_replay``) the
 # replay holds fewer than 2 _BLOCK rows, whatever the replicate count or
 # horizon.  Every draw is keyed by (seed, replicate, step), so results do not
@@ -180,73 +169,6 @@ class SimulationReport:
         d = asdict(self)
         d["error_rates"] = list(d["error_rates"])
         return json.dumps(d)
-
-
-def _lattice(family: NaturalFamily, horizon: int):
-    """Reachable (n, y) nodes of a finite-outcome model, layer by layer.
-
-    Returns ``(layers, children)``: ``layers[n]`` holds the distinct sums y
-    reachable after n observations and ``children[n][i, k]`` indexes the node
-    of layer n + 1 that node i of layer n moves to on outcome k.  Paths that
-    reach the same y share a node, so the lattice grows with the number of
-    distinct sums, not with the number of paths.
-    """
-    if family.scheme.kind != "finite":
-        raise ValueError("oracle requires finite outcomes")
-    points = family.scheme.points
-    layers = [np.zeros(1)]
-    children = []
-    nodes = 1
-    for _ in range(_count(horizon, "horizon")):
-        ys = layers[-1]
-        # the next layer has at most ys.size * K nodes; refuse before building it
-        if nodes + ys.size * points.size > _MAX_NODES:
-            raise ValueError("oracle tree too large for this horizon")
-        nxt, child = np.unique(ys[:, None] + points, return_inverse=True)
-        layers.append(nxt)
-        children.append(child.reshape(ys.size, points.size))
-        nodes += nxt.size
-    return layers, children
-
-
-def brute_force_value(prior: Prior, family: NaturalFamily, cost: float, horizon: int) -> float:
-    """Exact truncated value at the root (0, prior mass above threshold).
-
-    Builds the lattice of reachable (n, y) nodes and applies the
-    dynamic-programming recursion on it directly, so the only numerical
-    error is log-sum-exp roundoff.  Requires a finite observation scheme.
-    """
-    cost = _positive_finite(cost)
-    layers, children = _lattice(family, horizon)
-    ctx = _Ctx(prior, family)
-    horizon = len(layers) - 1
-    for n in range(horizon, -1, -1):
-        z = _unnorm_log_weights(ctx, n, layers[n])
-        pi = expit(logsumexp(z[:, ctx.up], axis=1) - logsumexp(z[:, ctx.lo], axis=1))
-        g = np.minimum(pi, 1.0 - pi)
-        if n == horizon:
-            value = g
-            continue
-        lw = z - logsumexp(z, axis=1)[:, None]
-        cont = np.full(g.shape, cost)
-        for k in range(ctx.points.size):
-            log_pred = logsumexp(lw + ctx.ux[k], axis=1) + ctx.log_mass[k]
-            cont += np.exp(log_pred) * value[children[n][:, k]]
-        value = np.minimum(g, cont)
-    return float(value[0])
-
-
-def enumerate_reachable_pis(prior: Prior, family: NaturalFamily, horizon: int):
-    """All posterior probabilities reachable on the exact outcome lattice.
-
-    Useful for splicing into a solver grid so the oracle comparison is free
-    of interpolation error.  Values within 1e-9 of 0 or 1 are dropped (they
-    carry negligible value mass and cannot be inverted reliably).
-    """
-    layers, _ = _lattice(family, horizon)
-    ctx = _Ctx(prior, family)
-    pis = np.concatenate([expit(_log_odds(ctx, n, ys)) for n, ys in enumerate(layers)])
-    return np.unique(pis[(pis > 1e-9) & (pis < 1.0 - 1e-9)])
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,10 @@ it until f >= delta at both ends; the points outside take the gain, which
 is what the full-grid step gives them, bit for bit.  It computes the whole
 grid instead when the cost is at most delta or when layer n + 1 is not
 concave within delta / 2 (``bellman_step`` accepts any layer).
+
+The exact oracle (``brute_force_value``) runs the recursion on the (n, y)
+lattice of a finite-outcome model (``_lattice``), with no grid and no
+interpolation; a batch of observations merges its paths on the same lattice.
 """
 
 import csv
@@ -36,10 +40,10 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 import numpy as np
-from scipy.special import logit
+from scipy.special import expit, logit, logsumexp
 
 from .families import _MAX_VALUES, NaturalFamily, _count, _positive_finite
-from .priors import Prior, _Ctx, _predictive, _sum_rows, _transition, _y_of_logit
+from .priors import Prior, _Ctx, _log_odds, _predictive, _sum_rows, _transition, _unnorm_log_weights, _y_of_logit
 
 __all__ = [
     "ValueSurface",
@@ -57,6 +61,8 @@ __all__ = [
     "write_boundaries_csv",
     "read_boundaries_csv",
     "write_value_layers_csv",
+    "brute_force_value",
+    "enumerate_reachable_pis",
 ]
 
 # points with V >= gain - STOP_TOL are classified as stopped
@@ -65,6 +71,8 @@ STOP_TOL = 1e-12
 # c + E[V[n+1](next pi)] - gain reaches it stops, and so does every point
 # between it and the nearer end of the grid
 _STOP_MARGIN = 1e-9
+# distinct (n, y) nodes a lattice may hold (``_lattice``)
+_MAX_NODES = 10**6
 # cells by which ``_step`` pads layer n + 1's continuation interval, on top
 # of the boundary's last move, and its first widening chunk
 _PAD = 16
@@ -132,55 +140,71 @@ def _check_grid(grid, what: str = "grid") -> np.ndarray:
     return grid
 
 
+def _lattice(points: np.ndarray, horizon: int):
+    """Reachable (n, y) nodes of a model with the finite outcomes ``points``, layer by layer.
+
+    Returns ``(layers, children)``: ``layers[n]`` holds the distinct sums y
+    after n observations, increasing, and ``children[n][i, k]`` the node that
+    node i of layer n reaches on outcome k, so paths with one sum share a
+    node.  A walk merges them in the order of ``children[n].ravel()``, node by
+    node, then outcome by outcome: masses add from zero in that order
+    (``np.add.at``), and any other value is the first path's (``np.unique``'s
+    first index).  A lattice of more than ``_MAX_NODES`` nodes is refused.
+    """
+    layers, children, nodes = [np.zeros(1)], [], 1
+    for _ in range(_count(horizon, "horizon")):
+        ys = layers[-1]
+        # the next layer has at most ys.size * K nodes; refuse before building it
+        if nodes + ys.size * points.size > _MAX_NODES:
+            raise ValueError("oracle tree too large for this horizon")
+        nxt, child = np.unique(ys[:, None] + points, return_inverse=True)
+        layers.append(nxt)
+        children.append(child.reshape(ys.size, points.size))
+        nodes += nxt.size
+    return layers, children
+
+
 def _continuation(ctx: _Ctx, grid: np.ndarray, a: int, b: int, n: int, next_layer: np.ndarray,
                   steps: int = 1) -> np.ndarray:
     """E[ interp(next_layer)(pi_{n+steps}) | pi_n = grid[a:b] ], with no stop in between.
 
     Each observation path carries the product of the predictive masses along
     it to the state it reaches, so only the layer at time n + steps is
-    interpolated, and only there is next pi computed.  Paths whose outcomes
-    add up to the same sum s reach the same state, so after each
-    intermediate step they merge into one, keyed by s: their masses are
-    added in the order the paths are enumerated, and the first path's y is
-    kept.  With K lattice outcomes at most (steps - 1)(K - 1) + 1 states so
-    remain, not K^(steps - 1) paths.  Each intermediate step stacks its S
-    states into one (S, P) array for one ``_predictive`` call, and the last
-    step its states into one ``_transition`` call, P the points in the
-    range.  The masses then merge and the terms add state by state in the
-    states' order, and within a state outcome by outcome, as one call per
-    state would add them, so every mass and sum is the per-state one bit for
-    bit.  The outcomes come in ``_transition``'s chunks, each interpolated
-    by one ``np.interp``; the terms join the running sum in outcome order
-    (``_sum_rows``), which is the one-outcome-at-a-time sum bit for bit.
-    With one observation per step there is one state, and each chunk joins
-    the sum as it comes; with more, a state's outcomes span the chunks, so
-    the (K, S, P) terms are stacked first.  Each point's inversion, masses,
-    next pi and interpolation do not depend on the other points or states in
-    the call, so any split of the grid into ranges gives the same values bit
-    for bit.
+    interpolated, and only there is next pi computed.  Paths with one outcome
+    sum reach one state, so after each intermediate step they merge on the
+    nodes of ``_lattice``, by its rule: at most (steps - 1)(K - 1) + 1
+    states remain for K lattice outcomes, not K^(steps - 1) paths.  Each
+    intermediate step stacks its S states into one (S, P) array for one
+    ``_predictive`` call, and the last step its states into one
+    ``_transition`` call, P the points in the range.  The terms add state by
+    state in the states' order, and within a state outcome by outcome, as
+    one call per state would add them, so every mass and sum is the
+    per-state one bit for bit.  The outcomes come in ``_transition``'s
+    chunks, each interpolated by one ``np.interp``; the terms join the
+    running sum in outcome order (``_sum_rows``), which is the
+    one-outcome-at-a-time sum bit for bit.  With one observation per step
+    there is one state, and each chunk joins the sum as it comes; with more,
+    a state's outcomes span the chunks, so the (K, S, P) terms are stacked
+    first.  Each point's inversion, masses, next pi and interpolation do not
+    depend on the other points or states in the call, so any split of the
+    grid into ranges gives the same values bit for bit.
     """
     y = _y_of_logit(ctx, n, logit(grid[a:b]))
     if steps == 1:
         terms = (pred * np.interp(next_pi, grid, next_layer) for pred, next_pi in _transition(ctx, n, y))
     else:
-        sums, masses, ys = [0.0], np.ones((1, y.size)), y[None]
-        for m in range(n, n + steps - 1):
+        masses, ys, k = np.ones((1, y.size)), y[None], ctx.points.size
+        for m, child in enumerate(_lattice(ctx.points, steps - 1)[1], n):
             preds = np.concatenate([pred for _, pred in _predictive(ctx, m, ys)])
-            merged = {}
-            for i, s in enumerate(sums):
-                for j, x in enumerate(ctx.points):
-                    key = s + float(x)
-                    if key in merged:
-                        total, first = merged[key]
-                        merged[key] = (total + masses[i] * preds[j, i], first)
-                    else:
-                        merged[key] = (masses[i] * preds[j, i], ys[i] + x)
-            sums = list(merged)
-            masses, ys = (np.stack(v) for v in zip(*merged.values()))
+            first = np.unique(child, return_index=True)[1]
+            paths = (masses * preds).swapaxes(0, 1).reshape(-1, y.size)
+            masses = np.zeros((first.size, y.size))
+            np.add.at(masses, child.ravel(), paths)
+            ys = ys[first // k] + ctx.points[first % k, None]
         stacked = np.concatenate([masses * pred * np.interp(next_pi, grid, next_layer)
                                   for pred, next_pi in _transition(ctx, n + steps - 1, ys)])
         # (K, P) for each state in turn: every outcome of a state before the next state's
-        terms = (stacked[:, i] for i in range(len(sums)))
+        terms = (stacked[:, i] for i in range(len(masses)))
     cont = 0.0
     for part in terms:
         part[0] += cont
@@ -286,6 +310,49 @@ def _backward(ctx: _Ctx, grid: np.ndarray, horizon: int, cost: float, steps: int
         later = values[n + 2] if n + 2 <= horizon else None
         values[n] = _step(ctx, grid, n * steps, values[n + 1], cost, steps, later)
     return values
+
+
+def brute_force_value(prior: Prior, family: NaturalFamily, cost: float, horizon: int) -> float:
+    """Exact truncated value at the root (0, prior mass above threshold).
+
+    Builds the lattice of reachable (n, y) nodes and applies the
+    dynamic-programming recursion on it directly, so the only numerical
+    error is log-sum-exp roundoff.  Requires a finite observation scheme.
+    """
+    cost = _positive_finite(cost)
+    if family.scheme.kind != "finite":
+        raise ValueError("oracle requires finite outcomes")
+    layers, children = _lattice(family.scheme.points, horizon)
+    ctx = _Ctx(prior, family)
+    horizon = len(layers) - 1
+    for n in range(horizon, -1, -1):
+        z = _unnorm_log_weights(ctx, n, layers[n])
+        g = gain(expit(logsumexp(z[:, ctx.up], axis=1) - logsumexp(z[:, ctx.lo], axis=1)))
+        if n == horizon:
+            value = g
+            continue
+        lw = z - logsumexp(z, axis=1)[:, None]
+        cont = np.full(g.shape, cost)
+        for k in range(ctx.points.size):
+            log_pred = logsumexp(lw + ctx.ux[k], axis=1) + ctx.log_mass[k]
+            cont += np.exp(log_pred) * value[children[n][:, k]]
+        value = np.minimum(g, cont)
+    return float(value[0])
+
+
+def enumerate_reachable_pis(prior: Prior, family: NaturalFamily, horizon: int):
+    """All posterior probabilities reachable on the exact outcome lattice.
+
+    Useful for splicing into a solver grid so the oracle comparison is free
+    of interpolation error.  Values within 1e-9 of 0 or 1 are dropped (they
+    carry negligible value mass and cannot be inverted reliably).
+    """
+    if family.scheme.kind != "finite":
+        raise ValueError("oracle requires finite outcomes")
+    layers, _ = _lattice(family.scheme.points, horizon)
+    ctx = _Ctx(prior, family)
+    pis = np.concatenate([expit(_log_odds(ctx, n, ys)) for n, ys in enumerate(layers)])
+    return np.unique(pis[(pis > 1e-9) & (pis < 1.0 - 1e-9)])
 
 
 def bellman_step(next_layer, n: int, grid, prior: Prior, family: NaturalFamily, cost: float):

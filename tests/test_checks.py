@@ -167,6 +167,14 @@ class TestBatchedLevelCurveChecks:
         with pytest.raises(ValueError, match="^n_max must be a non-negative integer, got -1$"):
             st.check_concentration(three_atom_prior, gaussian_mean_family, 0.5, -0.5, 0.5, -1)
 
+    @pytest.mark.parametrize("model", list(BATCHED_CASES))
+    def test_single_layer_has_nothing_to_compare(self, model):
+        # n_max = 0 leaves no layer to compare with layer 0, as in the level-spread check
+        spec, (a, b) = BATCHED_CASES[model]
+        prior = st.make_prior(*spec)
+        rep = st.check_concentration(prior, st.family_for_prior(model, prior), 0.5, a, b, 0)
+        assert (rep.worst_violation, rep.passed, rep.location) == (0.0, True, None)
+
 
 def level_curve_check(check, prior, n_max):
     """The level-spread or concentration check on bernoulli, cutting at the prior's outermost atoms."""
@@ -442,6 +450,17 @@ class TestBatchedBackwardLoop:
         got = solver_mod._continuation(ctx, grid, a, b, 4, layer, steps)
         assert np.array_equal(got, continuation_by_states(ctx, grid, a, b, 4, layer, steps))
 
+    @pytest.mark.parametrize("steps", [3, 5])
+    @pytest.mark.parametrize("prior", [CRITERION_07_PRIORS[0], TWENTY_ATOMS], ids=["two-atom", "twenty-atom"])
+    def test_merged_state_keeps_the_first_paths_y(self, prior, steps):
+        # at n = 0 the level-curve y is small, so (y + 1) + 2 and (y + 2) + 1 can round apart:
+        # a merged state's y is the first path's, in the per-state order
+        family = st.make_named_family("binomial(3)")
+        grid = st.make_grid(201)
+        layer = st.solve(prior, family, 0.05, 8, 201).values[4]
+        got = solver_mod._continuation(_Ctx(prior, family), grid, 1, 200, 0, layer, steps)
+        assert np.array_equal(got, continuation_by_states(_Ctx(prior, family), grid, 1, 200, 0, layer, steps))
+
     @pytest.mark.parametrize("model", ["bernoulli", "binomial(3)"])
     @pytest.mark.parametrize("prior", CRITERION_07_PRIORS, ids=["two-atom", "three-atom", "four-atom"])
     def test_single_step_is_solve(self, prior, model):
@@ -636,3 +655,25 @@ class TestCheckReport:
     def test_pass_iff_within_tolerance(self, benchmark_surface):
         rep = st.check_concavity(benchmark_surface)
         assert rep.passed == (rep.worst_violation <= rep.tolerance)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_tolerance_must_be_finite_and_non_negative(self, benchmark_prior, bernoulli_family, tol):
+        # nan and infinity are not JSON, an infinite tolerance passes every check and a negative one fails it
+        checks = [
+            lambda: st.check_convex_order(benchmark_prior, bernoulli_family, 0.5, 0, 3, tol),
+            lambda: st.check_concentration(benchmark_prior, bernoulli_family, 0.5, -0.5, 0.5, 3, tol),
+            lambda: st.check_level_spread(benchmark_prior, bernoulli_family, 0.3, 0.7, 3, tol),
+            lambda: st.check_binomial_reduction(2, benchmark_prior, 0.25, 101, tol),
+        ]
+        for check in checks:
+            with pytest.raises(ValueError, match=f"^tol must be a finite number >= 0, got {tol!r}$"):
+                check()
+        # the concavity check adds its allowance h^2 to a tolerance that is legal
+        surface = st.solve(benchmark_prior, bernoulli_family, 0.25, 8, grid_size=101)
+        for check in (st.check_time_monotonicity, st.check_concavity):
+            with pytest.raises(ValueError, match=f"^tol must be a finite number >= 0, got {tol!r}$"):
+                check(surface, tol)
+
+    def test_zero_tolerance_is_legal(self, benchmark_prior, bernoulli_family):
+        rep = st.check_convex_order(benchmark_prior, bernoulli_family, 0.5, 0, 3, 0.0)
+        assert rep.tolerance == 0.0 and rep.passed == (rep.worst_violation <= 0.0)

@@ -252,6 +252,28 @@ class TestVerify:
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("check", ["convex-order", "concavity"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tolerance_outside_zero_to_infinity_is_usage_error(self, solved_dir, prior_file, tmp_path, capsys,
+                                                              check, tol):
+        # refused in one line before any report is written: nan and Infinity are not JSON
+        out = tmp_path / "check.jsonl"
+        code = run(["verify", "--check", check, "--tol", tol, "--model", "bernoulli", "--prior", prior_file,
+                    "--surface", os.path.join(solved_dir, "surface.json"), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: tol must be a finite number >= 0, got ")
+        assert captured.err.count("\n") == 1
+
+    def test_concentration_over_one_layer_passes(self, prior_file, capsys):
+        code = run(["verify", "--check", "concentration", "--n-max", "0", "--model", "bernoulli", "--prior",
+                    prior_file])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        (line,) = captured.out.splitlines()
+        report = json.loads(line)
+        assert (report["worst_violation"], report["passed"], report["location"]) == (0.0, True, None)
+
     def test_unknown_check(self, solved_dir, capsys):
         code = run(["verify", "--check", "sorcery", "--surface", os.path.join(solved_dir, "surface.json")])
         assert code == 2

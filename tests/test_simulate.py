@@ -523,6 +523,29 @@ class TestKeyedDraws:
         st.simulate_policy(surface, prior, family, 2500, 1, tmp_path / "trace.csv")
         assert carried and all(carried)
 
+    @pytest.mark.parametrize("rule", ["policy", "threshold:0.2,0.8", "fixed:3"])
+    def test_quadrature_replay_draws_only_for_running_rows(self, solved, rule):
+        # one sampler draw per replicate and step taken: the draws add up to
+        # tau over the replicates; 70001 replicates cross two block ends and
+        # the straggler pool
+        prior, family, surface = solved["gaussian-mean"]
+        draws = [0]
+
+        def counted(u, rng, size=None):
+            out = family.sampler(u, rng, size)
+            draws[0] += np.size(out)
+            return out
+
+        counting = dataclasses.replace(family, sampler=counted)
+        replicates = 70_001
+        if rule == "policy":
+            report = st.simulate_policy(surface, prior, counting, replicates, 1)
+        else:
+            rules = {"threshold:0.2,0.8": st.ThresholdRule(0.2, 0.8, surface.horizon), "fixed:3": st.FixedSampleRule(3)}
+            report = st.simulate_alternative(rules[rule], prior, counting, 0.02, replicates, 1)
+        # the report's mean is the integer sum of tau divided by the replicate count
+        assert draws[0] / replicates == report.mean_stopping_time
+
     @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
     def test_per_row_slots_match_scalar_slots(self, dtype):
         keys = simulate_mod._row_keys(7, np.arange(257))
