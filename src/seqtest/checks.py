@@ -71,11 +71,14 @@ class CheckReport:
         return json.dumps(asdict(self))
 
 
-def _report(check, instance, worst, tol, location=None, asserted=True, allowance=0.0) -> CheckReport:
+def _check_tol(tol):
+    """Refuse ``tol`` unless it is a finite number >= 0; each check calls this first, before any work."""
     # nan and infinity are not JSON, and an infinite or negative tolerance would pass or fail every check
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
-    tol += allowance
+
+
+def _report(check, instance, worst, tol, location=None, asserted=True) -> CheckReport:
     worst = float(worst)
     return CheckReport(
         check=check,
@@ -107,6 +110,7 @@ def check_concavity(surface: ValueSurface, tol: float = 1e-8) -> CheckReport:
     of its neighbours; the tolerance gets an allowance of h^2, h the widest
     grid spacing, for interpolation error.
     """
+    _check_tol(tol)
     grid = surface.pi_grid
     h = float(np.max(np.diff(grid)))
     values = surface.values
@@ -116,9 +120,8 @@ def check_concavity(surface: ValueSurface, tol: float = 1e-8) -> CheckReport:
         "concavity",
         {"horizon": surface.horizon, "grid_size": int(grid.size), "cost": surface.cost},
         worst,
-        tol,
+        tol + h * h,
         {"n": n, "pi": float(grid[j + 1])},
-        allowance=h * h,
     )
 
 
@@ -149,6 +152,7 @@ def check_concentration(
     tol: float = 1e-8,
 ) -> CheckReport:
     """Along the pi-level curve, P(param <= a) and P(param > b) never grow."""
+    _check_tol(tol)
     if not a < prior.theta0 < b:
         raise ValueError("concentration check requires a < theta0 < b")
     n_max = _count(n_max, "n_max")
@@ -179,6 +183,7 @@ def check_level_spread(
     tol: float = 1e-8,
 ) -> CheckReport:
     """y(n, pi2) - y(n, pi1) is non-decreasing in n (curves spread out)."""
+    _check_tol(tol)
     if not 0.0 < pi1 <= pi2 < 1.0:
         raise ValueError("level spread check requires 0 < pi1 <= pi2 < 1")
     n_max = _count(n_max, "n_max")
@@ -208,6 +213,7 @@ def check_convex_order(
     is equivalent to convex order.  Finite supports make the stop-loss
     transform exact.
     """
+    _check_tol(tol)
     m, n = _count(m, "convex order time m"), _count(n, "convex order time n")
     if m > n:
         raise ValueError(f"convex order check requires 0 <= m <= n, got m={m}, n={n}")
@@ -249,6 +255,7 @@ def check_time_monotonicity(surface: ValueSurface, tol: float = 1e-6, burn: int 
     and do not count as violations; only the excess beyond that enters the
     reported magnitude.
     """
+    _check_tol(tol)
     burn = default_burn(surface.horizon) if burn is None else _count(burn, "burn")
     limit = surface.horizon - burn
     instance = {
@@ -291,10 +298,12 @@ def check_binomial_reduction(
     step stacks its up to N states at every grid point, A N G doubles for A
     atoms and G grid points; more than ``_MAX_VALUES`` is refused before
     anything is solved.  Step j of a batch updates up to j + 1 states, so (b)
-    costs O(N^2 A G) per layer (0.11, 0.30 and 1.17 s at N = 32, 64 and 128
-    on atoms +-0.8, c = 0.1, G = 201).  That is by design: a closed form for
-    the batch law would be (a) itself, compared with itself.
+    costs O(N^2 A G) per layer (0.11-0.12, 0.28-0.30 and 0.87-0.91 s at
+    N = 32, 64 and 128 on atoms +-0.8, c = 0.1, G = 201).  That is by
+    design: a closed form for the batch law would be (a) itself, compared
+    with itself.
     """
+    _check_tol(tol)
     n_trials = _count(n_trials, "binomial reduction N", 1)
     horizon = choose_horizon(cost)
     binom = make_named_family(f"binomial({n_trials})")

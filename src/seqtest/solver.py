@@ -30,7 +30,7 @@ concave within delta / 2 (``bellman_step`` accepts any layer).
 
 The exact oracle (``brute_force_value``) runs the recursion on the (n, y)
 lattice of a finite-outcome model (``_lattice``), with no grid and no
-interpolation; a batch of observations merges its paths on the same lattice.
+interpolation; ``_continuation`` merges a batch's paths by outcome sum.
 """
 
 import csv
@@ -146,10 +146,7 @@ def _lattice(points: np.ndarray, horizon: int):
     Returns ``(layers, children)``: ``layers[n]`` holds the distinct sums y
     after n observations, increasing, and ``children[n][i, k]`` the node that
     node i of layer n reaches on outcome k, so paths with one sum share a
-    node.  A walk merges them in the order of ``children[n].ravel()``, node by
-    node, then outcome by outcome: masses add from zero in that order
-    (``np.add.at``), and any other value is the first path's (``np.unique``'s
-    first index).  A lattice of more than ``_MAX_NODES`` nodes is refused.
+    node.  A lattice of more than ``_MAX_NODES`` nodes is refused.
     """
     layers, children, nodes = [np.zeros(1)], [], 1
     for _ in range(_count(horizon, "horizon")):
@@ -171,44 +168,36 @@ def _continuation(ctx: _Ctx, grid: np.ndarray, a: int, b: int, n: int, next_laye
     Each observation path carries the product of the predictive masses along
     it to the state it reaches, so only the layer at time n + steps is
     interpolated, and only there is next pi computed.  Paths with one outcome
-    sum reach one state, so after each intermediate step they merge on the
-    nodes of ``_lattice``, by its rule: at most (steps - 1)(K - 1) + 1
-    states remain for K lattice outcomes, not K^(steps - 1) paths.  Each
-    intermediate step stacks its S states into one (S, P) array for one
-    ``_predictive`` call, and the last step its states into one
-    ``_transition`` call, P the points in the range.  The terms add state by
-    state in the states' order, and within a state outcome by outcome, as
-    one call per state would add them, so every mass and sum is the
-    per-state one bit for bit.  The outcomes come in ``_transition``'s
-    chunks, each interpolated by one ``np.interp``; the terms join the
-    running sum in outcome order (``_sum_rows``), which is the
-    one-outcome-at-a-time sum bit for bit.  With one observation per step
-    there is one state, and each chunk joins the sum as it comes; with more,
-    a state's outcomes span the chunks, so the (K, S, P) terms are stacked
-    first.  Each point's inversion, masses, next pi and interpolation do not
-    depend on the other points or states in the call, so any split of the
-    grid into ranges gives the same values bit for bit.
+    sum reach one state: after each intermediate step at most
+    (steps - 1)(K - 1) + 1 states remain for K outcomes, not K^(steps - 1)
+    paths.  The outcomes must be equally spaced, as bernoulli's and
+    binomial(N)'s, the only schemes ever batched, are; then state i reaches
+    state i + k on outcome k.  Each intermediate step takes its S states,
+    stacked (S, P) for P points, in one ``_predictive`` call, and adds the
+    masses of outcome k into the merged states by one shifted slice, k from
+    K - 1 down to 0: each merged mass adds its paths from zero in source
+    order, and keeps the y of the first.  The last step streams each state's
+    ``_transition`` chunks, interpolated by one ``np.interp`` each, into the
+    running sum in outcome order (``_sum_rows``), the one-outcome-at-a-time
+    sum bit for bit; one observation per step leaves one state of mass 1.0,
+    exact to multiply by.  Each point's values do not depend on the other
+    points or states in the call, so any split of the grid into ranges gives
+    the same values bit for bit.
     """
     y = _y_of_logit(ctx, n, logit(grid[a:b]))
-    if steps == 1:
-        terms = (pred * np.interp(next_pi, grid, next_layer) for pred, next_pi in _transition(ctx, n, y))
-    else:
-        masses, ys, k = np.ones((1, y.size)), y[None], ctx.points.size
-        for m, child in enumerate(_lattice(ctx.points, steps - 1)[1], n):
-            preds = np.concatenate([pred for _, pred in _predictive(ctx, m, ys)])
-            first = np.unique(child, return_index=True)[1]
-            paths = (masses * preds).swapaxes(0, 1).reshape(-1, y.size)
-            masses = np.zeros((first.size, y.size))
-            np.add.at(masses, child.ravel(), paths)
-            ys = ys[first // k] + ctx.points[first % k, None]
-        stacked = np.concatenate([masses * pred * np.interp(next_pi, grid, next_layer)
-                                  for pred, next_pi in _transition(ctx, n + steps - 1, ys)])
-        # (K, P) for each state in turn: every outcome of a state before the next state's
-        terms = (stacked[:, i] for i in range(len(masses)))
+    masses, ys, k = np.ones((1, y.size)), y[None], ctx.points.size
+    for m in range(n, n + steps - 1):
+        preds = np.concatenate([pred for _, pred in _predictive(ctx, m, ys)])
+        merged = np.zeros((len(masses) + k - 1, y.size))
+        for j in reversed(range(k)):
+            merged[j:j + len(masses)] += masses * preds[j]
+        masses, ys = merged, np.concatenate([ys[:1] + ctx.points[:k - 1, None], ys + ctx.points[k - 1]])
     cont = 0.0
-    for part in terms:
-        part[0] += cont
-        cont = _sum_rows(part)
+    for mass, y in zip(masses, ys):
+        for pred, next_pi in _transition(ctx, n + steps - 1, y):
+            part = mass * pred * np.interp(next_pi, grid, next_layer)
+            part[0] += cont
+            cont = _sum_rows(part)
     return cont
 
 

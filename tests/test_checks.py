@@ -416,10 +416,12 @@ class TestBatchedBackwardLoop:
         want = batched_layers_by_paths(prior, grid, 12, batch, 0.05)
         assert np.max(np.abs(got - want)) <= 1e-13
 
-    @pytest.mark.parametrize("model, steps", [("bernoulli", 6), ("bernoulli", 14), ("binomial(3)", 4)])
+    @pytest.mark.parametrize("model, steps", [("bernoulli", 6), ("bernoulli", 14), ("binomial(3)", 4),
+                                              ("binomial(12)", 2), ("binomial(12)", 3)])
     def test_paths_with_one_outcome_sum_merge(self, model, steps, monkeypatch):
         # the states after m of a batch's steps are the m (K - 1) + 1 outcome
-        # sums, not the K^m paths; each step takes all of them in one call
+        # sums, not the K^m paths; each intermediate step takes all of them in
+        # one call, and the last step takes them one call each
         family = st.make_named_family(model)
         k = family.scheme.n_points
         calls = []
@@ -432,12 +434,12 @@ class TestBatchedBackwardLoop:
         ctx = _Ctx(CRITERION_07_PRIORS[1], family)
         got = solver_mod._continuation(ctx, grid, 1, 200, 5, st.gain(grid), steps)
         want = [("_predictive", 5 + m, (m * (k - 1) + 1, 199)) for m in range(steps - 1)]
-        assert calls == want + [("_transition", 5 + steps - 1, ((steps - 1) * (k - 1) + 1, 199))]
+        assert calls == want + [("_transition", 5 + steps - 1, (199,))] * ((steps - 1) * (k - 1) + 1)
         monkeypatch.undo()
         assert np.array_equal(got, continuation_by_states(ctx, grid, 1, 200, 5, st.gain(grid), steps))
 
     @pytest.mark.parametrize("model, steps", [("bernoulli", 2), ("bernoulli", 9), ("binomial(3)", 3),
-                                              ("binomial(3)", 5)])
+                                              ("binomial(3)", 5), ("binomial(12)", 2), ("binomial(12)", 3)])
     @pytest.mark.parametrize("prior", CRITERION_07_PRIORS + [TWENTY_ATOMS],
                              ids=["two-atom", "three-atom", "four-atom", "twenty-atom"])
     @pytest.mark.parametrize("a, b", [(1, 200), (57, 58), (3, 11)], ids=["all", "one-point", "eight-points"])
@@ -673,6 +675,26 @@ class TestCheckReport:
         for check in (st.check_time_monotonicity, st.check_concavity):
             with pytest.raises(ValueError, match=f"^tol must be a finite number >= 0, got {tol!r}$"):
                 check(surface, tol)
+
+    def test_tolerance_is_refused_before_any_work(self, benchmark_prior, bernoulli_family, benchmark_surface,
+                                                  monkeypatch):
+        # a check that did its work first would reach one of these; at N = 1029 that is over 10 s of solving
+        def work(*args, **kw):
+            raise AssertionError("the check did work before refusing its tolerance")
+
+        for name in ("solve", "_backward", "_level_curves", "transition_distribution", "_worst"):
+            monkeypatch.setattr(checks_mod, name, work)
+        checks = [
+            lambda: st.check_convex_order(benchmark_prior, bernoulli_family, 0.5, 0, 3, math.nan),
+            lambda: st.check_concentration(benchmark_prior, bernoulli_family, 0.5, -0.5, 0.5, 3, math.nan),
+            lambda: st.check_level_spread(benchmark_prior, bernoulli_family, 0.3, 0.7, 3, math.nan),
+            lambda: st.check_binomial_reduction(1029, benchmark_prior, 0.1, tol=math.nan),
+            lambda: st.check_time_monotonicity(benchmark_surface, math.nan),
+            lambda: st.check_concavity(benchmark_surface, math.nan),
+        ]
+        for check in checks:
+            with pytest.raises(ValueError, match="^tol must be a finite number >= 0, got nan$"):
+                check()
 
     def test_zero_tolerance_is_legal(self, benchmark_prior, bernoulli_family):
         rep = st.check_convex_order(benchmark_prior, bernoulli_family, 0.5, 0, 3, 0.0)
