@@ -31,6 +31,8 @@ from .solver import (
 
 def _load_model(args, prior):
     if args.scheme:
+        if args.model is not None or args.nodes is not None:
+            raise ValueError("a --scheme file defines the whole model, so model and nodes cannot be set beside it")
         return family_from_scheme_csv(args.scheme)
     if not args.model:
         raise ValueError("a --model name (or --scheme file) is required")
@@ -168,11 +170,7 @@ def _run_one_check(name, args):
         return checks_mod.check_level_spread(
             prior, family, args.pi1, args.pi2, args.n_max, **tol
         )
-    if name == "convex-order":
-        return checks_mod.check_convex_order(
-            prior, family, args.pi, args.m, args.n, **tol
-        )
-    raise ValueError(f"unknown check '{name}'")
+    return checks_mod.check_convex_order(prior, family, args.pi, args.m, args.n, **tol)
 
 
 def _cmd_verify(args):
@@ -256,8 +254,15 @@ def _cmd_probe(args):
     return 0  # findings never affect the exit code
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors reach ``run``'s one-line, exit-2 report; subparsers share the class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="seqtest", description=__doc__)
+    parser = _Parser(prog="seqtest", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_opts(p):
@@ -284,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run structural checks; exit 1 on failure")
     add_model_opts(p)
-    p.add_argument("--check", action="append", required=True, help="repeatable check name")
+    p.add_argument("--check", action="append", required=True, help="repeatable check name", choices=(
+        "concavity", "time-monotonicity", "binomial-reduction", "concentration", "level-spread", "convex-order"))
     p.add_argument("--surface")
     p.add_argument("--tol", type=float)
     p.add_argument("--burn", type=int, default=None)
@@ -336,9 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

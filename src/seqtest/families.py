@@ -276,8 +276,6 @@ def _exponential_rate(nodes: int, min_rate: float = 0.25) -> NaturalFamily:
     # graded as x = -t^2 so the boundary layer near 0 is resolved for the
     # whole rate range [min_rate, inf); window sized so that the truncated
     # tail mass is below 1e-17 at u = min_rate.
-    if min_rate <= 0:
-        raise ValueError("exponential-rate requires min_rate > 0")
     x, w = _graded_legendre(nodes, math.sqrt(40.0 / min_rate), 1.0)
     return _quadrature_family("exponential-rate", x, w, log_h=lambda s: np.zeros_like(s),
                               B=lambda u: -np.log(u), quantile=lambda u, U: np.log1p(-U) / u,
@@ -289,23 +287,20 @@ def _gaussian_variance(nodes: int, min_precision: float = 0.25) -> NaturalFamily
     # order reversal: small original sigma means LARGE u).  Support is
     # (-inf, 0) with h(x) = (-pi*x)^(-1/2); nodes graded as x = -t^2/2 which
     # turns the integrand into a half-Gaussian in t.
-    if min_precision <= 0:
-        raise ValueError("gaussian-variance requires min_precision > 0")
     x, w = _graded_legendre(nodes, 9.0 / math.sqrt(min_precision), 0.5)
     return _quadrature_family("gaussian-variance", x, w, log_h=lambda s: -0.5 * np.log(-np.pi * s),
                               B=lambda u: -0.5 * np.log(u), quantile=lambda u, U: -np.square(ndtri(U)) / (2.0 * u),
                               window=(min_precision, math.inf))
 
 
-# The quadrature models: each one's constructor, its natural domain, the window
-# parameter it takes besides the node count, and that window as family_for_prior
+# The quadrature models: each one's constructor, whose defaults give the window
+# make_named_family builds, its natural domain, and its window as family_for_prior
 # sizes it from the prior's atoms.  The finite models, bernoulli and binomial(N),
 # take no params and have the whole real line.
 _QUADRATURE = {
-    "gaussian-mean": (_gaussian_mean, (-math.inf, math.inf), "center",
-                      lambda atoms: 0.5 * (atoms.min() + atoms.max())),
-    "exponential-rate": (_exponential_rate, (0.0, math.inf), "min_rate", lambda atoms: float(atoms.min())),
-    "gaussian-variance": (_gaussian_variance, (0.0, math.inf), "min_precision", lambda atoms: float(atoms.min())),
+    "gaussian-mean": (_gaussian_mean, (-math.inf, math.inf), lambda atoms: 0.5 * (atoms.min() + atoms.max())),
+    "exponential-rate": (_exponential_rate, (0.0, math.inf), lambda atoms: float(atoms.min())),
+    "gaussian-variance": (_gaussian_variance, (0.0, math.inf), lambda atoms: float(atoms.min())),
 }
 _BINOMIAL_RE = re.compile(r"^binomial\((\d+)\)$")
 
@@ -314,26 +309,33 @@ def make_named_family(name: str, params: dict | None = None) -> NaturalFamily:
     """Build one of the named models, e.g. ``make_named_family("binomial(3)")``.
 
     bernoulli and binomial(N) take no params.  The quadrature models take
-    ``nodes`` (default 128) and their window: gaussian-mean ``center``,
-    exponential-rate ``min_rate``, gaussian-variance ``min_precision``.
+    ``nodes`` alone (default 128) and get the default window, centred at 0
+    for gaussian-mean and from 0.25 up for the other two; ``family_for_prior``
+    sizes it from a prior instead.
     Sizes that cannot be built are refused before anything is: N above
     1029, gaussian-mean above 370 nodes and any model above 10^4 nodes.
     Priors and thresholds are natural parameters; for gaussian-variance
     u = s^-2, so "s <= s0" is the upper side u > s0^-2.
     """
+    return _named_family(name, params or {})
+
+
+def _named_family(name: str, params: dict, atoms=None) -> NaturalFamily:
+    """The model ``name`` with ``params`` checked; a quadrature model's window is sized from ``atoms`` if given."""
     base = name.strip()
-    params = params or {}
     if base in _QUADRATURE:
-        build, _, window, _ = _QUADRATURE[base]
-        unknown = sorted(set(params) - {window, "nodes"})
+        build, domain, window = _QUADRATURE[base]
+        if atoms is not None:
+            _require_in_domain(domain, base, atoms, "prior atom")
+        unknown = sorted(set(params) - {"nodes"})
         if unknown:
-            raise ValueError(f"model '{base}' takes only {window} and nodes, got {', '.join(unknown)}")
+            raise ValueError(f"model '{base}' takes only nodes, got {', '.join(unknown)}")
         nodes = _count(params.get("nodes", 128), f"nodes for model '{base}'", 1)
         # numpy builds a rule from a nodes x nodes companion matrix
         if nodes * nodes > _MAX_VALUES:
             raise ValueError(f"nodes for model '{base}' must be at most {math.isqrt(_MAX_VALUES)}, got {nodes}: "
                              f"a rule is built from a nodes x nodes matrix, over the budget of {_MAX_VALUES} values")
-        return build(**{**params, "nodes": nodes})
+        return build(nodes) if atoms is None else build(nodes, window(atoms))
     m = _BINOMIAL_RE.match(base)
     if not (m or base in ("bernoulli", "binomial")):
         raise ValueError(f"unknown model '{name}'")
@@ -350,18 +352,12 @@ def family_for_prior(name: str, atoms, params: dict | None = None) -> NaturalFam
     """Named family with its scheme window sized from the prior's atoms.
 
     ``atoms`` may be an array of natural parameters or anything with an
-    ``atoms`` attribute.  Finite-outcome models have no window to size.  An
-    atom outside the model's natural domain is refused in the words of
-    ``validate_prior_for_family``, before a window sized from it can be
-    refused in the window's terms; the posterior code checks the rest.
+    ``atoms`` attribute, and ``params`` are those of ``make_named_family``.
+    Finite-outcome models have no window to size.  An atom outside the
+    model's natural domain is refused in the words of
+    ``validate_prior_for_family``; the posterior code checks the rest.
     """
-    atoms = np.asarray(getattr(atoms, "atoms", atoms), dtype=float)
-    base = name.strip()
-    entry = _QUADRATURE.get(base)
-    if entry:
-        _require_in_domain(entry[1], base, atoms, "prior atom")
-    auto = {entry[2]: entry[3](atoms)} if entry else {}
-    return make_named_family(name, {**auto, **(params or {})})
+    return _named_family(name, params or {}, np.asarray(getattr(atoms, "atoms", atoms), dtype=float))
 
 
 def _count(value, name: str, least: int = 0) -> int:

@@ -198,8 +198,7 @@ class _Ctx:
 
 def _unnorm_log_weights(ctx: _Ctx, n, y):
     """log w_i + u_i y - n B(u_i); an array ``n`` pairs with ``y`` entry by entry."""
-    nb = np.multiply.outer(n, ctx.B_atoms) if isinstance(n, np.ndarray) else n * ctx.B_atoms
-    return ctx.lw0 + np.multiply.outer(np.asarray(y, dtype=float), ctx.atoms) - nb
+    return ctx.lw0 + np.multiply.outer(np.asarray(y, dtype=float), ctx.atoms) - np.multiply.outer(n, ctx.B_atoms)
 
 
 def _side_lse_mean(ctx: _Ctx, side: slice, n, y):
@@ -341,12 +340,12 @@ def _predictive(ctx: _Ctx, n, y):
     """Yield (outcomes, predictive masses) from (n, y), one chunk of outcomes at a time.
 
     Outcome x_k has mass sum_i w_i(n, y) exp{u_i x_k - B(u_i)} times the
-    scheme's point mass.  ``y`` may be a scalar or an array of states, and
-    an array ``n`` pairs with ``y`` entry by entry.  Each chunk is a 1-d
-    array of consecutive outcomes and their (k, ...) masses, k outcomes by
-    the states' shape; a chunk holds max(1, ``_CHUNK_VALUES`` // (A P))
-    outcomes for A atoms and P states, so each of its temporaries stays
-    within ``_CHUNK_VALUES`` doubles unless one outcome alone exceeds them.
+    scheme's point mass.  ``n`` is a count, and ``y`` a scalar or an array
+    of states.  Each chunk is a 1-d array of consecutive outcomes and their
+    (k, ...) masses, k outcomes by the states' shape; a chunk holds
+    max(1, ``_CHUNK_VALUES`` // (A P)) outcomes for A atoms and P states, so
+    each of its temporaries stays within ``_CHUNK_VALUES`` doubles unless one
+    outcome alone exceeds them.
 
     The normalised log weights are laid out once per call as (A, 1, ...),
     with the atoms on the leading axis; each chunk adds its columns of
@@ -356,7 +355,7 @@ def _predictive(ctx: _Ctx, n, y):
     atom axis, so the masses equal the trailing-axis ones bit for bit; from
     8 atoms on numpy sums a trailing axis pairwise.
     """
-    col = (-1,) + (1,) * max(np.ndim(n), np.ndim(y))
+    col = (-1,) + (1,) * np.ndim(y)
     norm = np.logaddexp(_side_lse_mean(ctx, ctx.up, n, y)[0], _side_lse_mean(ctx, ctx.lo, n, y)[0])
     lw = ctx.lw0.reshape(col) + ctx.atoms.reshape(col) * y - ctx.B_atoms.reshape(col) * n - norm
     lw = lw[:, None]
@@ -381,7 +380,7 @@ def _transition(ctx: _Ctx, n, y):
     log-sum-exp over the trailing atom axis (``_lse_last``), so its bits do
     not depend on the chunk size.
     """
-    col = (-1,) + (1,) * max(np.ndim(n), np.ndim(y))
+    col = (-1,) + (1,) * np.ndim(y)
     for x, pred in _predictive(ctx, n, y):
         z_next = _unnorm_log_weights(ctx, n + 1, y + x.reshape(col))
         yield pred, expit(_lse_last(z_next[..., ctx.up]) - _lse_last(z_next[..., ctx.lo]))

@@ -278,6 +278,86 @@ class TestVerify:
         code = run(["verify", "--check", "sorcery", "--surface", os.path.join(solved_dir, "surface.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("checks", [["concavty"], ["concavity", "level-sprd"]])
+    def test_unknown_check_is_named_before_any_check_runs(self, solved_dir, capsys, monkeypatch, checks):
+        ran = []
+        monkeypatch.setattr("seqtest.checks.check_concavity", lambda *a, **k: ran.append(a))
+        argv = ["verify", *(a for name in checks for a in ("--check", name)),
+                "--surface", os.path.join(solved_dir, "surface.json")]
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and ran == []
+        assert err.startswith(f"error: argument --check: invalid choice: '{checks[-1]}'") and err.count("\n") == 1
+
+
+class TestSchemeExcludesModel:
+    """A --scheme file is the whole model: beside a model or a node count it is refused, and nothing is written."""
+
+    @pytest.fixture()
+    def scheme_file(self, tmp_path):
+        path = tmp_path / "scheme.csv"
+        path.write_text("x,h\n0.0,1.0\n1.0,1.0\n")
+        return str(path)
+
+    def _refused(self, tmp_path, capsys, argv):
+        before = sorted(tmp_path.rglob("*"))
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", "error: a --scheme file defines the whole model, so model and nodes "
+                                           "cannot be set beside it\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("flags", [["--model", "bernoulli"], ["--nodes", "5"],
+                                       ["--model", "gaussian-mean", "--nodes", "7"]])
+    @pytest.mark.parametrize("command", ["solve", "simulate", "oracle", "verify"])
+    def test_beside_flags(self, tmp_path, prior_file, scheme_file, capsys, command, flags):
+        out = str(tmp_path / "x")
+        surface = tmp_path / "surface"
+        assert run(["solve", "--scheme", scheme_file, "--prior", prior_file, "--cost", "0.1", "--horizon", "3",
+                    "--grid-size", "101", "--out", str(surface)]) == 0
+        capsys.readouterr()
+        argv = {"solve": ["--cost", "0.1", "--horizon", "3", "--out", out],
+                "simulate": ["--surface", str(surface / "surface.json"), "--replicates", "10", "--out", out,
+                             "--trace", out + ".csv"],
+                "oracle": ["--cost", "0.1", "--horizon", "3"],
+                "verify": ["--check", "convex-order", "--out", out]}[command]
+        self._refused(tmp_path, capsys, [command, *argv, "--scheme", scheme_file, *flags, "--prior", prior_file])
+
+    @pytest.mark.parametrize("config, flags", [
+        ({"model": "bernoulli"}, ["--scheme", "SCHEME"]),
+        ({"scheme": "SCHEME", "nodes": 5}, []),
+        ({"scheme": "SCHEME"}, ["--model", "gaussian-mean"]),
+    ])
+    def test_solve_beside_config(self, tmp_path, prior_file, scheme_file, capsys, config, flags):
+        config = {key: scheme_file if value == "SCHEME" else value for key, value in config.items()}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**config, "prior": prior_file, "cost": 0.1, "horizon": 3,
+                                    "out": str(tmp_path / "x")}))
+        flags = [scheme_file if flag == "SCHEME" else flag for flag in flags]
+        self._refused(tmp_path, capsys, ["solve", "--config", str(path), *flags])
+
+
+class TestParserErrors:
+    """argparse's own usage errors take the one-line, exit-2 path; --help still exits 0."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--model", "bernoulli", "--cost", "abc"], "argument --cost: invalid float value: 'abc'"),
+        (["probe", "--trials", "x"], "argument --trials: invalid int value: 'x'"),
+        (["simulate", "--model", "bernoulli"], "the following arguments are required: --surface, --replicates"),
+        (["solve", "--grid-kind", "round"], "argument --grid-kind: invalid choice: 'round'"),
+        (["boundaries", "--surface", "s.json", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_one_line(self, capsys, argv, message):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: seqtest solve")
+
 
 class TestSizeRefusals:
     """A size that cannot be built is refused in one stderr line, with no warning, before 1 MB is allocated."""

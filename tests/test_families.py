@@ -66,8 +66,12 @@ class TestNamedFamilies:
          r"\(gaussian-mean, exponential-rate, gaussian-variance\), not 'bernoulli'$"),
         ("binomial(3)", {"nodes": 0}, "nodes applies only to the quadrature models .* not 'binomial\\(3\\)'$"),
         ("binomial(3)", {"n": 3}, "^model 'binomial\\(3\\)' takes no params, got n$"),
-        ("gaussian-mean", {"min_rate": 1.0}, "^model 'gaussian-mean' takes only center and nodes, got min_rate$"),
-        ("exponential-rate", {"center": 0.0, "size": 3}, "takes only min_rate and nodes, got center, size$"),
+        # no quadrature window can be set: family_for_prior sizes it from the prior
+        *((model, {window: 1.0}, f"^model '{model}' takes only nodes, got {window}$")
+          for model in ("gaussian-mean", "exponential-rate", "gaussian-variance")
+          for window in ("center", "min_rate", "min_precision")),
+        ("exponential-rate", {"center": 0.0, "size": 3},
+         "^model 'exponential-rate' takes only nodes, got center, size$"),
     ])
     def test_params_checked_against_the_model(self, name, params, message):
         with pytest.raises(ValueError, match=message):
