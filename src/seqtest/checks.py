@@ -142,17 +142,16 @@ def _level_curves(prior: Prior, family: NaturalFamily, pis, n_max: int):
     return ctx, _y_of_logit(ctx, np.arange(n_max + 1)[:, None], _level_logit(pis))
 
 
-def check_concentration(
-    prior: Prior,
-    family: NaturalFamily,
-    pi: float,
-    a: float,
-    b: float,
-    n_max: int,
-    tol: float = 1e-8,
-) -> CheckReport:
-    """Along the pi-level curve, P(param <= a) and P(param > b) never grow."""
+def check_concentration(prior: Prior, family: NaturalFamily, pi: float = 0.5, a: float | None = None,
+                        b: float | None = None, n_max: int = 15, tol: float = 1e-8) -> CheckReport:
+    """Along the pi-level curve, P(param <= a) and P(param > b) never grow.
+
+    Defaults: pi = 0.5, n_max = 15, and ``a`` and ``b`` the midpoints between
+    theta0 and the lowest and the highest atom.
+    """
     _check_tol(tol)
+    a = 0.5 * (float(prior.atoms[0]) + prior.theta0) if a is None else a
+    b = 0.5 * (float(prior.atoms[-1]) + prior.theta0) if b is None else b
     if not a < prior.theta0 < b:
         raise ValueError("concentration check requires a < theta0 < b")
     n_max = _count(n_max, "n_max")
@@ -174,15 +173,9 @@ def check_concentration(
     )
 
 
-def check_level_spread(
-    prior: Prior,
-    family: NaturalFamily,
-    pi1: float,
-    pi2: float,
-    n_max: int,
-    tol: float = 1e-8,
-) -> CheckReport:
-    """y(n, pi2) - y(n, pi1) is non-decreasing in n (curves spread out)."""
+def check_level_spread(prior: Prior, family: NaturalFamily, pi1: float = 0.3, pi2: float = 0.7, n_max: int = 15,
+                       tol: float = 1e-8) -> CheckReport:
+    """y(n, pi2) - y(n, pi1) is non-decreasing in n (curves spread out); by default pi1 = 0.3, pi2 = 0.7, n_max = 15."""
     _check_tol(tol)
     if not 0.0 < pi1 <= pi2 < 1.0:
         raise ValueError("level spread check requires 0 < pi1 <= pi2 < 1")
@@ -198,15 +191,9 @@ def check_level_spread(
     )
 
 
-def check_convex_order(
-    prior: Prior,
-    family: NaturalFamily,
-    pi: float,
-    m: int,
-    n: int,
-    tol: float = 1e-8,
-) -> CheckReport:
-    """Stop-loss test: the step from time m spreads at least as much as from n >= m.
+def check_convex_order(prior: Prior, family: NaturalFamily, pi: float = 0.5, m: int = 0, n: int = 5,
+                       tol: float = 1e-8) -> CheckReport:
+    """Stop-loss test: the step from time m spreads at least as much as from n >= m (by default pi = 0.5, m = 0, n = 5).
 
     With equal means (checked first; both transition laws are martingale
     steps from pi), stop-loss domination at every t = 0.01, 0.02, ..., 0.99

@@ -144,37 +144,46 @@ def _cmd_plot_data(args):
     return 0
 
 
-def _run_one_check(name, args):
-    tol = {} if args.tol is None else {"tol": args.tol}  # else each check's own default
-    if name in ("concavity", "time-monotonicity"):
-        surface = read_surface_json(_require_file(args.surface, "surface file"))
-        if name == "concavity":
-            return checks_mod.check_concavity(surface, **tol)
-        return checks_mod.check_time_monotonicity(surface, burn=args.burn, **tol)
-    prior = load_prior_csv(_require_file(args.prior, "prior file"))
-    if name == "binomial-reduction":
-        if args.N is None or args.cost is None:
-            raise ValueError("binomial-reduction requires --N and --cost")
-        return checks_mod.check_binomial_reduction(
-            args.N, prior, args.cost, grid_size=args.grid_size, **tol
-        )
-    family = _load_model(args, prior)
-    if name == "concentration":
-        lo, hi = float(prior.atoms[0]), float(prior.atoms[-1])
-        a = args.a if args.a is not None else 0.5 * (lo + prior.theta0)
-        b = args.b if args.b is not None else 0.5 * (hi + prior.theta0)
-        return checks_mod.check_concentration(
-            prior, family, args.pi, float(a), float(b), args.n_max, **tol
-        )
-    if name == "level-spread":
-        return checks_mod.check_level_spread(
-            prior, family, args.pi1, args.pi2, args.n_max, **tol
-        )
-    return checks_mod.check_convex_order(prior, family, args.pi, args.m, args.n, **tol)
+# Each verify check: the inputs it is called with, built once per run from
+# --surface, --prior and, for the family, --model, --scheme and --nodes; and
+# each other flag it reads, with the keyword it is passed as (every check reads
+# --tol too). An unset flag is not passed, so the check's own default holds.
+_VERIFY_CHECKS = {
+    "concavity": (("surface",), {}),
+    "time-monotonicity": (("surface",), {"burn": "burn"}),
+    "binomial-reduction": (("prior",), {"N": "n_trials", "cost": "cost", "grid_size": "grid_size"}),
+    "concentration": (("prior", "family"), {"pi": "pi", "a": "a", "b": "b", "n_max": "n_max"}),
+    "level-spread": (("prior", "family"), {"pi1": "pi1", "pi2": "pi2", "n_max": "n_max"}),
+    "convex-order": (("prior", "family"), {"pi": "pi", "m": "m", "n": "n"}),
+}
 
 
 def _cmd_verify(args):
-    reports = [_run_one_check(name, args) for name in args.check]
+    wanted = [_VERIFY_CHECKS[name] for name in args.check]
+    inputs = {key for keys, _ in wanted for key in keys}
+    # command and func are the parser's own; every run reads --check, --tol and --out
+    read = {"command", "func", "check", "tol", "out", *inputs, *(flag for _, flags in wanted for flag in flags),
+            *(("model", "scheme", "nodes") if "family" in inputs else ())}
+    unread = [f"--{flag.replace('_', '-')}" for flag, value in vars(args).items()
+              if value is not None and flag not in read]
+    if unread:  # refused before any input is read, not dropped
+        raise ValueError(f"none of the requested checks ({', '.join(dict.fromkeys(args.check))}) reads "
+                         + ", ".join(unread))
+    built = {}
+    if "surface" in inputs:
+        built["surface"] = read_surface_json(_require_file(args.surface, "surface file"))
+    if "prior" in inputs:
+        built["prior"] = load_prior_csv(_require_file(args.prior, "prior file"))
+    if "binomial-reduction" in args.check and (args.N is None or args.cost is None):
+        raise ValueError("binomial-reduction requires --N and --cost")
+    if "family" in inputs:
+        built["family"] = _load_model(args, built["prior"])
+    reports = []
+    for name, (keys, flags) in zip(args.check, wanted):
+        given = {kw: getattr(args, flag) for flag, kw in {"tol": "tol", **flags}.items()
+                 if getattr(args, flag) is not None}
+        check = getattr(checks_mod, "check_" + name.replace("-", "_"))
+        reports.append(check(**{key: built[key] for key in keys}, **given))
     _emit(args.out, [r.to_json() + "\n" for r in reports])
     return 1 if any(r.asserted and not r.passed for r in reports) else 0
 
@@ -289,22 +298,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run structural checks; exit 1 on failure")
     add_model_opts(p)
-    p.add_argument("--check", action="append", required=True, help="repeatable check name", choices=(
-        "concavity", "time-monotonicity", "binomial-reduction", "concentration", "level-spread", "convex-order"))
+    p.add_argument("--check", action="append", required=True, help="repeatable check name", choices=_VERIFY_CHECKS)
     p.add_argument("--surface")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--burn", type=int, default=None)
-    p.add_argument("--pi", type=float, default=0.5)
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--b", type=float, default=None)
-    p.add_argument("--n-max", dest="n_max", type=int, default=15)
-    p.add_argument("--pi1", type=float, default=0.3)
-    p.add_argument("--pi2", type=float, default=0.7)
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--n", type=int, default=5)
-    p.add_argument("--N", type=int, default=None, help="binomial batch size")
-    p.add_argument("--cost", type=float, default=None)
-    p.add_argument("--grid-size", dest="grid_size", type=int, default=2001)
+    p.add_argument("--tol", type=float)  # every flag defaults to None: _cmd_verify refuses one no check reads
+    p.add_argument("--burn", type=int)
+    p.add_argument("--pi", type=float)
+    p.add_argument("--a", type=float)
+    p.add_argument("--b", type=float)
+    p.add_argument("--n-max", dest="n_max", type=int)
+    p.add_argument("--pi1", type=float)
+    p.add_argument("--pi2", type=float)
+    p.add_argument("--m", type=int)
+    p.add_argument("--n", type=int)
+    p.add_argument("--N", type=int, help="binomial batch size")
+    p.add_argument("--cost", type=float)
+    p.add_argument("--grid-size", dest="grid_size", type=int)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
 

@@ -8,7 +8,7 @@ import pytest
 from scipy.special import expit, logit
 
 import seqtest as st
-from conftest import BENCH_ATOMS, traced_peak
+from conftest import BENCH_ATOMS, FIVE_MODELS, traced_peak
 from seqtest import checks as checks_mod
 from seqtest import solver as solver_mod
 from seqtest.checks import PROBE_WINDOWS, sample_random_prior
@@ -227,6 +227,19 @@ class TestBinomialReductionBudget:
                 st.check_binomial_reduction(4, benchmark_prior, 0.1, grid_size=202)
 
         assert traced_peak(refused) < 2**16
+
+
+class TestLevelCurveCheckDefaults:
+    """The three level-curve checks own the defaults the command line used to hold."""
+
+    @pytest.mark.parametrize("model", FIVE_MODELS)
+    def test_defaults_are_the_old_command_line_values(self, five_model_priors, model):
+        prior, family = five_model_priors[model]
+        a = 0.5 * (float(prior.atoms[0]) + prior.theta0)
+        b = 0.5 * (float(prior.atoms[-1]) + prior.theta0)
+        assert st.check_concentration(prior, family) == st.check_concentration(prior, family, 0.5, a, b, 15)
+        assert st.check_level_spread(prior, family) == st.check_level_spread(prior, family, 0.3, 0.7, 15)
+        assert st.check_convex_order(prior, family) == st.check_convex_order(prior, family, 0.5, 0, 5)
 
 
 class TestConvexOrder:

@@ -11,6 +11,7 @@ from scipy.special import logit
 
 import seqtest as st
 from conftest import traced_peak
+from seqtest import cli as cli_mod
 from seqtest.cli import run
 
 
@@ -163,6 +164,13 @@ class TestSolve:
 
 
 class TestVerify:
+    @staticmethod
+    def _inputs(check, solved_dir, prior_file):
+        """The input flags ``check`` reads: a surface, or a model and its prior."""
+        if check in ("concavity", "time-monotonicity"):
+            return ["--surface", os.path.join(solved_dir, "surface.json")]
+        return ["--model", "bernoulli", "--prior", prior_file]
+
     def test_concavity_passes(self, solved_dir, capsys):
         code = run(["verify", "--check", "concavity", "--surface", os.path.join(solved_dir, "surface.json")])
         assert code == 0
@@ -247,8 +255,7 @@ class TestVerify:
         ("time-monotonicity", ["--burn", "-3"], "burn must be a non-negative integer, got -3"),
     ])
     def test_out_of_range_argument_is_usage_error(self, solved_dir, prior_file, capsys, check, flags, message):
-        code = run(["verify", "--check", check, *flags, "--model", "bernoulli", "--prior", prior_file,
-                    "--surface", os.path.join(solved_dir, "surface.json")])
+        code = run(["verify", "--check", check, *flags, *self._inputs(check, solved_dir, prior_file)])
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -258,8 +265,8 @@ class TestVerify:
                                                               check, tol):
         # refused in one line before any report is written: nan and Infinity are not JSON
         out = tmp_path / "check.jsonl"
-        code = run(["verify", "--check", check, "--tol", tol, "--model", "bernoulli", "--prior", prior_file,
-                    "--surface", os.path.join(solved_dir, "surface.json"), "--out", str(out)])
+        code = run(["verify", "--check", check, "--tol", tol, *self._inputs(check, solved_dir, prior_file),
+                    "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "" and not out.exists()
         assert captured.err.startswith("error: tol must be a finite number >= 0, got ")
@@ -288,6 +295,74 @@ class TestVerify:
         out, err = capsys.readouterr()
         assert out == "" and ran == []
         assert err.startswith(f"error: argument --check: invalid choice: '{checks[-1]}'") and err.count("\n") == 1
+
+
+class TestVerifyReadsEveryFlag:
+    """A verify flag that no requested check reads is refused in one line, and each input is built once,
+    before any check runs."""
+
+    CHECKS = ("concavity", "time-monotonicity", "binomial-reduction", "concentration", "level-spread", "convex-order")
+    MODEL = ["--model", "bernoulli", "--prior", "PRIOR"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--check", "concavity", "--surface", "SURFACE", "--scheme", "SCHEME", "--model", "gaussian-mean",
+          "--nodes", "9", "--prior", "NOSUCH.csv"],
+         "none of the requested checks (concavity) reads --model, --scheme, --prior, --nodes"),
+        (["--check", "binomial-reduction", "--N", "3", "--cost", "0.05", "--prior", "PRIOR",
+          "--model", "gaussian-mean"], "none of the requested checks (binomial-reduction) reads --model"),
+        (["--check", "convex-order", *MODEL, "--surface", "NOSUCH.json"],
+         "none of the requested checks (convex-order) reads --surface"),
+        (["--check", "time-monotonicity", "--surface", "SURFACE", "--cost", "0.3"],
+         "none of the requested checks (time-monotonicity) reads --cost"),
+        *((["--check", check, *inputs, "--surface", "SURFACE"],
+           f"none of the requested checks ({check}) reads --surface")
+          for check, inputs in (("binomial-reduction", ["--N", "3", "--cost", "0.05", "--prior", "PRIOR"]),
+                                ("concentration", MODEL), ("level-spread", MODEL), ("convex-order", MODEL))),
+        *((["--check", check, "--surface", "SURFACE", flag, value],
+           f"none of the requested checks ({check}) reads {flag}")
+          for check, flag, value in (("concavity", "--prior", "PRIOR"), ("time-monotonicity", "--model", "bernoulli"),
+                                     ("concavity", "--scheme", "SCHEME"), ("time-monotonicity", "--nodes", "9"))),
+        (["--check", "convex-order", *MODEL, "--n-max", "3"],
+         "none of the requested checks (convex-order) reads --n-max"),
+        (["--check", "concentration", "--check", "concentration", *MODEL, "--grid-size", "101", "--burn", "2"],
+         "none of the requested checks (concentration) reads --burn, --grid-size"),
+        (["--check", "concavity", "--check", "binomial-reduction", "--surface", "SURFACE", "--prior", "PRIOR"],
+         "binomial-reduction requires --N and --cost"),
+        (["--check", "concavity", "--check", "convex-order", "--surface", "SURFACE", "--model", "bernoulli",
+          "--prior", "NOSUCH.csv"], "prior file not found: NOSUCH.csv"),
+    ])
+    def test_refused_before_any_check_runs(self, solved_dir, prior_file, tmp_path, monkeypatch, capsys, argv,
+                                           message):
+        ran = []
+        for name in self.CHECKS:
+            monkeypatch.setattr(f"seqtest.checks.check_{name.replace('-', '_')}", lambda *a, **k: ran.append(a))
+        paths = {"SURFACE": os.path.join(solved_dir, "surface.json"), "PRIOR": prior_file,
+                 "SCHEME": str(tmp_path / "scheme.csv"), "NOSUCH": str(tmp_path / "nosuch")}
+        (tmp_path / "scheme.csv").write_text("x,h\n0.0,1.0\n1.0,1.0\n")
+
+        def place(text):
+            for key, path in paths.items():
+                text = text.replace(key, path)
+            return text
+
+        out = tmp_path / "reports.jsonl"
+        assert run(["verify", *map(place, argv), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {place(message)}\n")
+        assert ran == [] and not out.exists()
+
+    def test_each_input_is_built_once(self, prior_file, monkeypatch, capsys):
+        calls = []
+        for name in ("load_prior_csv", "family_for_prior"):
+            real = getattr(cli_mod, name)
+            monkeypatch.setattr(cli_mod, name,
+                                lambda *a, _real=real, _name=name, **k: calls.append(_name) or _real(*a, **k))
+        # --n-max and --m are each read by one of the three checks, so both are accepted
+        assert run(["verify", "--check", "concentration", "--check", "level-spread", "--check", "convex-order",
+                    "--model", "bernoulli", "--prior", prior_file, "--n-max", "9", "--m", "1"]) == 0
+        assert calls == ["load_prior_csv", "family_for_prior"]
+        reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [(r["check"], r["instance"].get("n_max"), r["instance"].get("m")) for r in reports] == [
+            ("concentration", 9, None), ("level-spread", 9, None), ("convex-order", None, 1)]
 
 
 class TestSchemeExcludesModel:
