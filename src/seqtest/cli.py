@@ -30,14 +30,14 @@ from .solver import (
 
 
 def _load_model(args, prior):
+    nodes = getattr(args, "nodes", None)  # only solve and verify parse --nodes
     if args.scheme:
-        if args.model is not None or args.nodes is not None:
+        if args.model is not None or nodes is not None:
             raise ValueError("a --scheme file defines the whole model, so model and nodes cannot be set beside it")
         return family_from_scheme_csv(args.scheme)
     if not args.model:
         raise ValueError("a --model name (or --scheme file) is required")
-    params = None if args.nodes is None else {"nodes": args.nodes}
-    return family_for_prior(args.model, prior, params)
+    return family_for_prior(args.model, prior, nodes=nodes)
 
 
 def _emit(out, lines):
@@ -145,16 +145,17 @@ def _cmd_plot_data(args):
 
 
 # Each verify check: the inputs it is called with, built once per run from
-# --surface, --prior and, for the family, --model, --scheme and --nodes; and
-# each other flag it reads, with the keyword it is passed as (every check reads
-# --tol too). An unset flag is not passed, so the check's own default holds.
+# --surface, --prior and, for the family, --model and --scheme; and each other
+# flag it reads, with the keyword it is passed as (every check reads --tol too).
+# An unset flag is not passed, so the check's own default holds. --nodes maps to
+# None: it sizes the family's quadrature rule, which only convex-order sums over.
 _VERIFY_CHECKS = {
     "concavity": (("surface",), {}),
     "time-monotonicity": (("surface",), {"burn": "burn"}),
     "binomial-reduction": (("prior",), {"N": "n_trials", "cost": "cost", "grid_size": "grid_size"}),
     "concentration": (("prior", "family"), {"pi": "pi", "a": "a", "b": "b", "n_max": "n_max"}),
     "level-spread": (("prior", "family"), {"pi1": "pi1", "pi2": "pi2", "n_max": "n_max"}),
-    "convex-order": (("prior", "family"), {"pi": "pi", "m": "m", "n": "n"}),
+    "convex-order": (("prior", "family"), {"pi": "pi", "m": "m", "n": "n", "nodes": None}),
 }
 
 
@@ -163,7 +164,7 @@ def _cmd_verify(args):
     inputs = {key for keys, _ in wanted for key in keys}
     # command and func are the parser's own; every run reads --check, --tol and --out
     read = {"command", "func", "check", "tol", "out", *inputs, *(flag for _, flags in wanted for flag in flags),
-            *(("model", "scheme", "nodes") if "family" in inputs else ())}
+            *(("model", "scheme") if "family" in inputs else ())}
     unread = [f"--{flag.replace('_', '-')}" for flag, value in vars(args).items()
               if value is not None and flag not in read]
     if unread:  # refused before any input is read, not dropped
@@ -181,7 +182,7 @@ def _cmd_verify(args):
     reports = []
     for name, (keys, flags) in zip(args.check, wanted):
         given = {kw: getattr(args, flag) for flag, kw in {"tol": "tol", **flags}.items()
-                 if getattr(args, flag) is not None}
+                 if kw and getattr(args, flag) is not None}
         check = getattr(checks_mod, "check_" + name.replace("-", "_"))
         reports.append(check(**{key: built[key] for key in keys}, **given))
     _emit(args.out, [r.to_json() + "\n" for r in reports])
@@ -274,14 +275,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="seqtest", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_model_opts(p):
+    def add_model_opts(p, nodes=False):
         p.add_argument("--model", help="named model, e.g. bernoulli, binomial(3), gaussian-mean")
         p.add_argument("--scheme", help="CSV (header x,h) defining a custom finite model")
         p.add_argument("--prior", help="prior CSV: '# theta0=...' line then header u,w")
-        p.add_argument("--nodes", type=int, help="quadrature node count override")
+        if nodes:
+            p.add_argument("--nodes", type=int, help="quadrature node count override")
 
     p = sub.add_parser("solve", help="solve the value surface and boundaries")
-    add_model_opts(p)
+    add_model_opts(p, nodes=True)
     p.add_argument("--cost", type=float)
     p.add_argument("--horizon", default=None, help="integer or 'auto'")
     p.add_argument("--slack", type=float, default=None)
@@ -297,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_boundaries)
 
     p = sub.add_parser("verify", help="run structural checks; exit 1 on failure")
-    add_model_opts(p)
+    add_model_opts(p, nodes=True)
     p.add_argument("--check", action="append", required=True, help="repeatable check name", choices=_VERIFY_CHECKS)
     p.add_argument("--surface")
     p.add_argument("--tol", type=float)  # every flag defaults to None: _cmd_verify refuses one no check reads

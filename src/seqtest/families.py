@@ -83,6 +83,8 @@ class ObservationScheme:
             raise ValueError("scheme base weights overflowed; reduce the node count")
         if self.kind == "continuous" and self.log_base_density is None:
             raise ValueError("continuous scheme requires a log base-density evaluator")
+        if self.kind == "finite" and self.log_base_density is not None:
+            raise ValueError("finite scheme takes no log base-density evaluator: its base weights are its masses")
         pts.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -110,6 +112,7 @@ class NaturalFamily:
     mutable state.  ``scheme_domain``, when set, is the open parameter range
     over which the (quadrature) scheme keeps the transition law's mass and
     mean to ~1e-13; priors with atoms outside it are rejected by the engine.
+    A quadrature rule reaches an answer only through the one-step expectation.
     Kinked value layers integrate less well: the gap to the closed-form last
     layer reaches 1.25e-3 on gaussian-mean at 128 nodes.
     """
@@ -296,7 +299,7 @@ def _gaussian_variance(nodes: int, min_precision: float = 0.25) -> NaturalFamily
 # The quadrature models: each one's constructor, whose defaults give the window
 # make_named_family builds, its natural domain, and its window as family_for_prior
 # sizes it from the prior's atoms.  The finite models, bernoulli and binomial(N),
-# take no params and have the whole real line.
+# take no node count and have the whole real line.
 _QUADRATURE = {
     "gaussian-mean": (_gaussian_mean, (-math.inf, math.inf), lambda atoms: 0.5 * (atoms.min() + atoms.max())),
     "exponential-rate": (_exponential_rate, (0.0, math.inf), lambda atoms: float(atoms.min())),
@@ -305,32 +308,29 @@ _QUADRATURE = {
 _BINOMIAL_RE = re.compile(r"^binomial\((\d+)\)$")
 
 
-def make_named_family(name: str, params: dict | None = None) -> NaturalFamily:
+def make_named_family(name: str, nodes: int | None = None) -> NaturalFamily:
     """Build one of the named models, e.g. ``make_named_family("binomial(3)")``.
 
-    bernoulli and binomial(N) take no params.  The quadrature models take
-    ``nodes`` alone (default 128) and get the default window, centred at 0
-    for gaussian-mean and from 0.25 up for the other two; ``family_for_prior``
-    sizes it from a prior instead.
+    ``nodes`` sizes a quadrature model's rule (None: 128); bernoulli and
+    binomial(N) have none and refuse it.  A quadrature model gets the default
+    window, centred at 0 for gaussian-mean and from 0.25 up for the other
+    two; ``family_for_prior`` sizes it from a prior instead.
     Sizes that cannot be built are refused before anything is: N above
     1029, gaussian-mean above 370 nodes and any model above 10^4 nodes.
     Priors and thresholds are natural parameters; for gaussian-variance
     u = s^-2, so "s <= s0" is the upper side u > s0^-2.
     """
-    return _named_family(name, params or {})
+    return _named_family(name, nodes)
 
 
-def _named_family(name: str, params: dict, atoms=None) -> NaturalFamily:
-    """The model ``name`` with ``params`` checked; a quadrature model's window is sized from ``atoms`` if given."""
+def _named_family(name: str, nodes, atoms=None) -> NaturalFamily:
+    """The model ``name`` with its ``nodes`` checked; a quadrature model's window is sized from ``atoms`` if given."""
     base = name.strip()
     if base in _QUADRATURE:
         build, domain, window = _QUADRATURE[base]
         if atoms is not None:
             _require_in_domain(domain, base, atoms, "prior atom")
-        unknown = sorted(set(params) - {"nodes"})
-        if unknown:
-            raise ValueError(f"model '{base}' takes only nodes, got {', '.join(unknown)}")
-        nodes = _count(params.get("nodes", 128), f"nodes for model '{base}'", 1)
+        nodes = _count(128 if nodes is None else nodes, f"nodes for model '{base}'", 1)
         # numpy builds a rule from a nodes x nodes companion matrix
         if nodes * nodes > _MAX_VALUES:
             raise ValueError(f"nodes for model '{base}' must be at most {math.isqrt(_MAX_VALUES)}, got {nodes}: "
@@ -339,25 +339,23 @@ def _named_family(name: str, params: dict, atoms=None) -> NaturalFamily:
     m = _BINOMIAL_RE.match(base)
     if not (m or base in ("bernoulli", "binomial")):
         raise ValueError(f"unknown model '{name}'")
-    if "nodes" in params:
+    if nodes is not None:
         raise ValueError(f"nodes applies only to the quadrature models ({', '.join(_QUADRATURE)}), not '{base}'")
-    if params:
-        raise ValueError(f"model '{base}' takes no params, got {', '.join(sorted(params))}")
     if base == "binomial":
         raise ValueError("binomial requires a trial count, e.g. 'binomial(3)'")
     return _binomial(int(m.group(1))) if m else _binomial(1, "bernoulli")
 
 
-def family_for_prior(name: str, atoms, params: dict | None = None) -> NaturalFamily:
+def family_for_prior(name: str, atoms, nodes: int | None = None) -> NaturalFamily:
     """Named family with its scheme window sized from the prior's atoms.
 
     ``atoms`` may be an array of natural parameters or anything with an
-    ``atoms`` attribute, and ``params`` are those of ``make_named_family``.
+    ``atoms`` attribute, and ``nodes`` is as for ``make_named_family``.
     Finite-outcome models have no window to size.  An atom outside the
     model's natural domain is refused in the words of
     ``validate_prior_for_family``; the posterior code checks the rest.
     """
-    return _named_family(name, params or {}, np.asarray(getattr(atoms, "atoms", atoms), dtype=float))
+    return _named_family(name, nodes, np.asarray(getattr(atoms, "atoms", atoms), dtype=float))
 
 
 def _count(value, name: str, least: int = 0) -> int:

@@ -374,11 +374,11 @@ class TestSchemeExcludesModel:
         path.write_text("x,h\n0.0,1.0\n1.0,1.0\n")
         return str(path)
 
-    def _refused(self, tmp_path, capsys, argv):
+    def _refused(self, tmp_path, capsys, argv,
+                 message="a --scheme file defines the whole model, so model and nodes cannot be set beside it"):
         before = sorted(tmp_path.rglob("*"))
         assert run(argv) == 2
-        assert capsys.readouterr() == ("", "error: a --scheme file defines the whole model, so model and nodes "
-                                           "cannot be set beside it\n")
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("flags", [["--model", "bernoulli"], ["--nodes", "5"],
@@ -395,7 +395,10 @@ class TestSchemeExcludesModel:
                              "--trace", out + ".csv"],
                 "oracle": ["--cost", "0.1", "--horizon", "3"],
                 "verify": ["--check", "convex-order", "--out", out]}[command]
-        self._refused(tmp_path, capsys, [command, *argv, "--scheme", scheme_file, *flags, "--prior", prior_file])
+        # simulate and oracle parse no --nodes, so argparse refuses it before the scheme is read
+        unparsed = command in ("simulate", "oracle") and "--nodes" in flags
+        self._refused(tmp_path, capsys, [command, *argv, "--scheme", scheme_file, *flags, "--prior", prior_file],
+                      *([f"unrecognized arguments: --nodes {flags[-1]}"] if unparsed else []))
 
     @pytest.mark.parametrize("config, flags", [
         ({"model": "bernoulli"}, ["--scheme", "SCHEME"]),
@@ -409,6 +412,53 @@ class TestSchemeExcludesModel:
                                     "out": str(tmp_path / "x")}))
         flags = [scheme_file if flag == "SCHEME" else flag for flag in flags]
         self._refused(tmp_path, capsys, ["solve", "--config", str(path), *flags])
+
+
+class TestNodesReadWhereSummed:
+    """--nodes sizes the quadrature rule, which only solve and verify's convex-order sum over: anywhere else it
+    is refused in one line, and nothing is written."""
+
+    @pytest.fixture()
+    def gaussian_prior(self, tmp_path):
+        path = tmp_path / "gaussian-prior.csv"
+        path.write_text("# theta0=0.0\nu,w\n-1.0,1.0\n0.4,2.0\n1.5,1.0\n")
+        return str(path)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--model", "bernoulli", "--prior", "BERNOULLI", "--surface", "SURFACE", "--replicates", "10",
+          "--trace", "TRACE", "--out", "OUT", "--nodes", "9"], "unrecognized arguments: --nodes 9"),
+        (["oracle", "--model", "bernoulli", "--prior", "BERNOULLI", "--cost", "0.1", "--horizon", "3",
+          "--nodes", "5"], "unrecognized arguments: --nodes 5"),
+        (["verify", "--check", "concentration", "--model", "gaussian-mean", "--nodes", "7", "--prior", "GAUSSIAN",
+          "--out", "OUT"], "none of the requested checks (concentration) reads --nodes"),
+        (["verify", "--check", "level-spread", "--model", "gaussian-mean", "--prior", "GAUSSIAN", "--nodes", "7",
+          "--out", "OUT"], "none of the requested checks (level-spread) reads --nodes"),
+        (["verify", "--check", "concentration", "--check", "level-spread", "--model", "gaussian-mean",
+          "--prior", "GAUSSIAN", "--nodes", "7", "--out", "OUT"],
+         "none of the requested checks (concentration, level-spread) reads --nodes"),
+    ])
+    def test_refused_where_no_rule_is_summed(self, solved_dir, prior_file, gaussian_prior, tmp_path, capsys, argv,
+                                             message):
+        paths = {"SURFACE": os.path.join(solved_dir, "surface.json"), "BERNOULLI": prior_file,
+                 "GAUSSIAN": gaussian_prior, "OUT": str(tmp_path / "out"), "TRACE": str(tmp_path / "trace.csv")}
+        before = sorted(tmp_path.rglob("*"))
+        assert run([paths.get(arg, arg) for arg in argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_convex_order_reads_nodes(self, gaussian_prior, tmp_path, capsys):
+        out = tmp_path / "reports.jsonl"
+        assert run(["verify", "--check", "concentration", "--check", "convex-order", "--model", "gaussian-mean",
+                    "--prior", gaussian_prior, "--nodes", "64", "--out", str(out)]) == 0
+        concentration, convex = (json.loads(line) for line in out.read_text().splitlines())
+        prior = st.load_prior_csv(gaussian_prior)
+
+        def report(check, nodes):
+            return json.loads(check(prior, st.family_for_prior("gaussian-mean", prior, nodes=nodes)).to_json())
+
+        # the node count reaches the convex-order report; the concentration report does not depend on it
+        assert convex == report(st.check_convex_order, 64) != report(st.check_convex_order, None)
+        assert concentration == report(st.check_concentration, 64) == report(st.check_concentration, None)
 
 
 class TestParserErrors:

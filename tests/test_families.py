@@ -61,48 +61,57 @@ class TestNamedFamilies:
                      (bern.log_partition(u), one.log_partition(u))):
             assert a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("name, params, message", [
-        ("bernoulli", {"nodes": 5}, "^nodes applies only to the quadrature models "
+    @pytest.mark.parametrize("name, nodes, message", [
+        ("bernoulli", 5, "^nodes applies only to the quadrature models "
          r"\(gaussian-mean, exponential-rate, gaussian-variance\), not 'bernoulli'$"),
-        ("binomial(3)", {"nodes": 0}, "nodes applies only to the quadrature models .* not 'binomial\\(3\\)'$"),
-        ("binomial(3)", {"n": 3}, "^model 'binomial\\(3\\)' takes no params, got n$"),
-        # no quadrature window can be set: family_for_prior sizes it from the prior
-        *((model, {window: 1.0}, f"^model '{model}' takes only nodes, got {window}$")
-          for model in ("gaussian-mean", "exponential-rate", "gaussian-variance")
-          for window in ("center", "min_rate", "min_precision")),
-        ("exponential-rate", {"center": 0.0, "size": 3},
-         "^model 'exponential-rate' takes only nodes, got center, size$"),
+        ("binomial(3)", 0, "nodes applies only to the quadrature models .* not 'binomial\\(3\\)'$"),
     ])
-    def test_params_checked_against_the_model(self, name, params, message):
+    def test_nodes_refused_on_finite_models(self, name, nodes, message):
         with pytest.raises(ValueError, match=message):
-            st.make_named_family(name, params)
+            st.make_named_family(name, nodes=nodes)
         with pytest.raises(ValueError, match=message):
-            st.family_for_prior(name, np.array([0.5, 1.5]), params)
+            st.family_for_prior(name, np.array([0.5, 1.5]), nodes=nodes)
+
+    @pytest.mark.parametrize("model", ["gaussian-mean", "exponential-rate", "gaussian-variance"])
+    @pytest.mark.parametrize("nodes", [None, 7, 64, 128])
+    def test_nodes_keyword_sizes_the_rule(self, model, nodes):
+        # the keyword, given or left at None (128), and a positional count reach the model's own constructor
+        construct, _, window = families_mod._QUADRATURE[model]
+        atoms = np.array([0.5, 1.5])
+        size = 128 if nodes is None else nodes
+        for families, expected in (((st.make_named_family(model, nodes=nodes), st.make_named_family(model, nodes)),
+                                    construct(size)),
+                                   ((st.family_for_prior(model, atoms, nodes=nodes),
+                                     st.family_for_prior(model, atoms, nodes)), construct(size, window(atoms)))):
+            for family in families:
+                assert family.scheme.n_points == size
+                assert family.scheme.points.tobytes() == expected.scheme.points.tobytes()
+                assert family.scheme.log_mass.tobytes() == expected.scheme.log_mass.tobytes()
 
 
 class TestModelSizeLimits:
     """A model size that cannot be built is refused in one line before anything is allocated."""
 
     # a budget of 100^2 values stands in for 10^8 in the node-count cases
-    @pytest.mark.parametrize("name, params, budget, message", [
+    @pytest.mark.parametrize("name, nodes, budget, message", [
         ("binomial(1030)", None, 10**8, "binomial trial count N must be at most 1029, got 1030: "
          "C(N, N/2) overflows a double beyond it"),
         ("binomial(1000000000000)", None, 10**8, "binomial trial count N must be at most 1029, got 1000000000000: "
          "C(N, N/2) overflows a double beyond it"),
-        *(("gaussian-mean", {"nodes": nodes}, 10**8, f"nodes for model 'gaussian-mean' must be at most 370, "
+        *(("gaussian-mean", nodes, 10**8, f"nodes for model 'gaussian-mean' must be at most 370, "
            f"got {nodes}: the Gauss-Hermite weights underflow beyond it") for nodes in (371, 500)),
-        *((model, {"nodes": 101}, 100**2, f"nodes for model '{model}' must be at most 100, got 101: "
+        *((model, 101, 100**2, f"nodes for model '{model}' must be at most 100, got 101: "
            "a rule is built from a nodes x nodes matrix, over the budget of 10000 values")
           for model in ("gaussian-mean", "exponential-rate", "gaussian-variance")),
     ])
-    def test_refused_before_allocating(self, monkeypatch, name, params, budget, message):
+    def test_refused_before_allocating(self, monkeypatch, name, nodes, budget, message):
         monkeypatch.setattr(families_mod, "_MAX_VALUES", budget)
 
         def refused():
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
-                    st.make_named_family(name, params)
+                    st.make_named_family(name, nodes=nodes)
 
         peak = traced_peak(refused)
         assert peak < 2**20, f"traced peak {peak / 2**20:.1f} MB"
@@ -113,7 +122,7 @@ class TestModelSizeLimits:
             warnings.simplefilter("error")
             assert build("binomial(1029)").scheme.n_points == 1030
             for model in ("gaussian-mean", "exponential-rate", "gaussian-variance"):
-                assert st.make_named_family(model, {"nodes": 370}).scheme.n_points == 370
+                assert st.make_named_family(model, nodes=370).scheme.n_points == 370
 
 
 class TestGaussRuleCache:
@@ -272,6 +281,12 @@ class TestSchemeValidation:
         with pytest.raises(ValueError, match="strictly increasing"):
             ObservationScheme(kind="finite", points=np.array([1.0, 1.0]), base_weights=np.array([1.0, 1.0]))
 
+    def test_finite_scheme_refuses_a_log_density(self):
+        # its masses are its base weights, so an evaluator it would never read is refused, not kept
+        with pytest.raises(ValueError, match="^finite scheme takes no log base-density evaluator: "
+                                             "its base weights are its masses$"):
+            ObservationScheme("finite", [0.0, 1.0], [1.0, 1.0], log_base_density=lambda x: 5 * x)
+
     def test_weights_must_be_positive(self):
         with pytest.raises(ValueError, match="strictly positive"):
             ObservationScheme(kind="finite", points=np.array([0.0, 1.0]), base_weights=np.array([1.0, 0.0]))
@@ -389,7 +404,7 @@ _COUNT_SITES = [
     ("conjecture_probe-seed", "probe seed", "a non-negative integer",
      lambda v, p, f, s: st.conjecture_probe(["bernoulli"], trials=1, seed=v, grid_size=101)),
     ("make_named_family-nodes", "nodes for model 'gaussian-mean'", "a positive integer",
-     lambda v, p, f, s: st.make_named_family("gaussian-mean", {"nodes": v})),
+     lambda v, p, f, s: st.make_named_family("gaussian-mean", nodes=v)),
 ]
 
 
